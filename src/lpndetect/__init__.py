@@ -22,7 +22,6 @@ from .explore import (  # noqa: F401
     HOLDS,
     INCONCLUSIVE,
     OMEGA,
-    PathPattern,
     Verdict,
     Witness,
     build_km_tree,

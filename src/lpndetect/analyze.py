@@ -1,8 +1,9 @@
 """Property checkers: standing assumptions, strong and weak detectability,
 and current-state opacity.
 
-Strong detectability is checked on the twin net through the segmented
-pattern search; weak detectability and opacity work on the observer, the
+Strong detectability is checked on the twin net as a path question: reach
+a marking, pump a covering loop, then reach a marking whose halves
+disagree. Weak detectability and opacity work on the observer, the
 deterministic automaton over current-marking estimates. Bounded nets (whose
 state space closes within budget) get exact verdicts; unbounded nets get
 sound witnesses or an inconclusive report.
@@ -33,7 +34,7 @@ from .explore import (
     Witness,
     _cycle_nodes,
     build_reachability_graph,
-    fails_without_witness,
+    search_graph,
     search_pattern,
     strong_detectability_pattern,
     unobservable_cycle_pattern,
@@ -68,8 +69,9 @@ class AssumptionReport:
 def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     """Check deadlock-freedom and absence of infinite unobservable runs.
 
-    Both verdicts are exact when the reachability graph closes within budget;
-    otherwise a found violation is sound and the rest is inconclusive.
+    Both questions are answered from one reachability graph. Both verdicts
+    are exact when it closes within budget; otherwise a found violation is
+    sound and the rest is inconclusive.
     """
     t0 = time.perf_counter()
     graph = build_reachability_graph(net, budget)
@@ -99,9 +101,7 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
         no_inf = Verdict(HOLDS, stats=SearchStats(0, 0, 0.0),
                          message="no unobservable transitions")
     else:
-        no_inf = search_pattern(
-            net, net.initial_marking, unobservable_cycle_pattern(), budget
-        )
+        no_inf = search_graph(graph, unobservable_cycle_pattern(), budget, t0)
     return AssumptionReport(deadlock_free=deadlock_free, no_infinite_unobservable=no_inf)
 
 
@@ -353,9 +353,10 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
             ),
         )
     outgoing = {v for (v, _, _) in obs.edges}
-    assert all(v in outgoing for v in range(len(obs.states))), (
-        "deadlock-freedom was checked, every estimate must have a successor"
-    )
+    if len(outgoing) != len(obs.states):
+        raise RuntimeError(
+            "internal error: the net is deadlock free, yet an estimate has no successor"
+        )
     singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
     edge_pairs = [
         (v, w) for (v, _, w) in obs.edges if v in singles and w in singles
@@ -363,9 +364,11 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     cyc = _cycle_nodes(len(obs.states), edge_pairs) & singles
     if cyc:
         return Verdict(HOLDS, stats=stats)
-    return fails_without_witness(
+    return Verdict(
+        FAILS,
         stats=stats,
         message="no reachable cycle of singleton estimates",
+        universal=True,
     )
 
 

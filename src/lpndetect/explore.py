@@ -1,24 +1,23 @@
 """State-space machinery.
 
 Provides budgeted reachability graphs with completeness tracking, Karp-Miller
-coverability trees, coverability queries, current-marking estimation, and a
-restricted multi-segment path-pattern search. The pattern search looks for a
-computation split into up to four segments with componentwise-covering
-constraints between adjacent segment endpoints, per-segment length
-restrictions, and a disjunctive place-comparison predicate on the final
-marking. On a net whose reachability graph closes within budget the answer
-is exact; otherwise a found witness is sound and everything else is
-reported as inconclusive.
+coverability trees, coverability queries, current-marking estimation, and
+the two path questions the checkers ask (see PathPattern): a covering pump
+followed by a mismatch, for strong detectability on the twin net, and an
+unobservable covering pump, for the standing assumption. Each question is
+explored once. The reachability graph is built under the budget; when it
+closes, the answer is decided and its witness read off the graph alone.
+Otherwise a budgeted search that fires transitions finds a sound witness or
+reports the question inconclusive.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from .net import (
     EPSILON,
@@ -68,16 +67,21 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: str  # HOLDS | FAILS | INCONCLUSIVE
+    """outcome is HOLDS, FAILS or INCONCLUSIVE. A failing verdict carries a
+    witness, except the failure of a universal property (such as "some
+    trajectory's estimates become singletons"), which has no finite
+    certificate and is marked universal instead."""
+
+    outcome: str
     witness: object = None
     stats: SearchStats = field(default_factory=SearchStats)
     message: str = ""
+    universal: bool = False
 
     def __post_init__(self):
-        if self.outcome == FAILS and self.witness is None:
-            # Checkers for properties whose failure has no finite certificate
-            # (e.g. absence of a resolving trajectory) construct Verdicts via
-            # fails_without_witness below.
+        if self.universal and (self.outcome != FAILS or self.witness is not None):
+            raise InputError("only a failing verdict without a witness is universal")
+        if self.outcome == FAILS and self.witness is None and not self.universal:
             raise InputError("a failing verdict must carry a witness")
 
     @property
@@ -87,16 +91,6 @@ class Verdict:
     @property
     def fails(self):
         return self.outcome == FAILS
-
-
-def fails_without_witness(stats=None, message="") -> Verdict:
-    """Failing verdict for universal properties with no finite witness."""
-    v = Verdict.__new__(Verdict)
-    object.__setattr__(v, "outcome", FAILS)
-    object.__setattr__(v, "witness", None)
-    object.__setattr__(v, "stats", stats or SearchStats())
-    object.__setattr__(v, "message", message)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -250,55 +244,26 @@ def coverable(net: LabeledPetriNet, target: Marking) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Path patterns
+# The two path questions
 # ---------------------------------------------------------------------------
-
-LEN_ANY = "any"
-LEN_EMPTY = "empty"
-LEN_NONEMPTY = "nonempty"
-LEN_NONEMPTY_UNOBS = "nonempty-unobservable"
-
-_LENGTHS = (LEN_ANY, LEN_EMPTY, LEN_NONEMPTY, LEN_NONEMPTY_UNOBS)
 
 
 @dataclass(frozen=True)
 class PathPattern:
-    """A segmented-computation query.
+    """A run alpha beta [gamma] from a start marking.
 
-    covering lists pairs (i, j) requiring marking-after-segment-i <= marking-
-    after-segment-j; only adjacent pairs (j == i + 1) are supported, which is
-    all the detectability checks need. lengths gives one restriction per
-    segment. mismatch_pairs is a disjunction of place-index inequalities
-    evaluated on the final marking; empty means no final restriction.
+    alpha is any firing sequence. beta is a nonempty loop whose end marking
+    covers its start marking; with eps_pump it fires unobservable
+    transitions only. When mismatch_pairs is None the run ends after beta.
+    Otherwise a third segment gamma follows, any firing sequence ending in a
+    marking m with m[a] != m[b] for some pair (a, b).
     """
 
-    segment_count: int
-    covering: tuple = ()
-    lengths: tuple = ()
-    mismatch_pairs: tuple = ()
-
-    def __post_init__(self):
-        if not 1 <= self.segment_count <= 4:
-            raise InputError("segment count must be between 1 and 4")
-        if len(self.lengths) != self.segment_count:
-            raise InputError("one length restriction per segment required")
-        for lc in self.lengths:
-            if lc not in _LENGTHS:
-                raise InputError(f"unknown length restriction {lc!r}")
-        for i, j in self.covering:
-            if not (0 <= i < j <= self.segment_count):
-                raise InputError(f"covering pair {(i, j)} out of range")
-            if j != i + 1:
-                raise InputError("only adjacent covering pairs are supported")
-
-    def validate_for(self, net: LabeledPetriNet):
-        n = len(net.places)
-        for a, b in self.mismatch_pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise InputError(f"final-predicate place index {(a, b)} out of range")
+    eps_pump: bool
+    mismatch_pairs: Optional[tuple] = None
 
     def final_ok(self, m: Marking) -> bool:
-        if not self.mismatch_pairs:
+        if self.mismatch_pairs is None:
             return True
         return any(m[a] != m[b] for a, b in self.mismatch_pairs)
 
@@ -308,20 +273,17 @@ def strong_detectability_pattern(n_places: int) -> PathPattern:
     then reach a marking whose two halves disagree."""
     half = n_places // 2
     return PathPattern(
-        segment_count=3,
-        covering=((1, 2),),
-        lengths=(LEN_ANY, LEN_NONEMPTY, LEN_ANY),
-        mismatch_pairs=tuple((i, i + half) for i in range(half)),
+        eps_pump=False, mismatch_pairs=tuple((i, i + half) for i in range(half))
     )
 
 
 def unobservable_cycle_pattern() -> PathPattern:
     """Two segments: reach, then a nonempty all-unobservable pump (covering)."""
-    return PathPattern(
-        segment_count=2,
-        covering=((1, 2),),
-        lengths=(LEN_ANY, LEN_NONEMPTY_UNOBS),
-    )
+    return PathPattern(eps_pump=True)
+
+
+def _segment_count(pattern: PathPattern) -> int:
+    return 2 if pattern.mismatch_pairs is None else 3
 
 
 # ---------------------------------------------------------------------------
@@ -330,215 +292,219 @@ def unobservable_cycle_pattern() -> PathPattern:
 
 
 def _cycle_nodes(n_nodes: int, edge_list) -> set:
-    """Node ids lying on some nontrivial cycle (self-loops included)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n_nodes))
-    selfloop = set()
+    """Node ids lying on some nontrivial cycle (self-loops included).
+
+    One iterative pass of Tarjan's strongly-connected-components algorithm
+    (Tarjan 1972): a node lies on a cycle iff it has a self-loop or its
+    component has more than one node.
+    """
+    out = set()
+    adj = [[] for _ in range(n_nodes)]
     for v, w in edge_list:
         if v == w:
-            selfloop.add(v)
-        g.add_edge(v, w)
-    out = set(selfloop)
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            out.update(comp)
+            out.add(v)
+        else:
+            adj[v].append(w)
+    index = [-1] * n_nodes
+    low = [0] * n_nodes
+    on_stack = [False] * n_nodes
+    stack = []
+    work = []  # the depth-first path: (node, iterator over its successors)
+    counter = 0
+
+    def visit(v):
+        nonlocal counter
+        index[v] = low[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(adj[v])))
+
+    for root in range(n_nodes):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    if len(component) > 1:
+                        out.update(component)
     return out
 
 
-def _step_allowed(net: LabeledPetriNet, lc: str, t: str) -> bool:
-    if lc == LEN_EMPTY:
-        return False
-    if lc == LEN_NONEMPTY_UNOBS:
-        return net.label(t) is EPSILON
-    return True
+def _eps_transitions(net: LabeledPetriNet) -> set:
+    return {t for t, lab in zip(net.transitions, net.labels) if lab is EPSILON}
 
 
 def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
     """Decide the pattern on a complete (hence bounded) reachability graph.
 
-    On a bounded net a covering pair with the later marking reachable from
-    the earlier one forces equality, so a covering segment degenerates to a
-    nontrivial cycle in the segment's allowed-edge subgraph.
+    On a bounded net a covering loop cannot strictly increase the marking,
+    or pumping it would reach infinitely many markings; so the pump is a
+    cycle of allowed edges. The pattern holds iff some node lies on such a
+    cycle and reaches a node that passes the final test.
     """
-    net = graph.net
-    covering = set(pattern.covering)
-    cur = {graph.initial}
-    n = len(graph.markings)
-    for j in range(1, pattern.segment_count + 1):
-        lc = pattern.lengths[j - 1]
-        allowed = [
-            (v, w)
-            for v in range(n)
-            for (t, w) in graph.succ[v]
-            if _step_allowed(net, lc, t)
-        ]
-        if (j - 1, j) in covering:
-            if lc == LEN_EMPTY:
-                continue  # empty segment satisfies covering trivially
-            cyc = _cycle_nodes(n, allowed)
-            cur = {v for v in cur if v in cyc}
-        elif lc == LEN_EMPTY:
-            pass
-        else:
-            g = nx.DiGraph()
-            g.add_nodes_from(range(n))
-            g.add_edges_from(allowed)
-            reach = set()
-            if lc == LEN_ANY:
-                frontier = set(cur)
-                reach = set(cur)
-            else:  # at least one step
-                frontier = {w for v in cur for w in g.successors(v)}
-                reach = set(frontier)
-            while frontier:
-                nxt = {w for v in frontier for w in g.successors(v)} - reach
-                reach |= nxt
-                frontier = nxt
-            cur = reach
-        if not cur:
-            return False
-    return any(pattern.final_ok(graph.markings[v]) for v in cur)
+    eps = _eps_transitions(graph.net)
+    allowed = [
+        (v, w)
+        for v, out in enumerate(graph.succ)
+        for t, w in out
+        if not pattern.eps_pump or t in eps
+    ]
+    reach = _cycle_nodes(len(graph.markings), allowed)
+    stack = list(reach)
+    while stack:
+        for _, w in graph.succ[stack.pop()]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return any(pattern.final_ok(graph.markings[v]) for v in reach)
 
 
 def _witness_search(
     net: LabeledPetriNet,
     start: Marking,
     pattern: PathPattern,
-    max_states: Optional[int],
-    max_depth: Optional[int],
+    budget: Budget,
+    graph: Optional[ReachabilityGraph] = None,
 ):
-    """0/1-BFS over (segment, marking, covering anchor, moved) states.
+    """0/1-BFS over (segment, node, pump anchor, moved) states.
 
-    Returns (witness-or-None, exhausted, states-seen, max-cost). The BFS
+    Given graph, the closed reachability graph of net from start, the nodes
+    are its integer ids and their successors its lists: nothing is fired,
+    and the pump closes on returning to its anchor, as covering forces
+    equality on a closed graph (see _exact_exists). Without graph the nodes
+    are markings fired from start, at most budget.max_states distinct ones
+    at most budget.max_depth steps deep, and the pump closes once its end
+    covers its anchor. Both walks visit the same states in the same order.
+
+    Returns (witness-or-None, exhausted, nodes-seen, max-cost). The BFS
     layers count fired transitions, so the first accepted state yields a
     witness of minimal total segment length; ties break on declared
     transition order.
     """
-    covering = set(pattern.covering)
-    k = pattern.segment_count
-
-    def entered(j, m):
-        anchor = m if (j - 1, j) in covering else None
-        return (j, m, anchor, False)
-
-    start = tuple(start)
-    init = entered(1, start)
-    parents = {init: None}  # state -> (prev_state, action)
-    cost = {init: 0}
-    seen_markings = {start}
+    k = _segment_count(pattern)
     truncated = False
-    queue = deque([init])
+    if graph is not None:
+        eps = _eps_transitions(net)
+        root, covers, marking_of = graph.initial, operator.eq, graph.markings.__getitem__
+        max_depth = None
+
+        def successors(v, eps_only):
+            for t, w in graph.succ[v]:
+                if not eps_only or t in eps:
+                    seen.add(w)
+                    yield t, w
+
+    else:
+        root, covers, marking_of = tuple(start), leq, tuple
+        max_depth = budget.max_depth
+
+        def successors(m, eps_only):
+            nonlocal truncated
+            for ti, t in enumerate(net.transitions):
+                if eps_only and net.labels[ti] is not EPSILON:
+                    continue
+                row = net.pre[ti]
+                if any(m[i] < row[i] for i in range(len(m))):
+                    continue
+                post_row = net.post[ti]
+                m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
+                if m2 not in seen:
+                    if len(seen) >= budget.max_states:
+                        truncated = True
+                        continue
+                    seen.add(m2)
+                yield t, m2
+
+    seen = {root}
+    init = (1, root, None, False)
+    parents = {init: None}  # state -> (prev_state, transition or None on close)
+    queue = deque([(init, 0)])
     accepted = None
     max_cost = 0
-
-    def can_close(state):
-        j, m, anchor, moved = state
-        lc = pattern.lengths[j - 1]
-        if lc in (LEN_NONEMPTY, LEN_NONEMPTY_UNOBS) and not moved:
-            return False
-        if anchor is not None and not leq(anchor, m):
-            return False
-        return True
-
     while queue:
-        state = queue.popleft()
-        j, m, anchor, moved = state
-        c = cost[state]
+        state, c = queue.popleft()
+        j, x, anchor, moved = state
         max_cost = max(max_cost, c)
-        if can_close(state):
+        if j != 2 or (moved and covers(anchor, x)):
             if j == k:
-                if pattern.final_ok(m):
-                    accepted = ("accept", state)
+                if pattern.final_ok(marking_of(x)):
+                    accepted = state
                     break
             else:
-                nxt = entered(j + 1, m)
+                nxt = (j + 1, x, x if j == 1 else None, False)
                 if nxt not in parents:
-                    parents[nxt] = (state, ("close",))
-                    cost[nxt] = c
-                    queue.appendleft(nxt)
-        lc = pattern.lengths[j - 1]
-        if lc == LEN_EMPTY:
-            continue
+                    parents[nxt] = (state, None)
+                    queue.appendleft((nxt, c))
         if max_depth is not None and c >= max_depth:
             truncated = True
             continue
-        for ti, t in enumerate(net.transitions):
-            if lc == LEN_NONEMPTY_UNOBS and net.labels[ti] is not EPSILON:
-                continue
-            row = net.pre[ti]
-            if any(m[i] < row[i] for i in range(len(m))):
-                continue
-            post_row = net.post[ti]
-            m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
-            if m2 not in seen_markings:
-                if max_states is not None and len(seen_markings) >= max_states:
-                    truncated = True
-                    continue
-                seen_markings.add(m2)
-            nxt = (j, m2, anchor, True)
+        for t, y in successors(x, j == 2 and pattern.eps_pump):
+            nxt = (j, y, anchor, True)
             if nxt not in parents:
-                parents[nxt] = (state, ("step", t))
-                cost[nxt] = c + 1
-                queue.append(nxt)
+                parents[nxt] = (state, t)
+                queue.append((nxt, c + 1))
 
     if accepted is None:
-        return None, not truncated, len(seen_markings), max_cost
+        return None, not truncated, len(seen), max_cost
 
-    # Reconstruct segments from the parent chain.
-    _, final_state = accepted
-    actions = []
-    cur = final_state
-    while parents[cur] is not None:
-        prev, act = parents[cur]
-        actions.append((act, cur))
-        cur = prev
-    actions.reverse()
+    # Walk the parent chain back: a close ends the segment of its source.
     segments = [[] for _ in range(k)]
-    boundary_markings = [None] * k
-    seg = 0
-    for act, state in actions:
-        if act[0] == "step":
-            segments[seg].append(act[1])
-        else:  # close: the state is the entry of the next segment
-            boundary_markings[seg] = state[1]
-            seg += 1
-    boundary_markings[k - 1] = final_state[1]
+    boundary_markings = [None] * (k - 1) + [marking_of(accepted[1])]
+    state = accepted
+    while parents[state] is not None:
+        prev, t = parents[state]
+        if t is None:
+            boundary_markings[prev[0] - 1] = marking_of(prev[1])
+        else:
+            segments[state[0] - 1].append(t)
+        state = prev
     witness = Witness(
-        segments=tuple(tuple(s) for s in segments),
+        segments=tuple(tuple(reversed(s)) for s in segments),
         markings=tuple(boundary_markings),
     )
-    return witness, False, len(seen_markings), max_cost
+    return witness, False, len(seen), max_cost
 
 
 def replay_witness(
     net: LabeledPetriNet, start: Marking, pattern: PathPattern, witness: Witness
 ) -> bool:
     """Re-fire a witness from start and check every pattern constraint."""
-    if len(witness.segments) != pattern.segment_count:
+    k = _segment_count(pattern)
+    if len(witness.segments) != k or len(witness.markings) != k:
+        return False
+    pump = witness.segments[1]
+    if not pump:
+        return False
+    if pattern.eps_pump and any(net.label(t) is not EPSILON for t in pump):
         return False
     m = tuple(start)
-    boundary = [tuple(start)]
-    for seg_i, seg in enumerate(witness.segments):
-        lc = pattern.lengths[seg_i]
-        if lc == LEN_EMPTY and len(seg) > 0:
-            return False
-        if lc in (LEN_NONEMPTY, LEN_NONEMPTY_UNOBS) and len(seg) == 0:
-            return False
-        if lc == LEN_NONEMPTY_UNOBS and any(
-            net.label(t) is not EPSILON for t in seg
-        ):
-            return False
+    for seg, recorded in zip(witness.segments, witness.markings):
         try:
             m = fire_sequence(net, m, seg)
         except FiringError:
             return False
-        if m != witness.markings[seg_i]:
+        if m != recorded:
             return False
-        boundary.append(m)
-    for i, j in pattern.covering:
-        if not leq(boundary[i], boundary[j]):
-            return False
-    return pattern.final_ok(m)
+    return leq(witness.markings[0], witness.markings[1]) and pattern.final_ok(m)
 
 
 def search_pattern(
@@ -554,29 +520,35 @@ def search_pattern(
     is a proof. Everything else is INCONCLUSIVE.
     """
     t0 = time.perf_counter()
-    pattern.validate_for(net)
     net._check_marking(start)
     graph = build_reachability_graph(net, budget, start=start)
-    if graph.complete:
-        if _exact_exists(graph, pattern):
-            witness, _, states, depth = _witness_search(net, start, pattern, None, None)
-            assert witness is not None and replay_witness(net, start, pattern, witness)
-            stats = SearchStats(states, depth, time.perf_counter() - t0)
-            return Verdict(FAILS, witness, stats)
+    return search_graph(graph, pattern, budget, t0)
+
+
+def search_graph(
+    graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, t0: float
+) -> Verdict:
+    """search_pattern on the already built reachability graph from its
+    initial node; t0 is when the question started, for the wall time."""
+    if graph.complete and not _exact_exists(graph, pattern):
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
         return Verdict(HOLDS, None, stats)
+    net, start = graph.net, graph.markings[graph.initial]
     witness, _, states, depth = _witness_search(
-        net, start, pattern, budget.max_states, budget.max_depth
+        net, start, pattern, budget, graph if graph.complete else None
     )
     stats = SearchStats(states, depth, time.perf_counter() - t0)
-    if witness is not None:
-        assert replay_witness(net, start, pattern, witness)
-        return Verdict(FAILS, witness, stats)
-    return Verdict(
-        INCONCLUSIVE,
-        stats=stats,
-        message="state space did not close within budget",
-    )
+    if witness is None:
+        if graph.complete:
+            raise RuntimeError("internal error: no witness on a graph decided to fail")
+        return Verdict(
+            INCONCLUSIVE,
+            stats=stats,
+            message="state space did not close within budget",
+        )
+    if not replay_witness(net, start, pattern, witness):
+        raise RuntimeError("internal error: witness failed its replay check")
+    return Verdict(FAILS, witness, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,8 @@ from lpndetect import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    Verdict,
+    Witness,
     build_observer,
     build_twin,
     check_assumptions,
@@ -17,7 +22,8 @@ from lpndetect import (
     estimate,
     make_net,
 )
-from lpndetect.analyze import AssumptionError, explore_observer
+from lpndetect import analyze, explore
+from lpndetect.analyze import AssumptionError, Observer, explore_observer
 from lpndetect.gadgets import inclusion_to_weak, secret_marking, selfloop_unobservable
 from lpndetect.net import EPSILON, InputError, fire_sequence, observation
 from lpndetect.twin import project
@@ -73,6 +79,32 @@ class TestCheckStrong:
         net = make_net(["p"], {"t": ("a", {"p": 1}, {})}, {"p": 1})
         with pytest.raises(AssumptionError):
             check_strong(net, budget)
+
+    def test_mismatch_off_the_pump_cycle(self, budget):
+        # the halves disagree only on (q, r), which lies on no cycle: a^k b
+        # leaves the marking ambiguous for every k, then c resolves it
+        net = make_net(
+            ["p", "q", "r", "s"],
+            {
+                "t1": ("a", {"p": 1}, {"p": 1}),
+                "t2": ("b", {"p": 1}, {"q": 1}),
+                "t3": ("b", {"p": 1}, {"r": 1}),
+                "t4": ("c", {"q": 1}, {"s": 1}),
+                "t5": ("c", {"r": 1}, {"s": 1}),
+                "t6": ("d", {"s": 1}, {"s": 1}),
+            },
+            {"p": 1},
+        )
+        v = check_strong(net, budget)
+        assert v.outcome == FAILS
+        assert v.witness.segments == ((), ("(t1,t1)",), ("(t2,t3)",))
+        assert check_strong_oracle(net, budget) is False
+
+    def test_net_without_places_holds(self, budget):
+        # one marking only, so every run's current marking is known
+        net = make_net([], {"t": ("a", {}, {})}, {})
+        assert check_strong(net, budget).outcome == HOLDS
+        assert check_strong_oracle(net, budget) is True
 
 
 class TestStrongOracle:
@@ -193,3 +225,102 @@ class TestWitnessPumping:
                         m3[j] + m * (m2[j] - m1[j]) for j in range(lo, hi)
                     )
                     assert end == expect
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def e2_eps():
+    # e2 with its branch made unobservable: bounded, no unobservable loop
+    return make_net(
+        ["p", "q"],
+        {
+            "t1": ("a", {"p": 1}, {"p": 1}),
+            "u": (EPSILON, {"p": 1}, {"q": 1}),
+            "t3": ("a", {"q": 1}, {"q": 1}),
+        },
+        {"p": 1},
+    )
+
+
+class TestOneExploration:
+    def test_each_graph_built_once(self, e2_eps, budget, monkeypatch):
+        built = []
+        real = explore.build_reachability_graph
+
+        def counting(net, *args, **kwargs):
+            built.append(net)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "build_reachability_graph", counting)
+        monkeypatch.setattr(analyze, "build_reachability_graph", counting)
+        rep = check_assumptions(e2_eps, budget)
+        assert rep.deadlock_free.holds and rep.no_infinite_unobservable.holds
+        assert built == [e2_eps]
+        built.clear()
+        assert check_strong(e2_eps, budget).fails
+        assert built[0] is e2_eps
+        assert len(built) == 2 and len(built[1].places) == 4  # the twin
+
+    def test_closed_graph_fires_nothing(self, e1, e2, budget, monkeypatch):
+        graphs = []
+        real = explore._witness_search
+
+        def spy(net, start, pattern, budget, graph=None):
+            graphs.append(graph)
+            return real(net, start, pattern, budget, graph)
+
+        monkeypatch.setattr(explore, "_witness_search", spy)
+        assert check_strong(e2, budget).fails
+        gadget = selfloop_unobservable(e1, (1,))
+        assert check_assumptions(gadget.net, budget).no_infinite_unobservable.fails
+        assert len(graphs) == 2
+        assert all(g is not None and g.complete for g in graphs)
+
+
+class TestHardChecks:
+    def test_failed_replay_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from lpndetect import Budget, check_strong, explore, make_net\n"
+            "assert False, 'asserts are on'\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr  # -O really strips asserts
+        code = code.replace("assert False, 'asserts are on'\n", (
+            "explore.replay_witness = lambda *args: False\n"
+            "e2 = make_net(['p', 'q'], {'t1': ('a', {'p': 1}, {'p': 1}),\n"
+            "    't2': ('a', {'p': 1}, {'q': 1}), 't3': ('a', {'q': 1}, {'q': 1})},\n"
+            "    {'p': 1})\n"
+            "e4 = make_net(['p', 'q', 'r'], {'t': ('a', {'p': 1}, {'p': 1, 'q': 1}),\n"
+            "    'u': ('a', {'p': 1}, {'p': 1, 'r': 1})}, {'p': 1})\n"
+            "for net in (e2, e4):  # closed and open twin graphs\n"
+            "    try:\n"
+            "        print(check_strong(net, Budget(200, 20)).outcome)\n"
+            "    except RuntimeError:\n"
+            "        print('error')\n"
+        ))
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["error", "error"], out.stderr
+
+    def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
+        lonely = Observer(states=[frozenset({(1,)})], edges=[], succ={}, parent=[None])
+        monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
+        with pytest.raises(RuntimeError):
+            check_weak(e1, budget)
+
+
+class TestVerdict:
+    def test_witnessless_failure_is_universal(self, e2, budget):
+        with pytest.raises(InputError):
+            Verdict(FAILS)
+        with pytest.raises(InputError):
+            Verdict(HOLDS, universal=True)
+        with pytest.raises(InputError):
+            Verdict(FAILS, Witness(((),), ((1,),)), universal=True)
+        v = check_weak(e2, budget)
+        assert v.fails and v.universal and v.witness is None

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from lpndetect import (
@@ -8,7 +9,6 @@ from lpndetect import (
     HOLDS,
     INCONCLUSIVE,
     OMEGA,
-    PathPattern,
     build_km_tree,
     build_reachability_graph,
     build_twin,
@@ -17,6 +17,8 @@ from lpndetect import (
     search_pattern,
 )
 from lpndetect.explore import (
+    _cycle_nodes,
+    _witness_search,
     km_nodes,
     replay_witness,
     strong_detectability_pattern,
@@ -115,13 +117,18 @@ class TestSearchPattern:
         )
         assert v.outcome == HOLDS
 
-    def test_malformed_pattern(self):
-        with pytest.raises(InputError):
-            PathPattern(segment_count=5, lengths=("any",) * 5)
-        with pytest.raises(InputError):
-            PathPattern(segment_count=3, covering=((1, 3),), lengths=("any",) * 3)
-        with pytest.raises(InputError):
-            PathPattern(segment_count=2, lengths=("any", "weird"))
+    def test_pattern_constructors(self):
+        strong = strong_detectability_pattern(6)
+        assert not strong.eps_pump
+        assert strong.mismatch_pairs == ((0, 3), (1, 4), (2, 5))
+        assert strong.final_ok((1, 0, 0, 0, 0, 0))
+        assert not strong.final_ok((1, 2, 0, 1, 2, 0))
+        # a twin without places has halves that never disagree
+        assert not strong_detectability_pattern(0).final_ok(())
+        cycle = unobservable_cycle_pattern()
+        assert cycle.eps_pump
+        assert cycle.mismatch_pairs is None
+        assert cycle.final_ok((0, 7))
 
     def test_fails_witness_always_replays(self):
         rng = random.Random(41)
@@ -138,9 +145,8 @@ class TestSearchPattern:
             found += 1
             assert replay_witness(tw.net, tw.net.initial_marking, pattern, v.witness)
             # covering-constraint soundness, checked independently here
-            boundary = [tuple(tw.net.initial_marking)] + list(v.witness.markings)
-            for i, j in pattern.covering:
-                assert leq(boundary[i], boundary[j])
+            pump_start, pump_end, _ = v.witness.markings
+            assert leq(pump_start, pump_end)
 
     def test_holds_only_when_complete(self):
         # on truncated state spaces the search may fail or stay inconclusive,
@@ -157,6 +163,61 @@ class TestSearchPattern:
             if not any(not net.is_observable(t) for t in net.transitions):
                 continue  # trivially decided without exploration
             assert v.outcome in (FAILS, INCONCLUSIVE)
+
+
+
+def random_digraph(rng, n, p):
+    return [(v, w) for v in range(n) for w in range(n) if rng.random() < p]
+
+
+class TestCycleNodes:
+    def test_agrees_with_networkx(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            edges = random_digraph(rng, n, rng.choice((0.02, 0.05, 0.1, 0.3)))
+            g = nx.DiGraph(edges)
+            g.add_nodes_from(range(n))
+            expected = {v for v, w in edges if v == w}
+            for comp in nx.strongly_connected_components(g):
+                if len(comp) > 1:
+                    expected |= comp
+            assert _cycle_nodes(n, edges) == expected
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 20_000
+        chain = [(v, v + 1) for v in range(n - 1)]
+        assert _cycle_nodes(n, chain) == set()
+        assert _cycle_nodes(n, chain + [(n - 1, 0)]) == set(range(n))
+        assert _cycle_nodes(n, chain + [(n - 1, n - 1)]) == {n - 1}
+
+
+class TestWitnessOnGraph:
+    """The closed-graph walk against the firing search it replaces."""
+
+    def test_graph_walk_matches_firing_search(self):
+        rng = random.Random(53)
+        budget = Budget(300, 300)
+        unbounded = Budget(10**6, 10**6)
+        compared = {"strong": 0, "eps": 0}
+        found = {"strong": 0, "eps": 0}
+        while min(compared.values()) < 300 or min(found.values()) < 25:
+            net = random_net(rng)
+            tw = build_twin(net)
+            for kind, n, pattern in (
+                ("strong", tw.net, strong_detectability_pattern(len(tw.net.places))),
+                ("eps", net, unobservable_cycle_pattern()),
+            ):
+                graph = build_reachability_graph(n, budget)
+                if not graph.complete:
+                    continue
+                start = n.initial_marking
+                on_graph = _witness_search(n, start, pattern, budget, graph)
+                fired = _witness_search(n, start, pattern, unbounded)
+                assert fired[1] or fired[0] is not None  # never truncated
+                assert on_graph == fired
+                compared[kind] += 1
+                found[kind] += on_graph[0] is not None
 
 
 class TestEstimate:

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -253,3 +256,14 @@ class TestCli:
         assert main(["gadget", "cov2strong", po, "--marking", "p=1"]) == 0
         cov = parse_lpn(capsys.readouterr().out).net
         assert cov == coverability_to_strong(obs, (1,)).net
+
+
+def test_import_needs_no_networkx():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import lpndetect, lpndetect.cli\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.split() == ["False"], out.stderr
