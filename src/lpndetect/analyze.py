@@ -22,6 +22,7 @@ from .net import (
     LabeledPetriNet,
     Marking,
     NetError,
+    successors,
 )
 from .explore import (
     Budget,
@@ -75,11 +76,10 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     """
     t0 = time.perf_counter()
     graph = build_reachability_graph(net, budget)
+    every = range(len(net.transitions))
     dead = None
     for v, m in enumerate(graph.markings):
-        if not any(
-            all(m[i] >= row[i] for i in range(len(m))) for row in net.pre
-        ):
+        if next(successors(net, m, every), None) is None:
             dead = v
             break
     stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
@@ -144,10 +144,16 @@ def check_strong(g: LabeledPetriNet, budget: Budget) -> Verdict:
     over twin transitions. INCONCLUSIVE: the budget ran out first.
     A definite assumption violation raises AssumptionError.
     """
+    return _check_strong(g, budget)[0]
+
+
+def _check_strong(g: LabeledPetriNet, budget: Budget):
+    """check_strong's (verdict, twin), so that a caller can decode the
+    witness's twin transitions without building the twin again."""
     _gate_assumptions(g, budget)
     tw = build_twin(g)
     pattern = strong_detectability_pattern(len(tw.net.places))
-    return search_pattern(tw.net, tw.net.initial_marking, pattern, budget)
+    return search_pattern(tw.net, tw.net.initial_marking, pattern, budget), tw
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ class _BudgetTracker:
 
 def _eps_closure(net: LabeledPetriNet, markings, tracker: _BudgetTracker):
     """Closure under unobservable firings; None if the budget ran out."""
-    eps = [ti for ti, lab in enumerate(net.labels) if lab is EPSILON]
+    eps = net.by_label[EPSILON]
     out = set()
     queue = deque()
     for m in markings:
@@ -208,12 +214,7 @@ def _eps_closure(net: LabeledPetriNet, markings, tracker: _BudgetTracker):
         queue.append(m)
     while queue:
         m = queue.popleft()
-        for ti in eps:
-            row = net.pre[ti]
-            if any(m[i] < row[i] for i in range(len(m))):
-                continue
-            post_row = net.post[ti]
-            m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
+        for _, m2 in successors(net, m, eps):
             if m2 in out:
                 continue
             if not tracker.admit(m2):
@@ -231,10 +232,6 @@ def explore_observer(net: LabeledPetriNet, budget: Budget) -> Observer:
     """
     tracker = _BudgetTracker(budget)
     symbols = sorted(net.alphabet)
-    by_symbol = {
-        sym: [ti for ti, lab in enumerate(net.labels) if lab == sym]
-        for sym in symbols
-    }
     init = _eps_closure(net, {net.initial_marking}, tracker)
     complete = True
     if init is None:
@@ -261,16 +258,9 @@ def explore_observer(net: LabeledPetriNet, budget: Budget) -> Observer:
             continue
         state = states[v]
         for sym in symbols:
-            targets = set()
-            for m in state:
-                for ti in by_symbol[sym]:
-                    row = net.pre[ti]
-                    if any(m[i] < row[i] for i in range(len(m))):
-                        continue
-                    post_row = net.post[ti]
-                    targets.add(
-                        tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
-                    )
+            targets = {
+                m2 for m in state for _, m2 in successors(net, m, net.by_label[sym])
+            }
             if not targets:
                 continue
             closed = _eps_closure(net, targets, tracker)

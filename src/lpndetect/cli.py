@@ -14,9 +14,9 @@ import sys
 from . import __version__
 from .analyze import (
     AssumptionError,
+    _check_strong,
     check_assumptions,
     check_opacity,
-    check_strong,
     check_weak,
     explore_observer,
 )
@@ -263,9 +263,7 @@ def _run(args) -> int:
                 else report.no_infinite_unobservable
         return _emit_verdict(args, "standing-assumptions", agg, digest, report)
     if cmd == "check-strong":
-        budget = _budget(args)
-        verdict = check_strong(net, budget)
-        tw = build_twin(net)
+        verdict, tw = _check_strong(net, _budget(args))
         return _emit_verdict(args, "strong-detectability", verdict, digest, tw=tw)
     if cmd == "check-weak":
         verdict = check_weak(net, _budget(args))

@@ -25,10 +25,9 @@ from .net import (
     InputError,
     LabeledPetriNet,
     Marking,
-    enabled,
-    fire,
     fire_sequence,
     leq,
+    successors,
 )
 
 HOLDS = "holds"
@@ -127,17 +126,12 @@ def build_reachability_graph(
     edges = []
     succ = [[]]
     complete = True
+    every = range(len(net.transitions))
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        m = markings[v]
         d = depth[v]
-        for ti, t in enumerate(net.transitions):
-            row = net.pre[ti]
-            if any(m[i] < row[i] for i in range(len(m))):
-                continue
-            post_row = net.post[ti]
-            m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
+        for ti, m2 in successors(net, markings[v], every):
             w = index.get(m2)
             if w is None:
                 if len(markings) >= budget.max_states or d + 1 > budget.max_depth:
@@ -149,6 +143,7 @@ def build_reachability_graph(
                 depth.append(d + 1)
                 succ.append([])
                 queue.append(w)
+            t = net.transitions[ti]
             edges.append((v, t, w))
             succ[v].append((t, w))
     return ReachabilityGraph(
@@ -178,31 +173,25 @@ class KMNode:
 def build_km_tree(net: LabeledPetriNet) -> KMNode:
     """Standard Karp-Miller construction; terminates on every net."""
     root = KMNode(tuple(net.initial_marking), None, None)
+    every = range(len(net.transitions))
     queue = deque([root])
     while queue:
         node = queue.popleft()
         # A marking repeating an ancestor adds nothing below it.
-        anc = node.parent
-        repeated = False
-        while anc is not None:
-            if anc.marking == node.marking:
-                repeated = True
-                break
-            anc = anc.parent
-        if repeated:
+        if any(anc.marking == node.marking for anc in _ancestors(node.parent)):
             continue
-        m = node.marking
-        for ti, t in enumerate(net.transitions):
-            row = net.pre[ti]
-            if any(m[i] < row[i] for i in range(len(m))):
-                continue
-            post_row = net.post[ti]
-            child = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
-            child = _accelerate(child, node)
-            kid = KMNode(child, t, node)
+        for ti, child in successors(net, node.marking, every):
+            kid = KMNode(_accelerate(child, node), net.transitions[ti], node)
             node.children.append(kid)
             queue.append(kid)
     return root
+
+
+def _ancestors(node: Optional[KMNode]):
+    """node, its parent, and so on up to the root."""
+    while node is not None:
+        yield node
+        node = node.parent
 
 
 def _accelerate(marking: tuple, node: KMNode) -> tuple:
@@ -210,18 +199,13 @@ def _accelerate(marking: tuple, node: KMNode) -> tuple:
     changed = True
     while changed:
         changed = False
-        anc = node
-        while anc is not None:
+        for anc in _ancestors(node):
             a = anc.marking
-            if a != marking and all(a[i] <= marking[i] for i in range(len(a))):
-                accel = tuple(
-                    OMEGA if marking[i] > a[i] else marking[i]
-                    for i in range(len(marking))
-                )
+            if a != marking and leq(a, marking):
+                accel = tuple(OMEGA if x > y else x for x, y in zip(marking, a))
                 if accel != marking:
                     marking = accel
                     changed = True
-            anc = anc.parent
     return marking
 
 
@@ -236,11 +220,7 @@ def km_nodes(root: KMNode):
 def coverable(net: LabeledPetriNet, target: Marking) -> bool:
     """Whether some reachable marking dominates target componentwise."""
     net._check_marking(target)
-    root = build_km_tree(net)
-    for node in km_nodes(root):
-        if all(node.marking[i] >= target[i] for i in range(len(target))):
-            return True
-    return False
+    return any(leq(target, node.marking) for node in km_nodes(build_km_tree(net)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +329,6 @@ def _cycle_nodes(n_nodes: int, edge_list) -> set:
     return out
 
 
-def _eps_transitions(net: LabeledPetriNet) -> set:
-    return {t for t, lab in zip(net.transitions, net.labels) if lab is EPSILON}
-
-
 def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
     """Decide the pattern on a complete (hence bounded) reachability graph.
 
@@ -361,12 +337,12 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
     cycle of allowed edges. The pattern holds iff some node lies on such a
     cycle and reaches a node that passes the final test.
     """
-    eps = _eps_transitions(graph.net)
+    net = graph.net
     allowed = [
         (v, w)
         for v, out in enumerate(graph.succ)
         for t, w in out
-        if not pattern.eps_pump or t in eps
+        if not pattern.eps_pump or not net.is_observable(t)
     ]
     reach = _cycle_nodes(len(graph.markings), allowed)
     stack = list(reach)
@@ -403,36 +379,29 @@ def _witness_search(
     k = _segment_count(pattern)
     truncated = False
     if graph is not None:
-        eps = _eps_transitions(net)
         root, covers, marking_of = graph.initial, operator.eq, graph.markings.__getitem__
         max_depth = None
 
-        def successors(v, eps_only):
+        def step(v, eps_only):
             for t, w in graph.succ[v]:
-                if not eps_only or t in eps:
+                if not eps_only or not net.is_observable(t):
                     seen.add(w)
                     yield t, w
 
     else:
         root, covers, marking_of = tuple(start), leq, tuple
         max_depth = budget.max_depth
+        every, eps = range(len(net.transitions)), net.by_label[EPSILON]
 
-        def successors(m, eps_only):
+        def step(m, eps_only):
             nonlocal truncated
-            for ti, t in enumerate(net.transitions):
-                if eps_only and net.labels[ti] is not EPSILON:
-                    continue
-                row = net.pre[ti]
-                if any(m[i] < row[i] for i in range(len(m))):
-                    continue
-                post_row = net.post[ti]
-                m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
+            for ti, m2 in successors(net, m, eps if eps_only else every):
                 if m2 not in seen:
                     if len(seen) >= budget.max_states:
                         truncated = True
                         continue
                     seen.add(m2)
-                yield t, m2
+                yield net.transitions[ti], m2
 
     seen = {root}
     init = (1, root, None, False)
@@ -457,7 +426,7 @@ def _witness_search(
         if max_depth is not None and c >= max_depth:
             truncated = True
             continue
-        for t, y in successors(x, j == 2 and pattern.eps_pump):
+        for t, y in step(x, j == 2 and pattern.eps_pump):
             nxt = (j, y, anchor, True)
             if nxt not in parents:
                 parents[nxt] = (state, t)
@@ -566,6 +535,7 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
         if sym not in net.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
     word = tuple(word)
+    every = range(len(net.transitions))
     start = (net.initial_marking, 0)
     seen = {start}
     seen_markings = {net.initial_marking}
@@ -579,7 +549,7 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
         if d >= budget.max_depth:
             complete = False
             continue
-        for ti, t in enumerate(net.transitions):
+        for ti, m2 in successors(net, m, every):
             lab = net.labels[ti]
             if lab is EPSILON:
                 pos2 = pos
@@ -587,11 +557,6 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
                 pos2 = pos + 1
             else:
                 continue
-            row = net.pre[ti]
-            if any(m[i] < row[i] for i in range(len(m))):
-                continue
-            post_row = net.post[ti]
-            m2 = tuple(m[i] - row[i] + post_row[i] for i in range(len(m)))
             if m2 not in seen_markings:
                 if len(seen_markings) >= budget.max_states:
                     complete = False

@@ -9,6 +9,7 @@ markings can be shared freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -61,6 +62,12 @@ class LabeledPetriNet:
     # index maps, filled in __post_init__
     place_index: dict = field(default_factory=dict, compare=False, repr=False)
     transition_index: dict = field(default_factory=dict, compare=False, repr=False)
+    # The firing kernel, filled in __post_init__: per transition its pre arcs
+    # ((place, weight), ...) of positive weight and its effect post - pre
+    # (see successors), and per label, EPSILON and every alphabet symbol
+    # included, the indices of its transitions in declared order.
+    kernel: tuple = field(init=False, compare=False, repr=False)
+    by_label: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.places or self.transitions):
@@ -94,6 +101,15 @@ class LabeledPetriNet:
         object.__setattr__(
             self, "transition_index", {t: i for i, t in enumerate(self.transitions)}
         )
+        object.__setattr__(self, "kernel", tuple(
+            (tuple((i, w) for i, w in enumerate(pre) if w),
+             tuple(map(operator.sub, post, pre)))
+            for pre, post in zip(self.pre, self.post)
+        ))
+        by_label = {lab: () for lab in (EPSILON, *self.alphabet)}
+        for ti, lab in enumerate(self.labels):
+            by_label[lab] += (ti,)
+        object.__setattr__(self, "by_label", by_label)
 
     def label(self, t: str):
         return self.labels[self._tindex(t)]
@@ -152,6 +168,24 @@ def make_net(
         alphabet=frozenset(alphabet),
         initial_marking=m0,
     )
+
+
+def successors(net: LabeledPetriNet, m: Marking, transitions: Iterable[int]):
+    """Yield (ti, m2) for each transition index in transitions, in the order
+    given, that is enabled at m, where m2 is the marking ti leads to.
+
+    The one firing rule of every explorer. m is not checked; OMEGA entries
+    of coverability markings stay OMEGA. enabled and fire are the checked
+    reference it agrees with.
+    """
+    kernel = net.kernel
+    for ti in transitions:
+        arcs, effect = kernel[ti]
+        for i, w in arcs:
+            if m[i] < w:
+                break
+        else:
+            yield ti, tuple(map(operator.add, m, effect))
 
 
 def enabled(net: LabeledPetriNet, m: Marking, t: str) -> bool:

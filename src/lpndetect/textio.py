@@ -42,21 +42,27 @@ def _tokens(line: str):
     return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(body)]
 
 
+def _is_nat(text: str) -> bool:
+    """A natural number in ASCII digits; str.isdigit also admits digits such
+    as '²' that int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _nat(text, line, col, what):
-    if not text.isdigit():
+    if not _is_nat(text):
         raise ParseError(f"expected a natural number for {what}, got {text!r}", line, col)
     return int(text)
 
 
 def parse_lpn(text: str) -> NetDocument:
-    places = []
+    places = {}  # id -> None, in declared order
     spans = {}
     initial = {}
     alphabet_extra = []
     transitions = {}  # id -> (label, pre map, post map)
 
     def known_place(pid, line, col):
-        if pid not in set(places):
+        if pid not in places:
             raise ParseError(f"unknown place {pid!r}", line, col)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +75,7 @@ def parse_lpn(text: str) -> NetDocument:
             for pid, col in rest:
                 if pid in spans:
                     raise ParseError(f"duplicate identifier {pid!r}", lineno, col)
-                places.append(pid)
+                places[pid] = None
                 spans[pid] = (lineno, col)
         elif head == "initial":
             for tok, col in rest:
@@ -115,14 +121,8 @@ def parse_lpn(text: str) -> NetDocument:
 
     used = {lab for (lab, _, _) in transitions.values() if lab is not EPSILON}
     alphabet = used | set(alphabet_extra)
-    if not alphabet:
-        # A net may be entirely unobservable; keep a nonempty alphabet
-        # placeholder only if one was declared. An empty alphabet is allowed
-        # by the data model except for observation symbols.
-        alphabet = set(alphabet_extra)
 
     pre_rows, post_rows, labels = [], [], []
-    pidx = {p: i for i, p in enumerate(places)}
     for tid, (label, pre_map, post_map) in transitions.items():
         pre_rows.append(tuple(pre_map.get(p, 0) for p in places))
         post_rows.append(tuple(post_map.get(p, 0) for p in places))
@@ -177,7 +177,7 @@ def parse_marking(net: LabeledPetriNet, text: str, where="marking") -> tuple:
         pid, _, num = tok.partition("=")
         if pid not in net.place_index:
             raise InputError(f"{where}: unknown place {pid!r}")
-        if not num.isdigit():
+        if not _is_nat(num):
             raise InputError(f"{where}: bad count {num!r} for {pid!r}")
         counts[pid] = int(num)
     return tuple(counts.get(p, 0) for p in net.places)

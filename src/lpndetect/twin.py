@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .net import EPSILON, LabeledPetriNet, Marking, enabled, fire
+from .net import EPSILON, LabeledPetriNet, Marking
 
 # Rendered in twin transition ids for "no move in this copy".
 LAMBDA = "~"

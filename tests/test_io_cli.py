@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lpndetect import build_observer, build_twin, make_net
+from lpndetect import analyze, build_observer, build_twin, cli, make_net
 from lpndetect.cli import main
 from lpndetect.dot import graph_to_dot, km_to_dot, net_to_dot, observer_to_dot
 from lpndetect.explore import Budget, build_km_tree, build_reachability_graph
@@ -64,6 +64,9 @@ class TestParse:
             ("places p\ntrans t\n", 2, 7),
             ("places p\ntrans t label ~ p:1\n", 2, 17),
             ("places p\nalphabet ~\n", 2, 10),
+            # non-ASCII digits pass str.isdigit(); int() rejects '²'
+            ("places p\ninitial p=²\n", 2, 9),
+            ("places p\ntrans t label a pre p:٣\n", 2, 21),
         ],
     )
     def test_errors_report_position(self, text, line, col):
@@ -108,6 +111,9 @@ class TestMarkingParsing:
             parse_marking(e2, "r=1")
         with pytest.raises(InputError):
             parse_marking(e2, "p")
+        # '²' passes str.isdigit() but int() rejects it.
+        with pytest.raises(InputError, match="bad count"):
+            parse_marking(e2, "p=²")
 
     def test_parse_secret_file(self, e2):
         text = "# comment\np=1\n\nq=1  # trailing\n"
@@ -157,6 +163,14 @@ class TestCli:
         path.write_text("places p\nwat\n")
         assert main(["validate", str(path)]) == 3
 
+    def test_non_ascii_digit_exit(self, tmp_path, e1, capsys):
+        path = tmp_path / "sup.lpn"
+        path.write_text("places p\ninitial p=²\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 3
+        p1 = write_net(tmp_path, e1)
+        assert main(["gadget", "cov2strong", p1, "--marking", "p=²"]) == 3
+        assert capsys.readouterr().err.count("error:") == 2
+
     def test_usage_error_exit(self, capsys):
         assert main(["no-such-command"]) == 3
         assert main([]) == 3
@@ -191,6 +205,23 @@ class TestCli:
         jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
         assert rep["outcome"] == "fails"
         assert rep["witness"]["segment_pairs"][1] == [["t", "u"]]
+
+    def test_check_strong_builds_twin_once(self, tmp_path, e2, capsys, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return build_twin(net)
+
+        monkeypatch.setattr(analyze, "build_twin", counting)
+        monkeypatch.setattr(cli, "build_twin", counting)
+        assert main(["check-strong", write_net(tmp_path, e2), "--json"]) == 1
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["witness"] == {
+            "segments": [["(t1,t2)"], ["(t1,t3)"], []],
+            "markings": [[1, 0, 0, 1], [1, 0, 0, 1], [1, 0, 0, 1]],
+            "segment_pairs": [[["t1", "t2"]], [["t1", "t3"]], []],
+        }
 
     def test_check_opacity(self, tmp_path, e1, e2, capsys):
         secret = tmp_path / "secret.txt"

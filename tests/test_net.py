@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from lpndetect import make_net
+from lpndetect.explore import Budget, build_km_tree, build_reachability_graph, km_nodes
 from lpndetect.net import (
     EPSILON,
     FiringError,
@@ -13,6 +15,7 @@ from lpndetect.net import (
     fire_sequence,
     leq,
     observation,
+    successors,
 )
 
 from netgen import random_net
@@ -154,3 +157,48 @@ def test_leq():
     assert leq((0, 1), (1, 1))
     assert not leq((2, 0), (1, 1))
     assert not leq((1,), (1, 1))
+
+
+def reference_successors(net, m, transitions):
+    return [
+        (ti, fire(net, m, net.transitions[ti]))
+        for ti in transitions
+        if enabled(net, m, net.transitions[ti])
+    ]
+
+
+def assert_kernel_agrees(net, m):
+    every = range(len(net.transitions))
+    assert list(successors(net, m, every)) == reference_successors(net, m, every)
+    for lab, tis in net.by_label.items():
+        assert tis == tuple(ti for ti in every if net.labels[ti] == lab)
+        assert list(successors(net, m, tis)) == reference_successors(net, m, tis)
+    backwards = every[::-1]
+    assert list(successors(net, m, backwards)) == reference_successors(net, m, backwards)
+
+
+def test_kernel_matches_reference_random():
+    # Every marking of each budgeted reachability graph, and every marking,
+    # OMEGA entries included, of each Karp-Miller tree small enough to build.
+    rng = random.Random(31)
+    budget = Budget(max_states=200, max_depth=20)
+    omega_markings = 0
+    for _ in range(300):
+        net = random_net(rng, max_trans=4)
+        for m in build_reachability_graph(net, budget).markings:
+            assert_kernel_agrees(net, m)
+        if len(net.transitions) <= 3:
+            for node in km_nodes(build_km_tree(net)):
+                assert_kernel_agrees(net, node.marking)
+                omega_markings += float("inf") in node.marking
+    assert omega_markings >= 100
+
+
+def test_kernel_recomputed_on_replace(e2):
+    # t2 now needs two tokens on p and returns one to q.
+    net = dataclasses.replace(e2, pre=((1, 0), (2, 0), (0, 1)))
+    assert net.kernel[1] == (((0, 2),), (-2, 1))
+    assert net.kernel[1] != e2.kernel[1]
+    assert list(successors(net, (1, 0), range(3))) == [(0, (1, 0))]
+    for m in ((1, 0), (2, 0), (2, 1), (0, 1)):
+        assert_kernel_agrees(net, m)
