@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .net import (
     EPSILON,
@@ -29,11 +29,12 @@ from .explore import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    ReachabilityGraph,
+    Exploration,
     SearchStats,
     Verdict,
     Witness,
     _cycle_nodes,
+    _explore,
     build_reachability_graph,
     search_graph,
     search_pattern,
@@ -84,10 +85,9 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
             break
     stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
     if dead is not None:
-        path = _path_to(graph, dead)
         deadlock_free = Verdict(
             FAILS,
-            Witness(segments=(path,), markings=(graph.markings[dead],)),
+            Witness(segments=(graph.path_to(dead),), markings=(graph.markings[dead],)),
             stats,
         )
     elif graph.complete:
@@ -103,30 +103,6 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     else:
         no_inf = search_graph(graph, unobservable_cycle_pattern(), budget, t0)
     return AssumptionReport(deadlock_free=deadlock_free, no_infinite_unobservable=no_inf)
-
-
-def _path_to(graph: ReachabilityGraph, target: int) -> tuple:
-    """Shortest transition path from the initial node to target."""
-    if target == graph.initial:
-        return ()
-    prev = {graph.initial: None}
-    queue = deque([graph.initial])
-    while queue:
-        v = queue.popleft()
-        for t, w in graph.succ[v]:
-            if w not in prev:
-                prev[w] = (v, t)
-                if w == target:
-                    queue.clear()
-                    break
-                queue.append(w)
-    path = []
-    v = target
-    while prev[v] is not None:
-        p, t = prev[v]
-        path.append(t)
-        v = p
-    return tuple(reversed(path))
 
 
 def _gate_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
@@ -161,42 +137,20 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Observer:
-    """Deterministic automaton over current-marking estimates.
-
-    The state reached by a word equals the set of markings consistent with
-    observing that word. parent[i] is (predecessor state, symbol), used to
-    recover a shortest witness word per state.
-    """
-
-    states: list  # list[frozenset[Marking]]
-    edges: list  # list[(src, symbol, dst)]
-    succ: dict  # (src, symbol) -> dst
-    parent: list  # list[Optional[(src, symbol)]]
-    initial: int = 0
-    complete: bool = True
-
-    def word_to(self, i: int) -> tuple:
-        word = []
-        while self.parent[i] is not None:
-            p, sym = self.parent[i]
-            word.append(sym)
-            i = p
-        return tuple(reversed(word))
+# The observer is an exploration whose states are the estimates reached by
+# words, node 0 the estimate of the empty word, and whose labels are symbols.
+Observer = Exploration
 
 
 class _BudgetTracker:
     def __init__(self, budget: Budget):
         self.max_states = budget.max_states
         self.markings = set()
-        self.ok = True
 
     def admit(self, m) -> bool:
         if m in self.markings:
             return True
         if len(self.markings) >= self.max_states:
-            self.ok = False
             return False
         self.markings.add(m)
         return True
@@ -227,66 +181,21 @@ def _eps_closure(net: LabeledPetriNet, markings, tracker: _BudgetTracker):
 def explore_observer(net: LabeledPetriNet, budget: Budget) -> Observer:
     """Budgeted subset construction over the net's markings.
 
-    Every stored state is an exact estimate; complete is False when the
-    exploration was truncated (by marking count, state count, or depth).
+    Every stored state is an exact estimate. The ε-closures share one
+    allowance of budget.max_states distinct markings; a successor whose
+    closure would exceed it is not stored, nor is any state when the
+    initial closure would, and complete is then False.
     """
     tracker = _BudgetTracker(budget)
-    symbols = sorted(net.alphabet)
-    init = _eps_closure(net, {net.initial_marking}, tracker)
-    complete = True
-    if init is None:
-        # Even the initial estimate blew the budget; report an empty,
-        # incomplete observer seeded with the bare initial marking.
-        return Observer(
-            states=[frozenset({net.initial_marking})],
-            edges=[],
-            succ={},
-            parent=[None],
-            complete=False,
-        )
-    states = [init]
-    index = {init: 0}
-    parent = [None]
-    depth = [0]
-    edges = []
-    succ = {}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        if depth[v] >= budget.max_depth:
-            complete = False
-            continue
-        state = states[v]
-        for sym in symbols:
-            targets = {
-                m2 for m in state for _, m2 in successors(net, m, net.by_label[sym])
-            }
-            if not targets:
-                continue
-            closed = _eps_closure(net, targets, tracker)
-            if closed is None:
-                complete = False
-                continue
-            w = index.get(closed)
-            if w is None:
-                if len(states) >= budget.max_states:
-                    complete = False
-                    continue
-                w = len(states)
-                states.append(closed)
-                index[closed] = w
-                parent.append((v, sym))
-                depth.append(depth[v] + 1)
-                queue.append(w)
-            edges.append((v, sym, w))
-            succ[(v, sym)] = w
-    return Observer(
-        states=states,
-        edges=edges,
-        succ=succ,
-        parent=parent,
-        complete=complete and tracker.ok,
-    )
+    symbols = [(sym, net.by_label[sym]) for sym in sorted(net.alphabet)]
+
+    def expand(state):
+        for sym, tis in symbols:
+            targets = {m2 for m in state for _, m2 in successors(net, m, tis)}
+            if targets:
+                yield sym, _eps_closure(net, targets, tracker)
+
+    return _explore(_eps_closure(net, {net.initial_marking}, tracker), expand, budget)
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
@@ -307,16 +216,12 @@ def check_strong_oracle(g: LabeledPetriNet, budget: Optional[Budget] = None) -> 
     Used to cross-validate check_strong; raises on unbounded input.
     """
     obs = build_observer(g, budget)
-    n = len(obs.states)
     edge_pairs = [(v, w) for (v, _, w) in obs.edges]
-    cyc = _cycle_nodes(n, edge_pairs)
-    adj = [[] for _ in range(n)]
-    for v, w in edge_pairs:
-        adj[v].append(w)
+    cyc = _cycle_nodes(len(obs.states), edge_pairs)
     frontier = set(cyc)
     reach = set(cyc)
     while frontier:
-        nxt = {w for v in frontier for w in adj[v]} - reach
+        nxt = {w for v in frontier for _, w in obs.succ[v]} - reach
         reach |= nxt
         frontier = nxt
     return not any(len(obs.states[v]) > 1 for v in reach)
@@ -332,7 +237,7 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     t0 = time.perf_counter()
     _gate_assumptions(g, budget)
     obs = explore_observer(g, budget)
-    stats = SearchStats(len(obs.states), 0, time.perf_counter() - t0)
+    stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not obs.complete:
         return Verdict(
             INCONCLUSIVE,
@@ -342,15 +247,12 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
                 "of unbounded nets admits no general decision procedure"
             ),
         )
-    outgoing = {v for (v, _, _) in obs.edges}
-    if len(outgoing) != len(obs.states):
+    if not all(obs.succ):
         raise RuntimeError(
             "internal error: the net is deadlock free, yet an estimate has no successor"
         )
     singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
-    edge_pairs = [
-        (v, w) for (v, _, w) in obs.edges if v in singles and w in singles
-    ]
+    edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
     cyc = _cycle_nodes(len(obs.states), edge_pairs) & singles
     if cyc:
         return Verdict(HOLDS, stats=stats)
@@ -401,14 +303,12 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
     obs = explore_observer(g, budget)
-    stats = SearchStats(len(obs.states), 0, time.perf_counter() - t0)
+    stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     for v, state in enumerate(obs.states):
         if state and state <= secret_set:
-            if not obs.complete and v == 0 and len(obs.states) == 1 and not obs.edges:
-                break  # degenerate truncation, the initial estimate is partial
             return Verdict(
                 FAILS,
-                OpacityWitness(word=obs.word_to(v), estimate=state),
+                OpacityWitness(word=obs.path_to(v), estimate=state),
                 stats,
             )
     if obs.complete:

@@ -1,14 +1,15 @@
 """State-space machinery.
 
-Provides budgeted reachability graphs with completeness tracking, Karp-Miller
-coverability trees, coverability queries, current-marking estimation, and
-the two path questions the checkers ask (see PathPattern): a covering pump
-followed by a mismatch, for strong detectability on the twin net, and an
-unobservable covering pump, for the standing assumption. Each question is
-explored once. The reachability graph is built under the budget; when it
-closes, the answer is decided and its witness read off the graph alone.
-Otherwise a budgeted search that fires transitions finds a sound witness or
-reports the question inconclusive.
+Provides the one budgeted breadth-first search, which builds reachability
+graphs here and the observer in analyze; Karp-Miller coverability trees,
+coverability queries, current-marking estimation, and the two path
+questions the checkers ask (see PathPattern): a covering pump followed by a
+mismatch, for strong detectability on the twin net, and an unobservable
+covering pump, for the standing assumption. Each question is explored once.
+The reachability graph is built under the budget; when it closes, the
+answer is decided and its witness read off the graph alone. Otherwise a
+budgeted search that fires transitions finds a sound witness or reports the
+question inconclusive.
 """
 
 from __future__ import annotations
@@ -93,68 +94,100 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Reachability graphs
+# The budgeted breadth-first search and reachability graphs
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class ReachabilityGraph:
-    net: LabeledPetriNet
-    markings: list  # list[Marking], index = node id
-    index: dict  # Marking -> node id
-    edges: list  # list[(src, transition-id, dst)]
-    succ: list  # adjacency: succ[v] = [(transition-id, w), ...]
+class Exploration:
+    """A budgeted breadth-first search from one root, node 0.
+
+    succ[v] lists (label, w) for every stored successor w of node v, in the
+    order they were expanded; edges is the same list flattened. parent[v]
+    is (u, label), the BFS tree edge into v (None at the root), so
+    path_to(v) is a shortest label path to v. complete is True iff every
+    successor of every stored node is stored.
+    """
+
+    states: list  # index = node id
+    index: dict  # state -> node id
+    succ: list
+    parent: list
     depth: list  # BFS depth per node
-    initial: int = 0
-    complete: bool = True
+    complete: bool
+
+    initial = 0  # the root's node id
+
+    @property
+    def edges(self) -> list:
+        return [(v, label, w) for v, out in enumerate(self.succ) for label, w in out]
+
+    def path_to(self, v: int) -> tuple:
+        path = []
+        while self.parent[v] is not None:
+            v, label = self.parent[v]
+            path.append(label)
+        return tuple(reversed(path))
+
+
+def _explore(root, expand, budget: Budget) -> Exploration:
+    """The one budgeted breadth-first search of the package.
+
+    expand(state) yields (label, successor), the successor None when it
+    could not be computed within the budget; root None stores no state. A
+    new state is stored if fewer than budget.max_states states are stored
+    and it lies at most budget.max_depth steps deep.
+    """
+    if root is None:
+        return Exploration([], {}, [], [], [], complete=False)
+    states, index, succ, parent, depth = [root], {root: 0}, [[]], [None], [0]
+    complete = True
+    v = 0
+    while v < len(states):  # states are stored in BFS order: the queue
+        d = depth[v] + 1
+        out = succ[v]
+        for label, x in expand(states[v]):
+            w = index.get(x)
+            if w is None:
+                if x is None or len(states) >= budget.max_states or d > budget.max_depth:
+                    complete = False
+                    continue
+                w = len(states)
+                states.append(x)
+                index[x] = w
+                succ.append([])
+                parent.append((v, label))
+                depth.append(d)
+            out.append((label, w))
+        v += 1
+    return Exploration(states, index, succ, parent, depth, complete)
+
+
+@dataclass
+class ReachabilityGraph(Exploration):
+    """An exploration of the markings of net, labelled by transition ids."""
+
+    net: LabeledPetriNet
+
+    @property
+    def markings(self) -> list:
+        return self.states
 
 
 def build_reachability_graph(
     net: LabeledPetriNet, budget: Budget, start: Optional[Marking] = None
 ) -> ReachabilityGraph:
-    """BFS over reachable markings in declared transition order.
-
-    complete is True iff every enabled firing from every stored node lands in
-    a stored node. Edges are only recorded between stored nodes.
-    """
+    """BFS over reachable markings in declared transition order."""
     if start is None:
         start = net.initial_marking
     net._check_marking(start)
-    markings = [tuple(start)]
-    index = {tuple(start): 0}
-    depth = [0]
-    edges = []
-    succ = [[]]
-    complete = True
-    every = range(len(net.transitions))
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        d = depth[v]
-        for ti, m2 in successors(net, markings[v], every):
-            w = index.get(m2)
-            if w is None:
-                if len(markings) >= budget.max_states or d + 1 > budget.max_depth:
-                    complete = False
-                    continue
-                w = len(markings)
-                markings.append(m2)
-                index[m2] = w
-                depth.append(d + 1)
-                succ.append([])
-                queue.append(w)
-            t = net.transitions[ti]
-            edges.append((v, t, w))
-            succ[v].append((t, w))
-    return ReachabilityGraph(
-        net=net,
-        markings=markings,
-        index=index,
-        edges=edges,
-        succ=succ,
-        depth=depth,
-        complete=complete,
-    )
+    names, every = net.transitions, range(len(net.transitions))
+
+    def expand(m):
+        for ti, m2 in successors(net, m, every):
+            yield names[ti], m2
+
+    return ReachabilityGraph(**vars(_explore(tuple(start), expand, budget)), net=net)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .net import EPSILON, InputError, LabeledPetriNet, Marking
+from .net import EPSILON, InputError, LabeledPetriNet, Marking, make_net
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,8 @@ def inclusion_to_weak(g1: LabeledPetriNet, g2: LabeledPetriNet) -> GadgetOutput:
     g2a = tuple(f"g2a_{p}" for p in g2.places)
     g2b = tuple(f"g2b_{p}" for p in g2.places)
     places = control + g1p + g2a + g2b
-    pidx = {p: i for i, p in enumerate(places)}
-    width = len(places)
 
-    tids, pre_rows, post_rows, labels = [], [], [], []
+    transitions = {}  # id -> (label, pre map, post map), as make_net takes them
     provenance = {p: "control place" for p in control}
     for prefix, g, which in (("g1_", g1, "g1"), ("g2a_", g2, "first g2"),
                              ("g2b_", g2, "second g2")):
@@ -134,16 +132,7 @@ def inclusion_to_weak(g1: LabeledPetriNet, g2: LabeledPetriNet) -> GadgetOutput:
             provenance[f"{prefix}{p}"] = f"copy of place {p!r} in the {which} branch"
 
     def add(tid, lab, pre_map, post_map, role):
-        tids.append(tid)
-        labels.append(lab)
-        pre = [0] * width
-        post = [0] * width
-        for p, wgt in pre_map.items():
-            pre[pidx[p]] = wgt
-        for p, wgt in post_map.items():
-            post[pidx[p]] = wgt
-        pre_rows.append(tuple(pre))
-        post_rows.append(tuple(post))
+        transitions[tid] = (lab, pre_map, post_map)
         provenance[tid] = role
 
     def seeded(prefix, g):
@@ -195,20 +184,10 @@ def inclusion_to_weak(g1: LabeledPetriNet, g2: LabeledPetriNet) -> GadgetOutput:
     add("t_bloop_g2a", "b", {"p6": 1}, {"p6": 1}, "b loop of the first g2 branch")
     add("t_bloop_g2b", "b", {"p9": 1}, {"p9": 1}, "b loop of the second g2 branch")
 
-    initial = [0] * width
-    initial[pidx["p0"]] = 1
-    out = LabeledPetriNet(
-        places=places,
-        transitions=tuple(tids),
-        pre=tuple(pre_rows),
-        post=tuple(post_rows),
-        labels=tuple(labels),
-        alphabet=frozenset(g1.alphabet) | frozenset(g2.alphabet) | {"x", "a", "b"},
-        initial_marking=tuple(initial),
-    )
-    secret = [0] * width
-    secret[pidx["p3"]] = 1
-    return GadgetOutput(net=out, provenance=provenance, secret=tuple(secret))
+    out = make_net(places, transitions, {"p0": 1},
+                   alphabet=g1.alphabet | g2.alphabet | set(_RESERVED_SYMBOLS))
+    secret = tuple(int(p == "p3") for p in places)
+    return GadgetOutput(net=out, provenance=provenance, secret=secret)
 
 
 def secret_marking(gadget: GadgetOutput) -> Marking:

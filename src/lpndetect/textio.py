@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .net import EPSILON, InputError, LabeledPetriNet
+from .net import EPSILON, InputError, LabeledPetriNet, make_net
 
 EPSILON_MARK = "~"
 
@@ -120,22 +120,7 @@ def parse_lpn(text: str) -> NetDocument:
             raise ParseError(f"unknown directive {head!r}", lineno, hcol)
 
     used = {lab for (lab, _, _) in transitions.values() if lab is not EPSILON}
-    alphabet = used | set(alphabet_extra)
-
-    pre_rows, post_rows, labels = [], [], []
-    for tid, (label, pre_map, post_map) in transitions.items():
-        pre_rows.append(tuple(pre_map.get(p, 0) for p in places))
-        post_rows.append(tuple(post_map.get(p, 0) for p in places))
-        labels.append(label)
-    net = LabeledPetriNet(
-        places=tuple(places),
-        transitions=tuple(transitions),
-        pre=tuple(pre_rows),
-        post=tuple(post_rows),
-        labels=tuple(labels),
-        alphabet=frozenset(alphabet),
-        initial_marking=tuple(initial.get(p, 0) for p in places),
-    )
+    net = make_net(places, transitions, initial, alphabet=used | set(alphabet_extra))
     return NetDocument(net=net, spans=spans)
 
 

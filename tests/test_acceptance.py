@@ -361,7 +361,7 @@ def test_criterion_8_observer_vs_estimate():
                         w2 = word + (sym,)
                         est, complete = estimate(net, w2, budget)
                         assert complete
-                        dst = obs.succ.get((state, sym))
+                        dst = dict(obs.succ[state]).get(sym)
                         if dst is None:
                             assert est == frozenset()
                         else:

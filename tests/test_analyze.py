@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from lpndetect import (
@@ -13,6 +14,7 @@ from lpndetect import (
     Verdict,
     Witness,
     build_observer,
+    build_reachability_graph,
     build_twin,
     check_assumptions,
     check_opacity,
@@ -25,10 +27,10 @@ from lpndetect import (
 from lpndetect import analyze, explore
 from lpndetect.analyze import AssumptionError, Observer, explore_observer
 from lpndetect.gadgets import inclusion_to_weak, secret_marking, selfloop_unobservable
-from lpndetect.net import EPSILON, InputError, fire_sequence, observation
+from lpndetect.net import EPSILON, InputError, enabled, fire_sequence, observation
 from lpndetect.twin import project
 
-from netgen import bounded_wellformed_net
+from netgen import bounded_wellformed_net, random_net
 
 
 class TestAssumptions:
@@ -130,20 +132,20 @@ class TestObserver:
     def test_e1(self, e1):
         obs = build_observer(e1)
         assert obs.states == [frozenset({(1,)})]
-        assert obs.succ[(0, "a")] == 0
+        assert obs.succ[0] == [("a", 0)]
 
     def test_e2_subset_construction(self, e2):
         obs = build_observer(e2)
         assert obs.states[0] == frozenset({(1, 0)})
-        big = obs.succ[(0, "a")]
+        big = dict(obs.succ[0])["a"]
         assert obs.states[big] == frozenset({(1, 0), (0, 1)})
-        assert obs.succ[(big, "a")] == big
+        assert obs.succ[big] == [("a", big)]
 
     def test_matches_estimate(self, e2, budget):
         obs = build_observer(e2)
         state = 0
         for k in range(1, 4):
-            state = obs.succ[(state, "a")]
+            state = dict(obs.succ[state])["a"]
             est, complete = estimate(e2, ("a",) * k, budget)
             assert complete
             assert obs.states[state] == est
@@ -194,6 +196,33 @@ class TestCheckOpacity:
         with pytest.raises(InputError):
             check_opacity(e1, [(1, 0)], budget)
 
+    def test_exact_initial_estimate_of_a_truncated_observer(self):
+        # After b the unobservable t1 pumps q forever, so the observer never
+        # closes; the estimate of the empty word, {(0, 0)}, is still exact.
+        net = make_net(
+            ["p", "q"],
+            {"t0": ("b", {}, {"p": 1}), "t1": (EPSILON, {"p": 1}, {"p": 1, "q": 1})},
+            {},
+        )
+        for budget in (Budget(), Budget(50, 3)):
+            v = check_opacity(net, [(0, 0)], budget)
+            assert v.outcome == FAILS
+            assert v.witness.word == ()
+            assert v.witness.estimate == estimate(net, (), budget)[0] == {(0, 0)}
+
+    def test_blown_initial_closure_stores_no_state(self):
+        net = make_net(
+            ["p", "q"],
+            {"t": (EPSILON, {"p": 1}, {"p": 1, "q": 1}), "u": ("a", {"p": 1}, {"p": 1})},
+            {"p": 1},
+        )
+        budget = Budget(50, 5)
+        obs = explore_observer(net, budget)
+        assert obs.states == [] and obs.succ == [] and not obs.complete
+        v = check_opacity(net, [(1, 0)], budget)
+        assert v.outcome == INCONCLUSIVE
+        assert (v.stats.states, v.stats.depth) == (0, 0)
+
     def test_complement_of_weak_on_gadget(self, budget):
         g = make_net(["p"], {"t": ("s", {"p": 1}, {"p": 1})}, {"p": 1})
         gadget = inclusion_to_weak(g, g)
@@ -202,6 +231,58 @@ class TestCheckOpacity:
         opaque = check_opacity(gadget.net, [secret_marking(gadget)], b)
         assert weak.outcome == FAILS
         assert opaque.outcome == HOLDS
+
+
+class TestOneExplorer:
+    """The reachability graph and the observer share one breadth-first
+    search, and so one budget rule."""
+
+    def test_one_budget_rule(self):
+        # Both close at depth 1: the node at max_depth is expanded, and its
+        # successors are already stored.
+        net = make_net(
+            ["p", "q"],
+            {"ta": ("a", {"p": 1}, {"q": 1}), "tb": ("b", {"q": 1}, {"p": 1})},
+            {"p": 1},
+        )
+        budget = Budget(100, 1)
+        graph = build_reachability_graph(net, budget)
+        assert graph.complete and graph.depth == [0, 1]
+        obs = explore_observer(net, budget)
+        assert obs.complete and obs.depth == [0, 1]
+        assert obs.succ == [[("a", 1)], [("b", 0)]]
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS
+        assert (v.stats.states, v.stats.depth) == (2, 1)
+
+    def test_paths_off_the_bfs_tree(self):
+        # Deadlock witnesses and observer words are read off parent links;
+        # they must be shortest paths, checked against networkx and estimate.
+        rng = random.Random(61)
+        budget = Budget(300, 30)
+        deadlocks = observers = 0
+        for _ in range(300):
+            net = random_net(rng)
+            rep = check_assumptions(net, budget)
+            if rep.deadlock_free.fails:
+                deadlocks += 1
+                (path,), (dead,) = rep.deadlock_free.witness.segments, \
+                    rep.deadlock_free.witness.markings
+                assert fire_sequence(net, net.initial_marking, path) == dead
+                assert not any(enabled(net, dead, t) for t in net.transitions)
+                graph = build_reachability_graph(net, budget)
+                g = nx.DiGraph([(v, w) for v, _, w in graph.edges])
+                g.add_nodes_from(range(len(graph.markings)))
+                assert len(path) == nx.shortest_path_length(g, 0, graph.index[dead])
+            obs = explore_observer(net, budget)
+            if not obs.complete:
+                continue
+            observers += 1
+            for v, state in enumerate(obs.states):
+                word = obs.path_to(v)
+                assert len(word) == obs.depth[v]
+                assert estimate(net, word, budget) == (state, True)
+        assert deadlocks >= 50 and observers >= 100
 
 
 class TestWitnessPumping:
@@ -308,7 +389,9 @@ class TestHardChecks:
         assert out.stdout.split() == ["error", "error"], out.stderr
 
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
-        lonely = Observer(states=[frozenset({(1,)})], edges=[], succ={}, parent=[None])
+        init = frozenset({(1,)})
+        lonely = Observer([init], {init: 0}, succ=[[]], parent=[None], depth=[0],
+                          complete=True)
         monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
         with pytest.raises(RuntimeError):
             check_weak(e1, budget)

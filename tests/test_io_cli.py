@@ -239,6 +239,19 @@ class TestCli:
         ]) == 0
         capsys.readouterr()
 
+    def test_observer_checks_report_depth(self, tmp_path, e2, capsys):
+        # e2's observer: {(1,0)} -a-> {(1,0),(0,1)} -a-> itself
+        assert main(["check-weak", write_net(tmp_path, e2), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (2, 1)
+        secret = tmp_path / "secret.txt"
+        secret.write_text("q=1\n")
+        assert main([
+            "check-opacity", write_net(tmp_path, e2), "--secret", str(secret), "--json",
+        ]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (2, 1)
+
     def test_check_assumptions_json(self, tmp_path, e1, capsys):
         assert main(["check-assumptions", write_net(tmp_path, e1), "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
