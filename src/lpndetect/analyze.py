@@ -80,7 +80,8 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     every = range(len(net.transitions))
     dead = None
     for v, m in enumerate(graph.markings):
-        if next(successors(net, m, every), None) is None:
+        # A stored successor proves v live; an empty list may be the budget's.
+        if not graph.succ[v] and next(successors(net, m, every), None) is None:
             dead = v
             break
     stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)

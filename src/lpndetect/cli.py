@@ -106,11 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load(path: str):
+def _read(path: str):
+    """The bytes of path and their text; bytes that are not UTF-8 are an
+    input error."""
     with open(path, "rb") as f:
         data = f.read()
-    doc = parse_lpn(data.decode("utf-8"))
-    return doc.net, hashlib.sha256(data).hexdigest()
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def _load(path: str):
+    data, text = _read(path)
+    return parse_lpn(text).net, hashlib.sha256(data).hexdigest()
 
 
 def _budget(args) -> Budget:
@@ -269,8 +278,7 @@ def _run(args) -> int:
         verdict = check_weak(net, _budget(args))
         return _emit_verdict(args, "weak-detectability", verdict, digest)
     if cmd == "check-opacity":
-        with open(args.secret, "r", encoding="utf-8") as f:
-            secret = parse_secret_file(net, f.read())
+        secret = parse_secret_file(net, _read(args.secret)[1])
         verdict = check_opacity(net, secret, _budget(args))
         return _emit_verdict(args, "current-state-opacity", verdict, digest)
     raise InputError(f"unknown command {cmd!r}")

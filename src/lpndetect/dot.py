@@ -4,7 +4,7 @@ coverability trees. Output is deterministic under declared orders."""
 from __future__ import annotations
 
 from .analyze import Observer
-from .explore import OMEGA, KMNode, ReachabilityGraph, km_nodes
+from .explore import OMEGA, Exploration, KMNode, ReachabilityGraph, km_nodes
 from .net import EPSILON, LabeledPetriNet
 
 
@@ -44,29 +44,27 @@ def net_to_dot(net: LabeledPetriNet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(graph: ReachabilityGraph) -> str:
-    lines = ["digraph reach {"]
-    for v, m in enumerate(graph.markings):
-        shape = "doublecircle" if v == graph.initial else "circle"
-        lines.append(f"  n{v} [shape={shape} label={_q(_marking_caption(m))}];")
-    for v, t, w in graph.edges:
-        lines.append(f"  n{v} -> n{w} [label={_q(t)}];")
+def _exploration_to_dot(name: str, exp: Exploration, caption, shape: str) -> str:
+    lines = [f"digraph {name} {{"]
+    for v, state in enumerate(exp.states):
+        double = "double" if v == exp.initial else ""
+        lines.append(f"  n{v} [shape={double}{shape} label={_q(caption(state))}];")
+    for v, label, w in exp.edges:
+        lines.append(f"  n{v} -> n{w} [label={_q(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _estimate_caption(state) -> str:
+    return "{" + ",".join(_marking_caption(m) for m in sorted(state)) + "}"
+
+
+def graph_to_dot(graph: ReachabilityGraph) -> str:
+    return _exploration_to_dot("reach", graph, _marking_caption, "circle")
 
 
 def observer_to_dot(obs: Observer) -> str:
-    lines = ["digraph observer {"]
-    for v, state in enumerate(obs.states):
-        caption = "{" + ",".join(
-            _marking_caption(m) for m in sorted(state)
-        ) + "}"
-        shape = "doubleoctagon" if v == obs.initial else "octagon"
-        lines.append(f"  n{v} [shape={shape} label={_q(caption)}];")
-    for v, sym, w in obs.edges:
-        lines.append(f"  n{v} -> n{w} [label={_q(sym)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _exploration_to_dot("observer", obs, _estimate_caption, "octagon")
 
 
 def km_to_dot(root: KMNode) -> str:

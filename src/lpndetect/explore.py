@@ -6,10 +6,10 @@ coverability queries, current-marking estimation, and the two path
 questions the checkers ask (see PathPattern): a covering pump followed by a
 mismatch, for strong detectability on the twin net, and an unobservable
 covering pump, for the standing assumption. Each question is explored once.
-The reachability graph is built under the budget; when it closes, the
-answer is decided and its witness read off the graph alone. Otherwise a
-budgeted search that fires transitions finds a sound witness or reports the
-question inconclusive.
+The reachability graph is built under the budget and every witness is
+read off it; nothing is fired twice. When the graph closes the answer is
+decided. Otherwise a walk of the open graph, whose pumps close on covering,
+finds a sound witness or reports the question inconclusive.
 """
 
 from __future__ import annotations
@@ -387,57 +387,30 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
     return any(pattern.final_ok(graph.markings[v]) for v in reach)
 
 
-def _witness_search(
-    net: LabeledPetriNet,
-    start: Marking,
-    pattern: PathPattern,
-    budget: Budget,
-    graph: Optional[ReachabilityGraph] = None,
-):
-    """0/1-BFS over (segment, node, pump anchor, moved) states.
+def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget):
+    """0/1-BFS over (segment, node, pump anchor, moved) states of graph.
 
-    Given graph, the closed reachability graph of net from start, the nodes
-    are its integer ids and their successors its lists: nothing is fired,
-    and the pump closes on returning to its anchor, as covering forces
-    equality on a closed graph (see _exact_exists). Without graph the nodes
-    are markings fired from start, at most budget.max_states distinct ones
-    at most budget.max_depth steps deep, and the pump closes once its end
-    covers its anchor. Both walks visit the same states in the same order.
+    Nothing is fired: the run starts at the initial node and follows the
+    stored successor lists. On a closed graph the pump closes on returning
+    to its anchor, as covering forces equality there (see _exact_exists).
+    On an open graph it closes once its end marking covers its anchor's,
+    and no state is expanded at cost budget.max_depth or more; below that
+    cost a node lies less than budget.max_depth deep, so all its successors
+    are stored unless the graph was cut by budget.max_states.
 
-    Returns (witness-or-None, exhausted, nodes-seen, max-cost). The BFS
+    Returns (witness-or-None, exhausted, nodes-seen, max-cost), exhausted
+    being True iff no witness exists and the graph is closed. The BFS
     layers count fired transitions, so the first accepted state yields a
     witness of minimal total segment length; ties break on declared
     transition order.
     """
-    k = _segment_count(pattern)
-    truncated = False
-    if graph is not None:
-        root, covers, marking_of = graph.initial, operator.eq, graph.markings.__getitem__
-        max_depth = None
-
-        def step(v, eps_only):
-            for t, w in graph.succ[v]:
-                if not eps_only or not net.is_observable(t):
-                    seen.add(w)
-                    yield t, w
-
+    net, markings, k = graph.net, graph.markings, _segment_count(pattern)
+    if graph.complete:
+        covers, cap = operator.eq, float("inf")
     else:
-        root, covers, marking_of = tuple(start), leq, tuple
-        max_depth = budget.max_depth
-        every, eps = range(len(net.transitions)), net.by_label[EPSILON]
-
-        def step(m, eps_only):
-            nonlocal truncated
-            for ti, m2 in successors(net, m, eps if eps_only else every):
-                if m2 not in seen:
-                    if len(seen) >= budget.max_states:
-                        truncated = True
-                        continue
-                    seen.add(m2)
-                yield net.transitions[ti], m2
-
-    seen = {root}
-    init = (1, root, None, False)
+        covers, cap = (lambda a, x: leq(markings[a], markings[x])), budget.max_depth
+    seen = {graph.initial}
+    init = (1, graph.initial, None, False)
     parents = {init: None}  # state -> (prev_state, transition or None on close)
     queue = deque([(init, 0)])
     accepted = None
@@ -448,7 +421,7 @@ def _witness_search(
         max_cost = max(max_cost, c)
         if j != 2 or (moved and covers(anchor, x)):
             if j == k:
-                if pattern.final_ok(marking_of(x)):
+                if pattern.final_ok(markings[x]):
                     accepted = state
                     break
             else:
@@ -456,26 +429,29 @@ def _witness_search(
                 if nxt not in parents:
                     parents[nxt] = (state, None)
                     queue.appendleft((nxt, c))
-        if max_depth is not None and c >= max_depth:
-            truncated = True
+        if c >= cap:
             continue
-        for t, y in step(x, j == 2 and pattern.eps_pump):
+        eps_only = j == 2 and pattern.eps_pump
+        for t, y in graph.succ[x]:
+            if eps_only and net.is_observable(t):
+                continue
+            seen.add(y)
             nxt = (j, y, anchor, True)
             if nxt not in parents:
                 parents[nxt] = (state, t)
                 queue.append((nxt, c + 1))
 
     if accepted is None:
-        return None, not truncated, len(seen), max_cost
+        return None, graph.complete, len(seen), max_cost
 
     # Walk the parent chain back: a close ends the segment of its source.
     segments = [[] for _ in range(k)]
-    boundary_markings = [None] * (k - 1) + [marking_of(accepted[1])]
+    boundary_markings = [None] * (k - 1) + [markings[accepted[1]]]
     state = accepted
     while parents[state] is not None:
         prev, t = parents[state]
         if t is None:
-            boundary_markings[prev[0] - 1] = marking_of(prev[1])
+            boundary_markings[prev[0] - 1] = markings[prev[1]]
         else:
             segments[state[0] - 1].append(t)
         state = prev
@@ -522,7 +498,6 @@ def search_pattern(
     is a proof. Everything else is INCONCLUSIVE.
     """
     t0 = time.perf_counter()
-    net._check_marking(start)
     graph = build_reachability_graph(net, budget, start=start)
     return search_graph(graph, pattern, budget, t0)
 
@@ -535,10 +510,7 @@ def search_graph(
     if graph.complete and not _exact_exists(graph, pattern):
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
         return Verdict(HOLDS, None, stats)
-    net, start = graph.net, graph.markings[graph.initial]
-    witness, _, states, depth = _witness_search(
-        net, start, pattern, budget, graph if graph.complete else None
-    )
+    witness, _, states, depth = _witness_search(graph, pattern, budget)
     stats = SearchStats(states, depth, time.perf_counter() - t0)
     if witness is None:
         if graph.complete:
@@ -548,7 +520,7 @@ def search_graph(
             stats=stats,
             message="state space did not close within budget",
         )
-    if not replay_witness(net, start, pattern, witness):
+    if not replay_witness(graph.net, graph.markings[graph.initial], pattern, witness):
         raise RuntimeError("internal error: witness failed its replay check")
     return Verdict(FAILS, witness, stats)
 

@@ -54,37 +54,17 @@ def coverability_to_strong(net: LabeledPetriNet, target: Marking) -> GadgetOutpu
     taken = set(net.places) | set(net.transitions)
     _check_fresh(new_places + new_trans, taken, "reserved")
 
-    n = len(net.places)
-    places = tuple(net.places) + new_places
-    zeros3 = (0, 0, 0)
-    pre_rows = [row + zeros3 for row in net.pre]
-    post_rows = [row + zeros3 for row in net.post]
+    def weights(row):  # place -> nonzero weight, as make_net takes them
+        return {p: w for p, w in zip(net.places, row) if w}
+
     # Original transitions become self-labeled: distinct observable symbols.
-    labels = list(net.transitions)
-    tids = list(net.transitions)
-
-    zeros_n = (0,) * n
-    for i, (tid, tag_idx) in enumerate(
-        (("t_probe1", 0), ("t_probe2", 1))
-    ):
-        tids.append(tid)
-        pre_rows.append(tuple(target) + zeros3)
-        post_rows.append(zeros_n + tuple(1 if j == tag_idx else 0 for j in range(3)))
-        labels.append(EPSILON)
-    tids.append("t_run")
-    pre_rows.append(zeros_n + (0, 0, 1))
-    post_rows.append(zeros_n + (0, 0, 1))
-    labels.append("t_run")
-
-    out = LabeledPetriNet(
-        places=places,
-        transitions=tuple(tids),
-        pre=tuple(pre_rows),
-        post=tuple(post_rows),
-        labels=tuple(labels),
-        alphabet=frozenset(net.transitions) | {"t_run"},
-        initial_marking=tuple(net.initial_marking) + (0, 0, 1),
-    )
+    transitions = {t: (t, weights(net.pre[ti]), weights(net.post[ti]))
+                   for ti, t in enumerate(net.transitions)}
+    transitions["t_probe1"] = (EPSILON, weights(target), {"p_tag1": 1})
+    transitions["t_probe2"] = (EPSILON, weights(target), {"p_tag2": 1})
+    transitions["t_run"] = ("t_run", {"p_run": 1}, {"p_run": 1})
+    out = make_net(tuple(net.places) + new_places, transitions,
+                   tuple(net.initial_marking) + (0, 0, 1))
     provenance = {
         "p_tag1": "tag place filled by the first probe",
         "p_tag2": "tag place filled by the second probe",

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -16,15 +17,20 @@ from lpndetect import (
     estimate,
     search_pattern,
 )
+from lpndetect import explore
+from lpndetect.analyze import check_assumptions, check_strong
 from lpndetect.explore import (
+    Witness,
     _cycle_nodes,
+    _segment_count,
     _witness_search,
     km_nodes,
     replay_witness,
     strong_detectability_pattern,
     unobservable_cycle_pattern,
 )
-from lpndetect.net import InputError, leq
+from lpndetect.gadgets import selfloop_unobservable
+from lpndetect.net import EPSILON, InputError, leq, successors
 
 from netgen import random_net
 
@@ -192,32 +198,154 @@ class TestCycleNodes:
         assert _cycle_nodes(n, chain + [(n - 1, n - 1)]) == {n - 1}
 
 
+def _fired_witness_search(net, start, pattern, budget):
+    """0/1-BFS over (segment, marking, pump anchor, moved) states.
+
+    The nodes are markings fired from start, at most budget.max_states
+    distinct ones at most budget.max_depth steps deep, and the pump closes
+    once its end covers its anchor.
+
+    Returns (witness-or-None, exhausted, nodes-seen, max-cost). The BFS
+    layers count fired transitions, so the first accepted state yields a
+    witness of minimal total segment length; ties break on declared
+    transition order.
+    """
+    k = _segment_count(pattern)
+    truncated = False
+    root, covers, marking_of = tuple(start), leq, tuple
+    max_depth = budget.max_depth
+    every, eps = range(len(net.transitions)), net.by_label[EPSILON]
+
+    def step(m, eps_only):
+        nonlocal truncated
+        for ti, m2 in successors(net, m, eps if eps_only else every):
+            if m2 not in seen:
+                if len(seen) >= budget.max_states:
+                    truncated = True
+                    continue
+                seen.add(m2)
+            yield net.transitions[ti], m2
+
+    seen = {root}
+    init = (1, root, None, False)
+    parents = {init: None}  # state -> (prev_state, transition or None on close)
+    queue = deque([(init, 0)])
+    accepted = None
+    max_cost = 0
+    while queue:
+        state, c = queue.popleft()
+        j, x, anchor, moved = state
+        max_cost = max(max_cost, c)
+        if j != 2 or (moved and covers(anchor, x)):
+            if j == k:
+                if pattern.final_ok(marking_of(x)):
+                    accepted = state
+                    break
+            else:
+                nxt = (j + 1, x, x if j == 1 else None, False)
+                if nxt not in parents:
+                    parents[nxt] = (state, None)
+                    queue.appendleft((nxt, c))
+        if c >= max_depth:
+            truncated = True
+            continue
+        for t, y in step(x, j == 2 and pattern.eps_pump):
+            nxt = (j, y, anchor, True)
+            if nxt not in parents:
+                parents[nxt] = (state, t)
+                queue.append((nxt, c + 1))
+
+    if accepted is None:
+        return None, not truncated, len(seen), max_cost
+
+    # Walk the parent chain back: a close ends the segment of its source.
+    segments = [[] for _ in range(k)]
+    boundary_markings = [None] * (k - 1) + [marking_of(accepted[1])]
+    state = accepted
+    while parents[state] is not None:
+        prev, t = parents[state]
+        if t is None:
+            boundary_markings[prev[0] - 1] = marking_of(prev[1])
+        else:
+            segments[state[0] - 1].append(t)
+        state = prev
+    witness = Witness(
+        segments=tuple(tuple(reversed(s)) for s in segments),
+        markings=tuple(boundary_markings),
+    )
+    return witness, False, len(seen), max_cost
+
+
 class TestWitnessOnGraph:
-    """The closed-graph walk against the firing search it replaces."""
+    """The graph walk against the firing search it replaces.
+
+    _fired_witness_search is that search as it stood before the walk took
+    over open graphs, kept here as the reference. On a closed graph the
+    walk must equal it run without a budget; on a graph cut only by
+    max_depth, it must equal it run under the graph's budget. A graph cut
+    by max_states may hold other markings than the ones the firing search
+    saw first, so there both witnesses need only replay.
+    """
 
     def test_graph_walk_matches_firing_search(self):
         rng = random.Random(53)
-        budget = Budget(300, 300)
         unbounded = Budget(10**6, 10**6)
-        compared = {"strong": 0, "eps": 0}
-        found = {"strong": 0, "eps": 0}
-        while min(compared.values()) < 300 or min(found.values()) < 25:
+        kinds = ("closed", "depth-cut", "state-cut")
+        compared = {(q, kind): 0 for q in ("strong", "eps") for kind in kinds}
+        found = dict.fromkeys(compared, 0)
+        differ = dict.fromkeys(compared, 0)
+        for _ in range(500):
             net = random_net(rng)
             tw = build_twin(net)
-            for kind, n, pattern in (
+            for q, n, pattern in (
                 ("strong", tw.net, strong_detectability_pattern(len(tw.net.places))),
                 ("eps", net, unobservable_cycle_pattern()),
             ):
-                graph = build_reachability_graph(n, budget)
-                if not graph.complete:
-                    continue
                 start = n.initial_marking
-                on_graph = _witness_search(n, start, pattern, budget, graph)
-                fired = _witness_search(n, start, pattern, unbounded)
-                assert fired[1] or fired[0] is not None  # never truncated
-                assert on_graph == fired
-                compared[kind] += 1
-                found[kind] += on_graph[0] is not None
+                for budget in (Budget(300, 30), Budget(50, 3)):
+                    graph = build_reachability_graph(n, budget)
+                    walked = _witness_search(graph, pattern, budget)
+                    if graph.complete:
+                        kind, fired = "closed", _fired_witness_search(
+                            n, start, pattern, unbounded)
+                        assert fired[1] or fired[0] is not None  # never truncated
+                    else:
+                        kind = ("state-cut" if len(graph.markings) == budget.max_states
+                                else "depth-cut")
+                        fired = _fired_witness_search(n, start, pattern, budget)
+                    if kind == "state-cut":
+                        for witness in (walked[0], fired[0]):
+                            assert witness is None or replay_witness(
+                                n, start, pattern, witness)
+                        differ[q, kind] += walked != fired
+                    else:
+                        assert walked == fired
+                    compared[q, kind] += 1
+                    found[q, kind] += walked[0] is not None
+        print("compared", compared, "witnesses", found, "differ", differ)
+        assert min(compared.values()) > 0
+        assert min(found.values()) >= 10
+        assert min(found[q, "closed"] for q in ("strong", "eps")) >= 25
+
+    def test_witness_search_fires_nothing(self, e1, e2, e4, monkeypatch):
+        calls, searched = [], []
+        real_successors, real_search = explore.successors, explore._witness_search
+
+        def spy(graph, pattern, budget):
+            before = len(calls)
+            result = real_search(graph, pattern, budget)
+            searched.append((graph.complete, len(calls) - before))
+            return result
+
+        monkeypatch.setattr(explore, "successors",
+                            lambda *args: calls.append(args) or real_successors(*args))
+        monkeypatch.setattr(explore, "_witness_search", spy)
+        closed = Budget(5000, 1000)
+        assert check_strong(e2, closed).fails
+        gadget = selfloop_unobservable(e1, (1,))
+        assert check_assumptions(gadget.net, closed).no_infinite_unobservable.fails
+        assert check_strong(e4, Budget(100000, 20)).fails  # on an open twin graph
+        assert searched == [(True, 0), (True, 0), (False, 0)]
 
 
 class TestEstimate:

@@ -171,6 +171,17 @@ class TestCli:
         assert main(["gadget", "cov2strong", p1, "--marking", "p=²"]) == 3
         assert capsys.readouterr().err.count("error:") == 2
 
+    def test_non_utf8_input_exit(self, tmp_path, e1, capsys):
+        path = tmp_path / "bad.lpn"
+        path.write_bytes(b"places p\xff\n")
+        assert main(["check-strong", str(path)]) == 3
+        secret = tmp_path / "secret.txt"
+        secret.write_bytes(b"p=1 \xff\n")
+        assert main(["check-opacity", write_net(tmp_path, e1),
+                     "--secret", str(secret)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and "Traceback" not in err
+
     def test_usage_error_exit(self, capsys):
         assert main(["no-such-command"]) == 3
         assert main([]) == 3
