@@ -12,8 +12,8 @@ sound witnesses or an inconclusive report.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 from .net import (
@@ -30,6 +30,7 @@ from .explore import (
     HOLDS,
     INCONCLUSIVE,
     Exploration,
+    ReachabilityGraph,
     SearchStats,
     Verdict,
     Witness,
@@ -62,6 +63,8 @@ class AssumptionError(NetError):
 class AssumptionReport:
     deadlock_free: Verdict
     no_infinite_unobservable: Verdict
+    # The graph both verdicts were read from, or None where no checker reads it.
+    graph: Optional[ReachabilityGraph] = field(compare=False, repr=False)
 
     @property
     def any_fails(self) -> bool:
@@ -103,7 +106,7 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
                          message="no unobservable transitions")
     else:
         no_inf = search_graph(graph, unobservable_cycle_pattern(), budget, t0)
-    return AssumptionReport(deadlock_free=deadlock_free, no_infinite_unobservable=no_inf)
+    return AssumptionReport(deadlock_free, no_inf, graph)
 
 
 def _gate_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
@@ -125,12 +128,14 @@ def check_strong(g: LabeledPetriNet, budget: Budget) -> Verdict:
 
 
 def _check_strong(g: LabeledPetriNet, budget: Budget):
-    """check_strong's (verdict, twin), so that a caller can decode the
-    witness's twin transitions without building the twin again."""
-    _gate_assumptions(g, budget)
+    """check_strong's (verdict, twin, assumption report), so that a caller
+    can decode the witness's twin transitions and report the assumptions
+    without building either again."""
+    # The twin search does not read the net's graph, so it is not kept alive.
+    report = replace(_gate_assumptions(g, budget), graph=None)
     tw = build_twin(g)
     pattern = strong_detectability_pattern(len(tw.net.places))
-    return search_pattern(tw.net, tw.net.initial_marking, pattern, budget), tw
+    return search_pattern(tw.net, tw.net.initial_marking, pattern, budget), tw, report
 
 
 # ---------------------------------------------------------------------------
@@ -143,65 +148,57 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
 Observer = Exploration
 
 
-class _BudgetTracker:
-    def __init__(self, budget: Budget):
-        self.max_states = budget.max_states
-        self.markings = set()
-
-    def admit(self, m) -> bool:
-        if m in self.markings:
-            return True
-        if len(self.markings) >= self.max_states:
-            return False
-        self.markings.add(m)
-        return True
+def _eps_closure(succ, v: int, observable) -> frozenset:
+    """Node v and the nodes it reaches in succ by transitions not in observable."""
+    seen, stack = {v}, [v]
+    while stack:
+        for t, w in succ[stack.pop()]:
+            if w not in seen and t not in observable:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
 
 
-def _eps_closure(net: LabeledPetriNet, markings, tracker: _BudgetTracker):
-    """Closure under unobservable firings; None if the budget ran out."""
-    eps = net.by_label[EPSILON]
-    out = set()
-    queue = deque()
-    for m in markings:
-        if not tracker.admit(m):
-            return None
-        out.add(m)
-        queue.append(m)
-    while queue:
-        m = queue.popleft()
-        for _, m2 in successors(net, m, eps):
-            if m2 in out:
-                continue
-            if not tracker.admit(m2):
-                return None
-            out.add(m2)
-            queue.append(m2)
-    return frozenset(out)
+def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
+    """Budgeted subset construction over the nodes of a reachability graph.
 
-
-def explore_observer(net: LabeledPetriNet, budget: Budget) -> Observer:
-    """Budgeted subset construction over the net's markings.
-
-    Every stored state is an exact estimate. The ε-closures share one
-    allowance of budget.max_states distinct markings; a successor whose
-    closure would exceed it is not stored, nor is any state when the
-    initial closure would, and complete is then False.
+    Nothing is fired: ε-closures and symbol steps are read off graph.succ,
+    once per node. A set holding a node the graph's budget cut may be
+    partial, so it is never stored: it counts as a dropped successor, or
+    leaves no state when it is the initial closure. Every stored state is
+    thus an exact estimate, mapped to its markings at the end.
     """
-    tracker = _BudgetTracker(budget)
-    symbols = [(sym, net.by_label[sym]) for sym in sorted(net.alphabet)]
+    net, succ, cut = graph.net, graph.succ, graph.cut
+    observable = {t: net.label(t) for t in net.transitions if net.is_observable(t)}
+    symbols = sorted(net.alphabet)
+    closure = cache(lambda v: _eps_closure(succ, v, observable))
+
+    @cache
+    def moves(v):  # symbol -> the union of the closures of v's successors by it
+        out = {}
+        for t, w in succ[v]:
+            sym = observable.get(t)
+            if sym is not None:
+                out[sym] = out.get(sym, frozenset()) | closure(w)
+        return out
 
     def expand(state):
-        for sym, tis in symbols:
-            targets = {m2 for m in state for _, m2 in successors(net, m, tis)}
+        steps = [moves(v) for v in state]
+        for sym in symbols:
+            targets = frozenset().union(*(m[sym] for m in steps if sym in m))
             if targets:
-                yield sym, _eps_closure(net, targets, tracker)
+                yield sym, targets if cut.isdisjoint(targets) else None
 
-    return _explore(_eps_closure(net, {net.initial_marking}, tracker), expand, budget)
+    root = closure(graph.initial)
+    obs = _explore(root if cut.isdisjoint(root) else None, expand, budget)
+    states = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
+    return replace(obs, states=states, index={s: v for v, s in enumerate(states)})
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
     """Complete observer of a bounded net; raises on budget exhaustion."""
-    obs = explore_observer(net, budget or Budget())
+    budget = budget or Budget()
+    obs = explore_observer(build_reachability_graph(net, budget), budget)
     if not obs.complete:
         raise InputError(
             "observer did not close within budget (net unbounded or budget too small)"
@@ -235,9 +232,14 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     reachable cycle all of whose states are singleton estimates. Unbounded
     nets are reported inconclusive; the problem has no general algorithm.
     """
+    return _check_weak(g, budget)[0]
+
+
+def _check_weak(g: LabeledPetriNet, budget: Budget):
+    """check_weak's (verdict, assumption report); the observer reuses the gate's graph."""
     t0 = time.perf_counter()
-    _gate_assumptions(g, budget)
-    obs = explore_observer(g, budget)
+    report = _gate_assumptions(g, budget)
+    obs = explore_observer(report.graph, budget)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not obs.complete:
         return Verdict(
@@ -247,7 +249,7 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
                 "observer did not close within budget; weak detectability "
                 "of unbounded nets admits no general decision procedure"
             ),
-        )
+        ), report
     if not all(obs.succ):
         raise RuntimeError(
             "internal error: the net is deadlock free, yet an estimate has no successor"
@@ -256,13 +258,13 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
     cyc = _cycle_nodes(len(obs.states), edge_pairs) & singles
     if cyc:
-        return Verdict(HOLDS, stats=stats)
+        return Verdict(HOLDS, stats=stats), report
     return Verdict(
         FAILS,
         stats=stats,
         message="no reachable cycle of singleton estimates",
         universal=True,
-    )
+    ), report
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,7 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
-    obs = explore_observer(g, budget)
+    obs = explore_observer(build_reachability_graph(g, budget), budget)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     for v, state in enumerate(obs.states):
         if state and state <= secret_set:

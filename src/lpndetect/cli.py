@@ -15,9 +15,9 @@ from . import __version__
 from .analyze import (
     AssumptionError,
     _check_strong,
+    _check_weak,
     check_assumptions,
     check_opacity,
-    check_weak,
     explore_observer,
 )
 from .dot import graph_to_dot, km_to_dot, net_to_dot, observer_to_dot
@@ -29,6 +29,7 @@ from .explore import (
     Verdict,
     Witness,
     build_km_tree,
+    build_reachability_graph,
     estimate,
     km_nodes,
 )
@@ -235,8 +236,6 @@ def _run(args) -> int:
         print(f"coverability tree: {sum(1 for _ in km_nodes(root))} nodes")
         return EXIT_HOLDS
     if cmd == "reach":
-        from .explore import build_reachability_graph
-
         graph = build_reachability_graph(net, _budget(args))
         _write_dot(args, graph_to_dot(graph))
         status = "complete" if graph.complete else "truncated"
@@ -244,7 +243,8 @@ def _run(args) -> int:
               f"{len(graph.edges)} edges, {status}")
         return EXIT_HOLDS if graph.complete else EXIT_INCONCLUSIVE
     if cmd == "observer":
-        obs = explore_observer(net, _budget(args))
+        budget = _budget(args)
+        obs = explore_observer(build_reachability_graph(net, budget), budget)
         _write_dot(args, observer_to_dot(obs))
         status = "complete" if obs.complete else "truncated"
         print(f"observer: {len(obs.states)} states, {len(obs.edges)} edges, {status}")
@@ -272,11 +272,11 @@ def _run(args) -> int:
                 else report.no_infinite_unobservable
         return _emit_verdict(args, "standing-assumptions", agg, digest, report)
     if cmd == "check-strong":
-        verdict, tw = _check_strong(net, _budget(args))
-        return _emit_verdict(args, "strong-detectability", verdict, digest, tw=tw)
+        verdict, tw, report = _check_strong(net, _budget(args))
+        return _emit_verdict(args, "strong-detectability", verdict, digest, report, tw)
     if cmd == "check-weak":
-        verdict = check_weak(net, _budget(args))
-        return _emit_verdict(args, "weak-detectability", verdict, digest)
+        verdict, report = _check_weak(net, _budget(args))
+        return _emit_verdict(args, "weak-detectability", verdict, digest, report)
     if cmd == "check-opacity":
         secret = parse_secret_file(net, _read(args.secret)[1])
         verdict = check_opacity(net, secret, _budget(args))

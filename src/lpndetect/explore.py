@@ -105,8 +105,8 @@ class Exploration:
     succ[v] lists (label, w) for every stored successor w of node v, in the
     order they were expanded; edges is the same list flattened. parent[v]
     is (u, label), the BFS tree edge into v (None at the root), so
-    path_to(v) is a shortest label path to v. complete is True iff every
-    successor of every stored node is stored.
+    path_to(v) is a shortest label path to v. cut holds the nodes that lost
+    a successor; complete means a root was stored and nothing was cut.
     """
 
     states: list  # index = node id
@@ -115,6 +115,7 @@ class Exploration:
     parent: list
     depth: list  # BFS depth per node
     complete: bool
+    cut: set = field(default_factory=set)
 
     initial = 0  # the root's node id
 
@@ -136,12 +137,12 @@ def _explore(root, expand, budget: Budget) -> Exploration:
     expand(state) yields (label, successor), the successor None when it
     could not be computed within the budget; root None stores no state. A
     new state is stored if fewer than budget.max_states states are stored
-    and it lies at most budget.max_depth steps deep.
+    and it lies at most budget.max_depth steps deep; otherwise its source is cut.
     """
     if root is None:
         return Exploration([], {}, [], [], [], complete=False)
     states, index, succ, parent, depth = [root], {root: 0}, [[]], [None], [0]
-    complete = True
+    cut = set()
     v = 0
     while v < len(states):  # states are stored in BFS order: the queue
         d = depth[v] + 1
@@ -150,7 +151,7 @@ def _explore(root, expand, budget: Budget) -> Exploration:
             w = index.get(x)
             if w is None:
                 if x is None or len(states) >= budget.max_states or d > budget.max_depth:
-                    complete = False
+                    cut.add(v)
                     continue
                 w = len(states)
                 states.append(x)
@@ -160,14 +161,14 @@ def _explore(root, expand, budget: Budget) -> Exploration:
                 depth.append(d)
             out.append((label, w))
         v += 1
-    return Exploration(states, index, succ, parent, depth, complete)
+    return Exploration(states, index, succ, parent, depth, not cut, cut)
 
 
 @dataclass
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids."""
 
-    net: LabeledPetriNet
+    net: LabeledPetriNet = field(kw_only=True)
 
     @property
     def markings(self) -> list:
@@ -534,7 +535,8 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
     """Markings consistent with observing word from the initial marking.
 
     Returns (frozenset of markings, complete). When complete is False the
-    set is a sound under-approximation.
+    set is a sound under-approximation. A search of its own, it is the
+    independent reference for the observer in the witness replay and tests.
     """
     for sym in word:
         if sym not in net.alphabet:

@@ -38,10 +38,6 @@ class TwinNet:
     def half(self) -> int:
         return len(self.base.places)
 
-    def mirror_index(self, i: int) -> int:
-        n = self.half
-        return i + n if i < n else i - n
-
     def first(self, m: Marking) -> Marking:
         return m[: self.half]
 

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter, deque
 from pathlib import Path
 
 import networkx as nx
@@ -27,7 +28,14 @@ from lpndetect import (
 from lpndetect import analyze, explore
 from lpndetect.analyze import AssumptionError, Observer, explore_observer
 from lpndetect.gadgets import inclusion_to_weak, secret_marking, selfloop_unobservable
-from lpndetect.net import EPSILON, InputError, enabled, fire_sequence, observation
+from lpndetect.net import (
+    EPSILON,
+    InputError,
+    enabled,
+    fire_sequence,
+    observation,
+    successors,
+)
 from lpndetect.twin import project
 
 from netgen import bounded_wellformed_net, random_net
@@ -163,6 +171,161 @@ class TestObserver:
             build_observer(e3, Budget(100, 100))
 
 
+# The observer as it stood before it was read off the reachability graph: a
+# subset construction that fires every marking again, its ε-closures sharing
+# one allowance of budget.max_states distinct markings. Kept verbatim as the
+# reference for the construction over graph node ids.
+
+
+class _BudgetTracker:
+    def __init__(self, budget: Budget):
+        self.max_states = budget.max_states
+        self.markings = set()
+
+    def admit(self, m) -> bool:
+        if m in self.markings:
+            return True
+        if len(self.markings) >= self.max_states:
+            return False
+        self.markings.add(m)
+        return True
+
+
+def _eps_closure(net, markings, tracker: _BudgetTracker):
+    """Closure under unobservable firings; None if the budget ran out."""
+    eps = net.by_label[EPSILON]
+    out = set()
+    queue = deque()
+    for m in markings:
+        if not tracker.admit(m):
+            return None
+        out.add(m)
+        queue.append(m)
+    while queue:
+        m = queue.popleft()
+        for _, m2 in successors(net, m, eps):
+            if m2 in out:
+                continue
+            if not tracker.admit(m2):
+                return None
+            out.add(m2)
+            queue.append(m2)
+    return frozenset(out)
+
+
+def _fired_observer(net, budget: Budget) -> Observer:
+    """Budgeted subset construction over the net's markings.
+
+    Every stored state is an exact estimate. The ε-closures share one
+    allowance of budget.max_states distinct markings; a successor whose
+    closure would exceed it is not stored, nor is any state when the
+    initial closure would, and complete is then False.
+    """
+    tracker = _BudgetTracker(budget)
+    symbols = [(sym, net.by_label[sym]) for sym in sorted(net.alphabet)]
+
+    def expand(state):
+        for sym, tis in symbols:
+            targets = {m2 for m in state for _, m2 in successors(net, m, tis)}
+            if targets:
+                yield sym, _eps_closure(net, targets, tracker)
+
+    return explore._explore(
+        _eps_closure(net, {net.initial_marking}, tracker), expand, budget)
+
+
+class TestObserverOnGraph:
+    """The observer is a subset construction over the stored reachability
+    graph and fires nothing."""
+
+    def test_matches_firing_observer(self, monkeypatch):
+        # Where the graph and the reference both close they must agree
+        # exactly. A budget-cut graph may stop the observer elsewhere, so
+        # there every stored state must still be an exact estimate, and
+        # verdicts, which are sound on both sides, must never conflict. At
+        # Budget(2000, 100) only closed graphs are compared: on the open ones
+        # the reference and the estimates of up to 2000 deep states take
+        # minutes.
+        rng = random.Random(71)
+        nets = [random_net(rng, eps_prob=0.35) for _ in range(300)]
+        exact = Budget(300, 200)  # a complete estimate is exact under any budget
+        fired = lambda graph, budget: _fired_observer(graph.net, budget)  # noqa: E731
+        compared = checked = 0
+        differ = Counter()
+        for budget, open_too in ((Budget(300, 30), True), (Budget(50, 3), True),
+                                 (Budget(2000, 100), False)):
+            for net in nets:
+                graph = build_reachability_graph(net, budget)
+                if not (graph.complete or open_too):
+                    continue
+                obs = explore_observer(graph, budget)
+                ref = _fired_observer(net, budget)
+                if ref.complete and graph.complete:
+                    compared += 1
+                    assert (obs.states, obs.succ, obs.parent, obs.depth, obs.complete) \
+                        == (ref.states, ref.succ, ref.parent, ref.depth, ref.complete)
+                for v, state in enumerate(obs.states):
+                    est, complete = estimate(net, obs.path_to(v), exact)
+                    if complete:
+                        checked += 1
+                        assert est == state
+                verdicts = []
+                for observer in (explore_observer, fired):
+                    monkeypatch.setattr(analyze, "explore_observer", observer)
+                    try:
+                        weak = check_weak(net, budget)
+                        weak = (weak.outcome, weak.witness)
+                    except AssumptionError:
+                        weak = None
+                    opaque = check_opacity(net, [net.initial_marking], budget)
+                    verdicts.append((weak, (opaque.outcome, opaque.witness)))
+                for kind, ours, theirs in zip(("weak", "opacity"), *verdicts):
+                    differ[kind] += ours != theirs
+                    if ours and theirs and INCONCLUSIVE not in (ours[0], theirs[0]):
+                        assert ours == theirs
+        print(f"observers compared {compared}, estimates checked {checked}, "
+              f"verdicts differing from the firing observer {dict(differ)}")
+        assert compared >= 450 and checked >= 2000
+
+    def test_cut_nodes_keep_estimates_exact(self):
+        # Under ε, t adds a token to c forever, so the graph is cut at its
+        # deepest node; u never fires. The estimate of the empty word is
+        # every (1, k), not a subset of the secret, so a stored estimate
+        # {(1,0)..(1,3)} read off the cut graph would be a wrong fails.
+        net = make_net(
+            ["p", "c"],
+            {"t": (None, {"p": 1}, {"p": 1, "c": 1}), "u": ("a", {"c": 5}, {"c": 5})},
+            {"p": 1},
+        )
+        secret = [(1, k) for k in range(4)]
+        for budget in (Budget(100, 3), Budget(4, 100)):
+            assert explore_observer(build_reachability_graph(net, budget), budget).states == []
+            assert check_opacity(net, secret, budget).outcome == INCONCLUSIVE
+
+    def test_reads_the_gate_graph_and_fires_nothing(self, e2, budget, monkeypatch):
+        graph = build_reachability_graph(e2, budget)
+        fired = []
+
+        def counting(*args):
+            fired.append(args)
+            return successors(*args)
+
+        for module in (analyze, explore):
+            monkeypatch.setattr(module, "successors", counting)
+        assert explore_observer(graph, budget).complete
+        assert fired == []
+        built = []
+
+        def building(net, *args, **kwargs):
+            built.append(net)
+            return build_reachability_graph(net, *args, **kwargs)
+
+        for module in (analyze, explore):
+            monkeypatch.setattr(module, "build_reachability_graph", building)
+        assert check_weak(e2, budget).fails
+        assert built == [e2]
+
+
 class TestCheckWeak:
     def test_e1_holds(self, e1, budget):
         assert check_weak(e1, budget).outcome == HOLDS
@@ -225,7 +388,7 @@ class TestCheckOpacity:
             {"p": 1},
         )
         budget = Budget(50, 5)
-        obs = explore_observer(net, budget)
+        obs = explore_observer(build_reachability_graph(net, budget), budget)
         assert obs.states == [] and obs.succ == [] and not obs.complete
         v = check_opacity(net, [(1, 0)], budget)
         assert v.outcome == INCONCLUSIVE
@@ -256,7 +419,7 @@ class TestOneExplorer:
         budget = Budget(100, 1)
         graph = build_reachability_graph(net, budget)
         assert graph.complete and graph.depth == [0, 1]
-        obs = explore_observer(net, budget)
+        obs = explore_observer(graph, budget)
         assert obs.complete and obs.depth == [0, 1]
         assert obs.succ == [[("a", 1)], [("b", 0)]]
         v = check_weak(net, budget)
@@ -282,7 +445,7 @@ class TestOneExplorer:
                 g = nx.DiGraph([(v, w) for v, _, w in graph.edges])
                 g.add_nodes_from(range(len(graph.markings)))
                 assert len(path) == nx.shortest_path_length(g, 0, graph.index[dead])
-            obs = explore_observer(net, budget)
+            obs = explore_observer(build_reachability_graph(net, budget), budget)
             if not obs.complete:
                 continue
             observers += 1

@@ -263,6 +263,19 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert (rep["stats"]["states"], rep["stats"]["depth"]) == (2, 1)
 
+    def test_checks_report_their_assumptions(self, tmp_path, e2, capsys):
+        path = write_net(tmp_path, e2)
+        for prop in ("check-strong", "check-weak"):
+            assert main([prop, path, "--json"]) == 1
+            rep = json.loads(capsys.readouterr().out)
+            jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+            assert rep["assumptions"] == {
+                "deadlock_free": "holds",
+                "no_infinite_unobservable": "holds",
+            }
+            assert main([prop, path]) == 1
+            assert "  deadlock-free: holds\n" in capsys.readouterr().out
+
     def test_check_assumptions_json(self, tmp_path, e1, capsys):
         assert main(["check-assumptions", write_net(tmp_path, e1), "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
