@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cache
 from typing import Optional
 
 from .net import (
@@ -148,12 +147,15 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
 Observer = Exploration
 
 
-def _eps_closure(succ, v: int, observable) -> frozenset:
-    """Node v and the nodes it reaches in succ by transitions not in observable."""
-    seen, stack = {v}, [v]
+def _eps_closure(eps: list, cut: set, nodes) -> Optional[frozenset]:
+    """nodes closed under the ε-successor lists eps; None if it meets a cut node."""
+    seen, stack = set(nodes), list(nodes)
     while stack:
-        for t, w in succ[stack.pop()]:
-            if w not in seen and t not in observable:
+        v = stack.pop()
+        if v in cut:
+            return None
+        for w in eps[v]:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)
@@ -162,35 +164,30 @@ def _eps_closure(succ, v: int, observable) -> frozenset:
 def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
     """Budgeted subset construction over the nodes of a reachability graph.
 
-    Nothing is fired: ε-closures and symbol steps are read off graph.succ,
-    once per node. A set holding a node the graph's budget cut may be
-    partial, so it is never stored: it counts as a dropped successor, or
-    leaves no state when it is the initial closure. Every stored state is
-    thus an exact estimate, mapped to its markings at the end.
+    Nothing is fired: symbol steps and ε-closures are read off graph.succ.
+    A set holding a node the graph's budget cut may be partial, so it is
+    never stored: it counts as a dropped successor, or leaves no state when
+    it is the initial closure. Every stored state is thus an exact estimate,
+    mapped to its markings at the end; the observer closes only if the graph
+    closed, within budget.max_depth firings.
     """
-    net, succ, cut = graph.net, graph.succ, graph.cut
-    observable = {t: net.label(t) for t in net.transitions if net.is_observable(t)}
-    symbols = sorted(net.alphabet)
-    closure = cache(lambda v: _eps_closure(succ, v, observable))
-
-    @cache
-    def moves(v):  # symbol -> the union of the closures of v's successors by it
-        out = {}
-        for t, w in succ[v]:
-            sym = observable.get(t)
-            if sym is not None:
-                out[sym] = out.get(sym, frozenset()) | closure(w)
-        return out
+    net, cut, n = graph.net, graph.cut, len(graph.succ)
+    eps = [[] for _ in range(n)]  # per node: its ε-successors
+    steps = {sym: [()] * n for sym in sorted(net.alphabet)}  # per symbol, per node
+    for v, out in enumerate(graph.succ):
+        for t, w in out:
+            if net.is_observable(t):
+                steps[net.label(t)][v] += (w,)
+            else:
+                eps[v].append(w)
 
     def expand(state):
-        steps = [moves(v) for v in state]
-        for sym in symbols:
-            targets = frozenset().union(*(m[sym] for m in steps if sym in m))
+        for sym, step in steps.items():
+            targets = set().union(*map(step.__getitem__, state))
             if targets:
-                yield sym, targets if cut.isdisjoint(targets) else None
+                yield sym, _eps_closure(eps, cut, targets)
 
-    root = closure(graph.initial)
-    obs = _explore(root if cut.isdisjoint(root) else None, expand, budget)
+    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget)
     states = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
     return replace(obs, states=states, index={s: v for v, s in enumerate(states)})
 

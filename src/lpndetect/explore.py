@@ -114,10 +114,13 @@ class Exploration:
     succ: list
     parent: list
     depth: list  # BFS depth per node
-    complete: bool
-    cut: set = field(default_factory=set)
+    cut: set
 
     initial = 0  # the root's node id
+
+    @property
+    def complete(self) -> bool:
+        return bool(self.states) and not self.cut
 
     @property
     def edges(self) -> list:
@@ -140,7 +143,7 @@ def _explore(root, expand, budget: Budget) -> Exploration:
     and it lies at most budget.max_depth steps deep; otherwise its source is cut.
     """
     if root is None:
-        return Exploration([], {}, [], [], [], complete=False)
+        return Exploration([], {}, [], [], [], set())
     states, index, succ, parent, depth = [root], {root: 0}, [[]], [None], [0]
     cut = set()
     v = 0
@@ -161,14 +164,14 @@ def _explore(root, expand, budget: Budget) -> Exploration:
                 depth.append(d)
             out.append((label, w))
         v += 1
-    return Exploration(states, index, succ, parent, depth, not cut, cut)
+    return Exploration(states, index, succ, parent, depth, cut)
 
 
 @dataclass
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids."""
 
-    net: LabeledPetriNet = field(kw_only=True)
+    net: LabeledPetriNet
 
     @property
     def markings(self) -> list:

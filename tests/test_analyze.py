@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
 
@@ -234,6 +235,15 @@ def _fired_observer(net, budget: Budget) -> Observer:
         _eps_closure(net, {net.initial_marking}, tracker), expand, budget)
 
 
+def _eps_chain(n):
+    """n tokens on c, each removed by ε; an observable a-loop on q."""
+    return make_net(
+        ["c", "q"],
+        {"e": (None, {"c": 1}, {}), "a": ("a", {"q": 1}, {"q": 1})},
+        {"c": n, "q": 1},
+    )
+
+
 class TestObserverOnGraph:
     """The observer is a subset construction over the stored reachability
     graph and fires nothing."""
@@ -247,7 +257,11 @@ class TestObserverOnGraph:
         # the reference and the estimates of up to 2000 deep states take
         # minutes.
         rng = random.Random(71)
-        nets = [random_net(rng, eps_prob=0.35) for _ in range(300)]
+        # The ε-chain's 51 markings fit the reference's closure allowance, but
+        # at Budget(300, 30) its graph is cut 30 firings deep, so the observer,
+        # which needs a closed graph, is inconclusive where the reference
+        # decides: the one net whose verdicts are known to differ.
+        nets = [random_net(rng, eps_prob=0.35) for _ in range(300)] + [_eps_chain(50)]
         exact = Budget(300, 200)  # a complete estimate is exact under any budget
         fired = lambda graph, budget: _fired_observer(graph.net, budget)  # noqa: E731
         compared = checked = 0
@@ -286,6 +300,24 @@ class TestObserverOnGraph:
         print(f"observers compared {compared}, estimates checked {checked}, "
               f"verdicts differing from the firing observer {dict(differ)}")
         assert compared >= 450 and checked >= 2000
+        assert differ == Counter(weak=1, opacity=1)  # the ε-chain's, nothing else
+
+    def test_eps_chain_is_one_linear_closure(self):
+        # Every node's ε-closure is its tail of the chain; one estimate holds
+        # all 3001 markings. Per-node closures would keep about n²/2 node ids.
+        net, budget = _eps_chain(3000), Budget()
+        graph = build_reachability_graph(net, budget)
+        tracemalloc.start()
+        try:
+            obs = explore_observer(graph, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = _fired_observer(net, budget)
+        assert obs.complete and len(obs.states[0]) == 3001
+        assert (obs.states, obs.succ, obs.parent, obs.depth) \
+            == (ref.states, ref.succ, ref.parent, ref.depth)
+        assert peak < 10_000_000
 
     def test_cut_nodes_keep_estimates_exact(self):
         # Under ε, t adds a token to c forever, so the graph is cut at its
@@ -547,7 +579,7 @@ class TestHardChecks:
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         init = frozenset({(1,)})
         lonely = Observer([init], {init: 0}, succ=[[]], parent=[None], depth=[0],
-                          complete=True)
+                          cut=set())
         monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
         with pytest.raises(RuntimeError):
             check_weak(e1, budget)
