@@ -21,7 +21,6 @@ from .net import (
     LabeledPetriNet,
     Marking,
     NetError,
-    successors,
 )
 from .explore import (
     Budget,
@@ -79,13 +78,11 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     """
     t0 = time.perf_counter()
     graph = build_reachability_graph(net, budget)
-    every = range(len(net.transitions))
-    dead = None
-    for v, m in enumerate(graph.markings):
-        # A stored successor proves v live; an empty list may be the budget's.
-        if not graph.succ[v] and next(successors(net, m, every), None) is None:
-            dead = v
-            break
+    # Every stored node was expanded: one without a stored successor is dead
+    # unless the budget cut its successors.
+    dead = next(
+        (v for v, out in enumerate(graph.succ) if not out and v not in graph.cut), None
+    )
     stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
     if dead is not None:
         deadlock_free = Verdict(

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("observer", help="estimate automaton"),
            jsonout=False, dot=True)
     common(sub.add_parser("km", help="coverability tree"),
-           budget=False, jsonout=False, dot=True)
+           jsonout=False, dot=True)
     common(sub.add_parser("reach", help="reachability graph"),
            jsonout=False, dot=True)
     common(sub.add_parser("check-strong", help="strong detectability"))
@@ -231,10 +231,12 @@ def _run(args) -> int:
         print(render_lpn(tw.net), end="")
         return EXIT_HOLDS
     if cmd == "km":
-        root = build_km_tree(net)
+        root = build_km_tree(net, _budget(args))
         _write_dot(args, km_to_dot(root))
-        print(f"coverability tree: {sum(1 for _ in km_nodes(root))} nodes")
-        return EXIT_HOLDS
+        nodes = list(km_nodes(root))
+        truncated = any(n.cut for n in nodes)
+        print(f"coverability tree: {len(nodes)} nodes" + " (truncated)" * truncated)
+        return EXIT_INCONCLUSIVE if truncated else EXIT_HOLDS
     if cmd == "reach":
         graph = build_reachability_graph(net, _budget(args))
         _write_dot(args, graph_to_dot(graph))

@@ -1,15 +1,15 @@
 """State-space machinery.
 
 Provides the one budgeted breadth-first search, which builds reachability
-graphs here and the observer in analyze; Karp-Miller coverability trees,
-coverability queries, current-marking estimation, and the two path
-questions the checkers ask (see PathPattern): a covering pump followed by a
-mismatch, for strong detectability on the twin net, and an unobservable
-covering pump, for the standing assumption. Each question is explored once.
-The reachability graph is built under the budget and every witness is
-read off it; nothing is fired twice. When the graph closes the answer is
-decided. Otherwise a walk of the open graph, whose pumps close on covering,
-finds a sound witness or reports the question inconclusive.
+graphs here and the observer in analyze; budgeted Karp-Miller coverability
+trees, backward coverability queries, current-marking estimation, and the
+two path questions the checkers ask (see PathPattern): a covering pump
+followed by a mismatch, for strong detectability on the twin net, and an
+unobservable covering pump, for the standing assumption. Each question is
+explored once. The reachability graph is built under the budget and every
+witness is read off it; nothing is fired twice. When the graph closes the
+answer is decided. Otherwise a walk of the open graph, whose pumps close on
+covering, finds a sound witness or reports the question inconclusive.
 """
 
 from __future__ import annotations
@@ -205,22 +205,34 @@ class KMNode:
     via: Optional[str]  # transition fired from the parent, None at the root
     parent: Optional["KMNode"]
     children: list = field(default_factory=list)
+    cut: bool = False  # the budget dropped a child of this node
 
 
-def build_km_tree(net: LabeledPetriNet) -> KMNode:
-    """Standard Karp-Miller construction; terminates on every net."""
+def build_km_tree(net: LabeledPetriNet, budget: Budget) -> KMNode:
+    """Standard Karp-Miller construction, bounded by budget.
+
+    A child is added while the tree has fewer than budget.max_states nodes
+    and the child lies at most budget.max_depth firings deep; otherwise its
+    parent is marked cut. Without a cut the tree is complete; the complete
+    tree is finite on every net.
+    """
     root = KMNode(tuple(net.initial_marking), None, None)
     every = range(len(net.transitions))
-    queue = deque([root])
+    queue = deque([(root, 0)])
+    size = 1
     while queue:
-        node = queue.popleft()
+        node, d = queue.popleft()
         # A marking repeating an ancestor adds nothing below it.
         if any(anc.marking == node.marking for anc in _ancestors(node.parent)):
             continue
         for ti, child in successors(net, node.marking, every):
+            if size >= budget.max_states or d >= budget.max_depth:
+                node.cut = True
+                break
             kid = KMNode(_accelerate(child, node), net.transitions[ti], node)
             node.children.append(kid)
-            queue.append(kid)
+            queue.append((kid, d + 1))
+            size += 1
     return root
 
 
@@ -254,10 +266,55 @@ def km_nodes(root: KMNode):
         stack.extend(reversed(n.children))
 
 
+# ---------------------------------------------------------------------------
+# Coverability
+# ---------------------------------------------------------------------------
+
+
 def coverable(net: LabeledPetriNet, target: Marking) -> bool:
-    """Whether some reachable marking dominates target componentwise."""
+    """Whether some reachable marking dominates target componentwise.
+
+    Backward coverability over minimal bases (Abdulla, Čerāns, Jonsson &
+    Tsay, LICS 1996). The markings from which target can be covered form
+    an upward-closed set, kept as the antichain of its minimal elements,
+    the basis. The minimal marking from which t leads into the upward
+    closure of m is pre_t + max(m - post_t, 0); t is skipped when it puts no
+    token on a place where m is positive, as that pre-image is >= m. A
+    place whose post is at most its pre in every transition is unfed: it
+    never holds more than its initial count, so a marking above that cap is
+    discarded. The search stops once the initial marking covers an
+    element, and terminates on every net by Dickson's lemma. Elements are
+    expanded first in, first out.
+    """
     net._check_marking(target)
-    return any(leq(target, node.marking) for node in km_nodes(build_km_tree(net)))
+    m0, arcs = net.initial_marking, tuple(zip(net.pre, net.post))
+    cap = tuple(
+        x if all(post[i] <= pre[i] for pre, post in arcs) else OMEGA
+        for i, x in enumerate(m0)
+    )
+    target = tuple(target)
+    if leq(target, m0):
+        return True
+    if not leq(target, cap):
+        return False
+    basis = {target}
+    queue = deque([target])
+    while queue:
+        m = queue.popleft()
+        if m not in basis:  # a smaller element replaced it
+            continue
+        for pre, post in arcs:
+            if not any(x and y for x, y in zip(m, post)):
+                continue
+            p = tuple(a + max(x - b, 0) for a, x, b in zip(pre, m, post))
+            if leq(p, m0):
+                return True
+            if not leq(p, cap) or any(leq(b, p) for b in basis):
+                continue
+            basis -= {b for b in basis if leq(p, b)}
+            basis.add(p)
+            queue.append(p)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -239,4 +239,4 @@ def observation(net: LabeledPetriNet, seq: Sequence[str]) -> ObservationWord:
 
 def leq(a: Marking, b: Marking) -> bool:
     """Componentwise partial order on markings."""
-    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+    return len(a) == len(b) and all(map(operator.le, a, b))

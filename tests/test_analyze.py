@@ -62,13 +62,24 @@ class TestAssumptions:
         assert rep.deadlock_free.witness.markings == ((0,),)
         assert rep.deadlock_free.witness.segments == (("t",),)
 
-    def test_deadlock_scan_reads_stored_successors(self, e2, monkeypatch):
+    def test_deadlock_scan_reads_stored_successors(self, e2, e3, budget, monkeypatch):
+        # The graph fires once per stored node and the scan fires nothing.
         calls = []
-        real = analyze.successors
-        monkeypatch.setattr(analyze, "successors",
+        real = explore.successors
+        monkeypatch.setattr(explore, "successors",
                             lambda *args: calls.append(args) or real(*args))
-        assert check_assumptions(e2, Budget(5000, 1000)).deadlock_free.holds
-        assert calls == []
+        dead_end = make_net(["p"], {"t": ("a", {"p": 1}, {})}, {"p": 1})
+        for net, outcome in ((e2, HOLDS), (dead_end, FAILS)):
+            calls.clear()
+            rep = check_assumptions(net, budget)
+            assert rep.deadlock_free.outcome == outcome
+            assert len(calls) == len(rep.graph.markings)
+        # A node whose successors the budget cut is live, not a deadlock.
+        for cutting in (Budget(100, 50), Budget(5, 100)):
+            rep = check_assumptions(e3, cutting)
+            last = len(rep.graph.markings) - 1
+            assert not rep.graph.succ[last] and last in rep.graph.cut
+            assert rep.deadlock_free.outcome == INCONCLUSIVE
 
     def test_unbounded_deadlock_free_inconclusive(self, e3):
         rep = check_assumptions(e3, Budget(100, 50))
@@ -342,8 +353,7 @@ class TestObserverOnGraph:
             fired.append(args)
             return successors(*args)
 
-        for module in (analyze, explore):
-            monkeypatch.setattr(module, "successors", counting)
+        monkeypatch.setattr(explore, "successors", counting)  # analyze fires nothing
         assert explore_observer(graph, budget).complete
         assert fired == []
         built = []

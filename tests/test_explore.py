@@ -15,6 +15,7 @@ from lpndetect import (
     build_twin,
     coverable,
     estimate,
+    make_net,
     search_pattern,
 )
 from lpndetect import explore
@@ -60,14 +61,24 @@ class TestReachabilityGraph:
 
 class TestKarpMiller:
     def test_e1(self, e1):
-        root = build_km_tree(e1)
+        root = build_km_tree(e1, Budget())
         assert root.marking == (1,)
         assert [c.marking for c in root.children] == [(1,)]
+        assert not any(n.cut for n in km_nodes(root))
 
     def test_e3_accelerates(self, e3):
-        root = build_km_tree(e3)
+        root = build_km_tree(e3, Budget())
         assert root.marking == (1, 0)
         assert root.children[0].marking == (1, OMEGA)
+
+    def test_budget_bounds_the_tree(self, e4):
+        def cuts(budget):
+            return [n.cut for n in km_nodes(build_km_tree(e4, budget))]
+
+        assert cuts(Budget()) == [False] * 11
+        # Preorder: the root, (1,ω,0) and its repeat, (1,0,ω).
+        assert cuts(Budget(max_states=4)) == [False, True, False, True]
+        assert cuts(Budget(max_depth=1)) == [False, True, True]
 
     def test_e4_coverability_semantics(self, e4):
         # both branches can pump their own place arbitrarily high
@@ -80,6 +91,43 @@ class TestKarpMiller:
         assert coverable(e1, (1,))
         assert not coverable(e1, (2,))
         assert coverable(e3, (1, 5))
+
+    def test_backward_search_matches_km_tree(self):
+        # Weights up to 3 give pre-images other than the target itself.
+        rng = random.Random(7)
+        records = coverable_count = 0
+        for _ in range(600):
+            net = random_net(rng, max_places=5, max_trans=6, max_weight=3,
+                             max_tokens=3)
+            markings = [n.marking for n in km_nodes(build_km_tree(net, Budget()))]
+            for _ in range(4):
+                target = tuple(rng.randint(0, 3) for _ in net.places)
+                km = any(leq(target, m) for m in markings)
+                assert coverable(net, target) == km, (net, target)
+                records += 1
+                coverable_count += km
+        assert records == 2400 and 200 < coverable_count < 2200
+
+    def test_initially_covered_target(self, e3):
+        assert coverable(e3, (1, 0))
+        assert coverable(e3, (0, 0))
+        net = make_net(["p", "q"], {}, {"p": 2})
+        assert coverable(net, (2, 0))
+        assert not coverable(net, (0, 1))
+
+    def test_target_above_an_unfed_place(self, e3):
+        # No transition raises p, so it never holds more than its one token;
+        # q grows without bound.
+        assert not coverable(e3, (2, 0))
+        assert not coverable(e3, (2, 7))
+        assert coverable(e3, (1, 7))
+
+    def test_no_places(self):
+        net = make_net([], {"t": ("a", {}, {})})
+        assert coverable(net, ())
+        assert [n.marking for n in km_nodes(build_km_tree(net, Budget(10, 3)))] == [(), ()]
+        with pytest.raises(InputError):
+            coverable(net, (0,))
 
     def test_km_agrees_with_graph_on_bounded(self):
         rng = random.Random(31)

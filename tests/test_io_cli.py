@@ -138,7 +138,7 @@ class TestDot:
         assert "digraph" in graph_to_dot(g)
         obs = build_observer(e2)
         assert "digraph" in observer_to_dot(obs)
-        km = build_km_tree(e3)
+        km = build_km_tree(e3, Budget())
         text = km_to_dot(km)
         assert "digraph" in text and "ω" in text
 
@@ -296,6 +296,17 @@ class TestCli:
         p3 = write_net(tmp_path, e3, "e3.lpn")
         assert main(["reach", p3, "--max-states", "20", "--max-depth", "20"]) == 2
         capsys.readouterr()
+
+    def test_km_truncated_by_budget(self, tmp_path, e3, capsys):
+        p3 = write_net(tmp_path, e3)
+        assert main(["km", p3]) == 0
+        assert capsys.readouterr().out == "coverability tree: 3 nodes\n"
+        dot = tmp_path / "km.dot"
+        assert main(["km", p3, "--max-states", "2", "--dot", str(dot)]) == 2
+        assert capsys.readouterr().out == "coverability tree: 2 nodes (truncated)\n"
+        assert dot.read_text().count("->") == 1
+        assert main(["km", p3, "--max-depth", "1"]) == 2
+        assert capsys.readouterr().out == "coverability tree: 2 nodes (truncated)\n"
 
     def test_dot_export(self, tmp_path, e2, capsys):
         dot = tmp_path / "twin.dot"

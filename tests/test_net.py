@@ -188,7 +188,7 @@ def test_kernel_matches_reference_random():
         for m in build_reachability_graph(net, budget).markings:
             assert_kernel_agrees(net, m)
         if len(net.transitions) <= 3:
-            for node in km_nodes(build_km_tree(net)):
+            for node in km_nodes(build_km_tree(net, Budget())):
                 assert_kernel_agrees(net, node.marking)
                 omega_markings += float("inf") in node.marking
     assert omega_markings >= 100
