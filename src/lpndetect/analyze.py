@@ -32,8 +32,8 @@ from .explore import (
     SearchStats,
     Verdict,
     Witness,
-    _cycle_nodes,
     _explore,
+    _fed_by_cycle,
     build_reachability_graph,
     search_graph,
     search_pattern,
@@ -131,7 +131,7 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     report = replace(_gate_assumptions(g, budget), graph=None)
     tw = build_twin(g)
     pattern = strong_detectability_pattern(len(tw.net.places))
-    return search_pattern(tw.net, tw.net.initial_marking, pattern, budget), tw, report
+    return search_pattern(tw.net, pattern, budget), tw, report
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
 
     obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget)
     states = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
-    return replace(obs, states=states, index={s: v for v, s in enumerate(states)})
+    return replace(obs, states=states)
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
@@ -204,19 +204,12 @@ def check_strong_oracle(g: LabeledPetriNet, budget: Optional[Budget] = None) -> 
     """Observer-level strong-detectability decision for bounded nets.
 
     True iff strongly detectable. Not strongly detectable iff some observer
-    state on a nontrivial cycle can reach a state with more than one marking.
+    state reached from a nontrivial cycle holds more than one marking.
     Used to cross-validate check_strong; raises on unbounded input.
     """
     obs = build_observer(g, budget)
-    edge_pairs = [(v, w) for (v, _, w) in obs.edges]
-    cyc = _cycle_nodes(len(obs.states), edge_pairs)
-    frontier = set(cyc)
-    reach = set(cyc)
-    while frontier:
-        nxt = {w for v in frontier for _, w in obs.succ[v]} - reach
-        reach |= nxt
-        frontier = nxt
-    return not any(len(obs.states[v]) > 1 for v in reach)
+    fed = _fed_by_cycle(len(obs.states), [(v, w) for v, _, w in obs.edges])
+    return not any(len(obs.states[v]) > 1 for v in fed)
 
 
 def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
@@ -250,8 +243,7 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
         )
     singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
     edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
-    cyc = _cycle_nodes(len(obs.states), edge_pairs) & singles
-    if cyc:
+    if _fed_by_cycle(len(obs.states), edge_pairs):
         return Verdict(HOLDS, stats=stats), report
     return Verdict(
         FAILS,

@@ -49,6 +49,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 _OUTCOME_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+_OUTCOME_RANK = {FAILS: 0, INCONCLUSIVE: 1, HOLDS: 2}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,15 +264,9 @@ def _run(args) -> int:
         return EXIT_HOLDS if complete else EXIT_INCONCLUSIVE
     if cmd == "check-assumptions":
         report = check_assumptions(net, _budget(args))
-        outcomes = {report.deadlock_free.outcome, report.no_infinite_unobservable.outcome}
-        if FAILS in outcomes:
-            agg = report.deadlock_free if report.deadlock_free.fails \
-                else report.no_infinite_unobservable
-        elif outcomes == {HOLDS}:
-            agg = report.deadlock_free
-        else:
-            agg = report.deadlock_free if report.deadlock_free.outcome == INCONCLUSIVE \
-                else report.no_infinite_unobservable
+        # The worse verdict, deadlock freedom first on a tie.
+        agg = min((report.deadlock_free, report.no_infinite_unobservable),
+                  key=lambda v: _OUTCOME_RANK[v.outcome])
         return _emit_verdict(args, "standing-assumptions", agg, digest, report)
     if cmd == "check-strong":
         verdict, tw, report = _check_strong(net, _budget(args))

@@ -110,7 +110,6 @@ class Exploration:
     """
 
     states: list  # index = node id
-    index: dict  # state -> node id
     succ: list
     parent: list
     depth: list  # BFS depth per node
@@ -143,7 +142,7 @@ def _explore(root, expand, budget: Budget) -> Exploration:
     and it lies at most budget.max_depth steps deep; otherwise its source is cut.
     """
     if root is None:
-        return Exploration([], {}, [], [], [], set())
+        return Exploration([], [], [], [], set())
     states, index, succ, parent, depth = [root], {root: 0}, [[]], [None], [0]
     cut = set()
     v = 0
@@ -164,7 +163,7 @@ def _explore(root, expand, budget: Budget) -> Exploration:
                 depth.append(d)
             out.append((label, w))
         v += 1
-    return Exploration(states, index, succ, parent, depth, cut)
+    return Exploration(states, succ, parent, depth, cut)
 
 
 @dataclass
@@ -178,20 +177,16 @@ class ReachabilityGraph(Exploration):
         return self.states
 
 
-def build_reachability_graph(
-    net: LabeledPetriNet, budget: Budget, start: Optional[Marking] = None
-) -> ReachabilityGraph:
-    """BFS over reachable markings in declared transition order."""
-    if start is None:
-        start = net.initial_marking
-    net._check_marking(start)
-    names, every = net.transitions, range(len(net.transitions))
+def build_reachability_graph(net: LabeledPetriNet, budget: Budget) -> ReachabilityGraph:
+    """BFS over the markings reachable from the initial marking, in
+    declared transition order."""
+    names = net.transitions
 
     def expand(m):
-        for ti, m2 in successors(net, m, every):
+        for ti, m2 in successors(net, m):
             yield names[ti], m2
 
-    return ReachabilityGraph(**vars(_explore(tuple(start), expand, budget)), net=net)
+    return ReachabilityGraph(**vars(_explore(net.initial_marking, expand, budget)), net=net)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,6 @@ def build_km_tree(net: LabeledPetriNet, budget: Budget) -> KMNode:
     tree is finite on every net.
     """
     root = KMNode(tuple(net.initial_marking), None, None)
-    every = range(len(net.transitions))
     queue = deque([(root, 0)])
     size = 1
     while queue:
@@ -225,7 +219,7 @@ def build_km_tree(net: LabeledPetriNet, budget: Budget) -> KMNode:
         # A marking repeating an ancestor adds nothing below it.
         if any(anc.marking == node.marking for anc in _ancestors(node.parent)):
             continue
-        for ti, child in successors(net, node.marking, every):
+        for ti, child in successors(net, node.marking):
             if size >= budget.max_states or d >= budget.max_depth:
                 node.cut = True
                 break
@@ -324,17 +318,21 @@ def coverable(net: LabeledPetriNet, target: Marking) -> bool:
 
 @dataclass(frozen=True)
 class PathPattern:
-    """A run alpha beta [gamma] from a start marking.
+    """A run alpha beta [gamma] from the initial marking.
 
     alpha is any firing sequence. beta is a nonempty loop whose end marking
-    covers its start marking; with eps_pump it fires unobservable
-    transitions only. When mismatch_pairs is None the run ends after beta.
-    Otherwise a third segment gamma follows, any firing sequence ending in a
-    marking m with m[a] != m[b] for some pair (a, b).
+    covers its start marking. When mismatch_pairs is None the run ends after
+    beta, which then fires unobservable transitions only (eps_pump).
+    Otherwise beta fires any transitions and a third segment gamma follows,
+    any firing sequence ending in a marking m with m[a] != m[b] for some
+    pair (a, b).
     """
 
-    eps_pump: bool
     mismatch_pairs: Optional[tuple] = None
+
+    @property
+    def eps_pump(self) -> bool:
+        return self.mismatch_pairs is None
 
     def final_ok(self, m: Marking) -> bool:
         if self.mismatch_pairs is None:
@@ -346,14 +344,12 @@ def strong_detectability_pattern(n_places: int) -> PathPattern:
     """Three segments over a twin net: reach, pump (covering, nonempty),
     then reach a marking whose two halves disagree."""
     half = n_places // 2
-    return PathPattern(
-        eps_pump=False, mismatch_pairs=tuple((i, i + half) for i in range(half))
-    )
+    return PathPattern(tuple((i, i + half) for i in range(half)))
 
 
 def unobservable_cycle_pattern() -> PathPattern:
     """Two segments: reach, then a nonempty all-unobservable pump (covering)."""
-    return PathPattern(eps_pump=True)
+    return PathPattern()
 
 
 def _segment_count(pattern: PathPattern) -> int:
@@ -365,62 +361,25 @@ def _segment_count(pattern: PathPattern) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_nodes(n_nodes: int, edge_list) -> set:
-    """Node ids lying on some nontrivial cycle (self-loops included).
+def _fed_by_cycle(n_nodes: int, edge_list) -> set:
+    """Node ids reachable from some nontrivial cycle (self-loops included).
 
-    One iterative pass of Tarjan's strongly-connected-components algorithm
-    (Tarjan 1972): a node lies on a cycle iff it has a self-loop or its
-    component has more than one node.
+    Peels off every node left without an in-edge, as Kahn's topological
+    sort does (Kahn 1962); the nodes never peeled are exactly those that a
+    cycle reaches.
     """
-    out = set()
     adj = [[] for _ in range(n_nodes)]
+    indegree = [0] * n_nodes
     for v, w in edge_list:
-        if v == w:
-            out.add(v)
-        else:
-            adj[v].append(w)
-    index = [-1] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    stack = []
-    work = []  # the depth-first path: (node, iterator over its successors)
-    counter = 0
-
-    def visit(v):
-        nonlocal counter
-        index[v] = low[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(adj[v])))
-
-    for root in range(n_nodes):
-        if index[root] < 0:
-            visit(root)
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if index[w] < 0:
-                    visit(w)
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    if len(component) > 1:
-                        out.update(component)
-    return out
+        adj[v].append(w)
+        indegree[w] += 1
+    stack = [v for v, d in enumerate(indegree) if not d]
+    while stack:
+        for w in adj[stack.pop()]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                stack.append(w)
+    return {v for v, d in enumerate(indegree) if d}
 
 
 def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
@@ -428,8 +387,10 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
 
     On a bounded net a covering loop cannot strictly increase the marking,
     or pumping it would reach infinitely many markings; so the pump is a
-    cycle of allowed edges. The pattern holds iff some node lies on such a
-    cycle and reaches a node that passes the final test.
+    cycle of allowed edges. The pattern holds iff some node reached from
+    such a cycle passes the final test. The peel of the allowed edges
+    finds those nodes: after an ε pump the final test always passes, and
+    otherwise every edge is allowed.
     """
     net = graph.net
     allowed = [
@@ -438,14 +399,8 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
         for t, w in out
         if not pattern.eps_pump or not net.is_observable(t)
     ]
-    reach = _cycle_nodes(len(graph.markings), allowed)
-    stack = list(reach)
-    while stack:
-        for _, w in graph.succ[stack.pop()]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return any(pattern.final_ok(graph.markings[v]) for v in reach)
+    fed = _fed_by_cycle(len(graph.markings), allowed)
+    return any(pattern.final_ok(graph.markings[v]) for v in fed)
 
 
 def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget):
@@ -546,20 +501,15 @@ def replay_witness(
     return leq(witness.markings[0], witness.markings[1]) and pattern.final_ok(m)
 
 
-def search_pattern(
-    net: LabeledPetriNet,
-    start: Marking,
-    pattern: PathPattern,
-    budget: Budget,
-) -> Verdict:
-    """Search for a computation matching pattern from start.
+def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget) -> Verdict:
+    """Search for a computation matching pattern from the initial marking.
 
     FAILS carries a minimal replay-checked witness. HOLDS is emitted only
-    when the reachability graph from start closed within budget, so absence
-    is a proof. Everything else is INCONCLUSIVE.
+    when the reachability graph closed within budget, so absence is a
+    proof. Everything else is INCONCLUSIVE.
     """
     t0 = time.perf_counter()
-    graph = build_reachability_graph(net, budget, start=start)
+    graph = build_reachability_graph(net, budget)
     return search_graph(graph, pattern, budget, t0)
 
 
@@ -602,7 +552,6 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
         if sym not in net.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
     word = tuple(word)
-    every = range(len(net.transitions))
     start = (net.initial_marking, 0)
     seen = {start}
     seen_markings = {net.initial_marking}
@@ -616,7 +565,7 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
         if d >= budget.max_depth:
             complete = False
             continue
-        for ti, m2 in successors(net, m, every):
+        for ti, m2 in successors(net, m):
             lab = net.labels[ti]
             if lab is EPSILON:
                 pos2 = pos

@@ -64,10 +64,8 @@ class LabeledPetriNet:
     transition_index: dict = field(default_factory=dict, compare=False, repr=False)
     # The firing kernel, filled in __post_init__: per transition its pre arcs
     # ((place, weight), ...) of positive weight and its effect post - pre
-    # (see successors), and per label, EPSILON and every alphabet symbol
-    # included, the indices of its transitions in declared order.
+    # (see successors).
     kernel: tuple = field(init=False, compare=False, repr=False)
-    by_label: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.places or self.transitions):
@@ -106,10 +104,6 @@ class LabeledPetriNet:
              tuple(map(operator.sub, post, pre)))
             for pre, post in zip(self.pre, self.post)
         ))
-        by_label = {lab: () for lab in (EPSILON, *self.alphabet)}
-        for ti, lab in enumerate(self.labels):
-            by_label[lab] += (ti,)
-        object.__setattr__(self, "by_label", by_label)
 
     def label(self, t: str):
         return self.labels[self._tindex(t)]
@@ -170,17 +164,15 @@ def make_net(
     )
 
 
-def successors(net: LabeledPetriNet, m: Marking, transitions: Iterable[int]):
-    """Yield (ti, m2) for each transition index in transitions, in the order
-    given, that is enabled at m, where m2 is the marking ti leads to.
+def successors(net: LabeledPetriNet, m: Marking):
+    """Yield (ti, m2) for each transition index ti, in declared order, that
+    is enabled at m, where m2 is the marking ti leads to.
 
     The one firing rule of every explorer. m is not checked; OMEGA entries
     of coverability markings stay OMEGA. enabled and fire are the checked
     reference it agrees with.
     """
-    kernel = net.kernel
-    for ti in transitions:
-        arcs, effect = kernel[ti]
+    for ti, (arcs, effect) in enumerate(net.kernel):
         for i, w in arcs:
             if m[i] < w:
                 break

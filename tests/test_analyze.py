@@ -205,7 +205,6 @@ class _BudgetTracker:
 
 def _eps_closure(net, markings, tracker: _BudgetTracker):
     """Closure under unobservable firings; None if the budget ran out."""
-    eps = net.by_label[EPSILON]
     out = set()
     queue = deque()
     for m in markings:
@@ -215,8 +214,8 @@ def _eps_closure(net, markings, tracker: _BudgetTracker):
         queue.append(m)
     while queue:
         m = queue.popleft()
-        for _, m2 in successors(net, m, eps):
-            if m2 in out:
+        for ti, m2 in successors(net, m):
+            if net.labels[ti] is not EPSILON or m2 in out:
                 continue
             if not tracker.admit(m2):
                 return None
@@ -234,11 +233,12 @@ def _fired_observer(net, budget: Budget) -> Observer:
     initial closure would, and complete is then False.
     """
     tracker = _BudgetTracker(budget)
-    symbols = [(sym, net.by_label[sym]) for sym in sorted(net.alphabet)]
+    symbols = sorted(net.alphabet)
 
     def expand(state):
-        for sym, tis in symbols:
-            targets = {m2 for m in state for _, m2 in successors(net, m, tis)}
+        fired = [(net.labels[ti], m2) for m in state for ti, m2 in successors(net, m)]
+        for sym in symbols:
+            targets = {m2 for lab, m2 in fired if lab == sym}
             if targets:
                 yield sym, _eps_closure(net, targets, tracker)
 
@@ -486,7 +486,7 @@ class TestOneExplorer:
                 graph = build_reachability_graph(net, budget)
                 g = nx.DiGraph([(v, w) for v, _, w in graph.edges])
                 g.add_nodes_from(range(len(graph.markings)))
-                assert len(path) == nx.shortest_path_length(g, 0, graph.index[dead])
+                assert len(path) == nx.shortest_path_length(g, 0, graph.markings.index(dead))
             obs = explore_observer(build_reachability_graph(net, budget), budget)
             if not obs.complete:
                 continue
@@ -588,8 +588,7 @@ class TestHardChecks:
 
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         init = frozenset({(1,)})
-        lonely = Observer([init], {init: 0}, succ=[[]], parent=[None], depth=[0],
-                          cut=set())
+        lonely = Observer([init], succ=[[]], parent=[None], depth=[0], cut=set())
         monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
         with pytest.raises(RuntimeError):
             check_weak(e1, budget)

@@ -22,7 +22,7 @@ from lpndetect import explore
 from lpndetect.analyze import check_assumptions, check_strong
 from lpndetect.explore import (
     Witness,
-    _cycle_nodes,
+    _fed_by_cycle,
     _segment_count,
     _witness_search,
     km_nodes,
@@ -148,7 +148,7 @@ class TestSearchPattern:
     def test_e4_twin_fails_with_minimal_witness(self, e4):
         tw = build_twin(e4)
         pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, tw.net.initial_marking, pattern, Budget(200, 20))
+        v = search_pattern(tw.net, pattern, Budget(200, 20))
         assert v.outcome == FAILS
         assert v.witness.segments == ((), ("(t,u)",), ())
         assert replay_witness(tw.net, tw.net.initial_marking, pattern, v.witness)
@@ -156,19 +156,17 @@ class TestSearchPattern:
     def test_e1_twin_holds(self, e1):
         tw = build_twin(e1)
         pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, tw.net.initial_marking, pattern, Budget(1000, 50))
+        v = search_pattern(tw.net, pattern, Budget(1000, 50))
         assert v.outcome == HOLDS
 
     def test_e3_twin_inconclusive(self, e3):
         tw = build_twin(e3)
         pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, tw.net.initial_marking, pattern, Budget(200, 20))
+        v = search_pattern(tw.net, pattern, Budget(200, 20))
         assert v.outcome == INCONCLUSIVE
 
     def test_unobservable_cycle_pattern_rejects_observable(self, e1):
-        v = search_pattern(
-            e1, e1.initial_marking, unobservable_cycle_pattern(), Budget(100, 100)
-        )
+        v = search_pattern(e1, unobservable_cycle_pattern(), Budget(100, 100))
         assert v.outcome == HOLDS
 
     def test_pattern_constructors(self):
@@ -191,9 +189,7 @@ class TestSearchPattern:
             net = random_net(rng)
             tw = build_twin(net)
             pattern = strong_detectability_pattern(len(tw.net.places))
-            v = search_pattern(
-                tw.net, tw.net.initial_marking, pattern, Budget(400, 30)
-            )
+            v = search_pattern(tw.net, pattern, Budget(400, 30))
             if v.outcome != FAILS:
                 continue
             found += 1
@@ -211,9 +207,7 @@ class TestSearchPattern:
             graph = build_reachability_graph(net, Budget(30, 10))
             if graph.complete:
                 continue
-            v = search_pattern(
-                net, net.initial_marking, unobservable_cycle_pattern(), Budget(30, 10)
-            )
+            v = search_pattern(net, unobservable_cycle_pattern(), Budget(30, 10))
             if not any(not net.is_observable(t) for t in net.transitions):
                 continue  # trivially decided without exploration
             assert v.outcome in (FAILS, INCONCLUSIVE)
@@ -225,6 +219,8 @@ def random_digraph(rng, n, p):
 
 
 class TestCycleNodes:
+    """_fed_by_cycle: the nodes reachable from a nontrivial cycle."""
+
     def test_agrees_with_networkx(self):
         rng = random.Random(47)
         for _ in range(300):
@@ -232,18 +228,19 @@ class TestCycleNodes:
             edges = random_digraph(rng, n, rng.choice((0.02, 0.05, 0.1, 0.3)))
             g = nx.DiGraph(edges)
             g.add_nodes_from(range(n))
-            expected = {v for v, w in edges if v == w}
+            expected = set()
             for comp in nx.strongly_connected_components(g):
-                if len(comp) > 1:
-                    expected |= comp
-            assert _cycle_nodes(n, edges) == expected
+                v = next(iter(comp))
+                if len(comp) > 1 or g.has_edge(v, v):
+                    expected |= comp | nx.descendants(g, v)
+            assert _fed_by_cycle(n, edges) == expected
 
     def test_long_chain_needs_no_recursion(self):
         n = 20_000
         chain = [(v, v + 1) for v in range(n - 1)]
-        assert _cycle_nodes(n, chain) == set()
-        assert _cycle_nodes(n, chain + [(n - 1, 0)]) == set(range(n))
-        assert _cycle_nodes(n, chain + [(n - 1, n - 1)]) == {n - 1}
+        assert _fed_by_cycle(n, chain) == set()
+        assert _fed_by_cycle(n, chain + [(n - 1, 0)]) == set(range(n))
+        assert _fed_by_cycle(n, chain + [(n - 1, n - 1)]) == {n - 1}
 
 
 def _fired_witness_search(net, start, pattern, budget):
@@ -262,11 +259,12 @@ def _fired_witness_search(net, start, pattern, budget):
     truncated = False
     root, covers, marking_of = tuple(start), leq, tuple
     max_depth = budget.max_depth
-    every, eps = range(len(net.transitions)), net.by_label[EPSILON]
 
     def step(m, eps_only):
         nonlocal truncated
-        for ti, m2 in successors(net, m, eps if eps_only else every):
+        for ti, m2 in successors(net, m):
+            if eps_only and net.labels[ti] is not EPSILON:
+                continue
             if m2 not in seen:
                 if len(seen) >= budget.max_states:
                     truncated = True

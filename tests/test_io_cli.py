@@ -285,6 +285,34 @@ class TestCli:
             "no_infinite_unobservable": "holds",
         }
 
+    def test_check_assumptions_reports_the_worse_verdict(self, tmp_path, e3, capsys):
+        # FAILS < INCONCLUSIVE < HOLDS; a tie goes to deadlock freedom.
+        small, mid = ["--max-states", "20", "--max-depth", "20"], \
+            ["--max-states", "50", "--max-depth", "10"]
+        eps_pump = make_net(["p", "q"], {"t": (EPSILON, {"p": 1}, {"p": 1, "q": 1}),
+                                         "v": ("a", {"p": 1}, {"p": 1})}, {"p": 1})
+        one_shot = make_net(["p"], {"t": ("a", {"p": 1}, {})}, {"p": 1})
+        drained = make_net(["p", "q", "r"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1}),
+                                             "u": (EPSILON, {"q": 1}, {"r": 1})}, {"p": 1})
+        for net, extra, code, shown in (
+            (e3, small, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
+                            "  deadlock-free: inconclusive",
+                            "  no-infinite-unobservable: holds"]),
+            (eps_pump, mid, 1, ["FAILS", "  segment 1: (empty)", "  marking 1: [1, 0]",
+                                "  segment 2: t", "  marking 2: [1, 1]",
+                                "  deadlock-free: inconclusive",
+                                "  no-infinite-unobservable: fails"]),
+            (one_shot, [], 1, ["FAILS", "  segment 1: t", "  marking 1: [0]",
+                               "  deadlock-free: fails",
+                               "  no-infinite-unobservable: holds"]),
+            (drained, mid, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
+                               "  deadlock-free: inconclusive",
+                               "  no-infinite-unobservable: inconclusive"]),
+        ):
+            assert main(["check-assumptions", write_net(tmp_path, net), *extra]) == code
+            out = capsys.readouterr().out.splitlines()
+            assert out == ["standing-assumptions: " + shown[0], *shown[1:]]
+
     def test_km_reach_observer_estimate(self, tmp_path, e2, e3, capsys):
         p2 = write_net(tmp_path, e2)
         assert main(["km", p2]) == 0
