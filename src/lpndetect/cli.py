@@ -13,7 +13,6 @@ import sys
 
 from . import __version__
 from .analyze import (
-    AssumptionError,
     _check_strong,
     _check_weak,
     check_assumptions,
@@ -31,7 +30,6 @@ from .explore import (
     build_km_tree,
     build_reachability_graph,
     estimate,
-    km_nodes,
 )
 from .gadgets import (
     coverability_to_strong,
@@ -232,12 +230,11 @@ def _run(args) -> int:
         print(render_lpn(tw.net), end="")
         return EXIT_HOLDS
     if cmd == "km":
-        root = build_km_tree(net, _budget(args))
-        _write_dot(args, km_to_dot(root))
-        nodes = list(km_nodes(root))
-        truncated = any(n.cut for n in nodes)
-        print(f"coverability tree: {len(nodes)} nodes" + " (truncated)" * truncated)
-        return EXIT_INCONCLUSIVE if truncated else EXIT_HOLDS
+        tree = build_km_tree(net, _budget(args))
+        _write_dot(args, km_to_dot(tree))
+        print(f"coverability tree: {len(tree.states)} nodes"
+              + " (truncated)" * (not tree.complete))
+        return EXIT_HOLDS if tree.complete else EXIT_INCONCLUSIVE
     if cmd == "reach":
         graph = build_reachability_graph(net, _budget(args))
         _write_dot(args, graph_to_dot(graph))
@@ -312,13 +309,7 @@ def main(argv=None) -> int:
         return EXIT_HOLDS if e.code == 0 else EXIT_ERROR
     try:
         return _run(args)
-    except AssumptionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except NetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (NetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,7 +4,7 @@ coverability trees. Output is deterministic under declared orders."""
 from __future__ import annotations
 
 from .analyze import Observer
-from .explore import OMEGA, Exploration, KMNode, ReachabilityGraph, km_nodes
+from .explore import OMEGA, Exploration, ReachabilityGraph
 from .net import EPSILON, LabeledPetriNet
 
 
@@ -67,16 +67,7 @@ def observer_to_dot(obs: Observer) -> str:
     return _exploration_to_dot("observer", obs, _estimate_caption, "octagon")
 
 
-def km_to_dot(root: KMNode) -> str:
-    nodes = list(km_nodes(root))
-    ids = {id(n): i for i, n in enumerate(nodes)}
-    lines = ["digraph coverability {"]
-    for n in nodes:
-        v = ids[id(n)]
-        shape = "doublecircle" if n.parent is None else "circle"
-        lines.append(f"  n{v} [shape={shape} label={_q(_marking_caption(n.marking))}];")
-    for n in nodes:
-        for c in n.children:
-            lines.append(f"  n{ids[id(n)]} -> n{ids[id(c)]} [label={_q(c.via)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def km_to_dot(tree: Exploration) -> str:
+    return _exploration_to_dot(
+        "coverability", tree, lambda node: _marking_caption(node.marking), "circle"
+    )

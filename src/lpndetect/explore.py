@@ -1,9 +1,9 @@
 """State-space machinery.
 
 Provides the one budgeted breadth-first search, which builds reachability
-graphs here and the observer in analyze; budgeted Karp-Miller coverability
-trees, backward coverability queries, current-marking estimation, and the
-two path questions the checkers ask (see PathPattern): a covering pump
+graphs, Karp-Miller coverability trees and current-marking estimates here
+and the observer in analyze; backward coverability queries, and the two
+path questions the checkers ask (see PathPattern): a covering pump
 followed by a mismatch, for strong detectability on the twin net, and an
 unobservable covering pump, for the standing assumption. Each question is
 explored once. The reachability graph is built under the budget and every
@@ -194,40 +194,33 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget) -> Reachabili
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class KMNode:
+    """A node of the Karp-Miller tree. Nodes hash by identity, so equal
+    markings on different branches stay separate nodes."""
+
     marking: tuple  # entries are naturals or OMEGA
-    via: Optional[str]  # transition fired from the parent, None at the root
     parent: Optional["KMNode"]
-    children: list = field(default_factory=list)
-    cut: bool = False  # the budget dropped a child of this node
 
 
-def build_km_tree(net: LabeledPetriNet, budget: Budget) -> KMNode:
+def build_km_tree(net: LabeledPetriNet, budget: Budget) -> Exploration:
     """Standard Karp-Miller construction, bounded by budget.
 
-    A child is added while the tree has fewer than budget.max_states nodes
-    and the child lies at most budget.max_depth firings deep; otherwise its
-    parent is marked cut. Without a cut the tree is complete; the complete
-    tree is finite on every net.
+    The tree is an exploration of KMNode states, labelled by transition ids,
+    node 0 the root. A node whose marking repeats an ancestor's has no
+    children. Nodes lost to the budget cut their parent, as in every
+    exploration; the complete tree is finite on every net.
     """
-    root = KMNode(tuple(net.initial_marking), None, None)
-    queue = deque([(root, 0)])
-    size = 1
-    while queue:
-        node, d = queue.popleft()
+    names = net.transitions
+
+    def expand(node):
         # A marking repeating an ancestor adds nothing below it.
         if any(anc.marking == node.marking for anc in _ancestors(node.parent)):
-            continue
+            return
         for ti, child in successors(net, node.marking):
-            if size >= budget.max_states or d >= budget.max_depth:
-                node.cut = True
-                break
-            kid = KMNode(_accelerate(child, node), net.transitions[ti], node)
-            node.children.append(kid)
-            queue.append((kid, d + 1))
-            size += 1
-    return root
+            yield names[ti], KMNode(_accelerate(child, node), node)
+
+    return _explore(KMNode(tuple(net.initial_marking), None), expand, budget)
 
 
 def _ancestors(node: Optional[KMNode]):
@@ -250,14 +243,6 @@ def _accelerate(marking: tuple, node: KMNode) -> tuple:
                     marking = accel
                     changed = True
     return marking
-
-
-def km_nodes(root: KMNode):
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.children))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +463,9 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
     return witness, False, len(seen), max_cost
 
 
-def replay_witness(
-    net: LabeledPetriNet, start: Marking, pattern: PathPattern, witness: Witness
-) -> bool:
-    """Re-fire a witness from start and check every pattern constraint."""
+def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness) -> bool:
+    """Re-fire a witness from the initial marking and check every pattern
+    constraint."""
     k = _segment_count(pattern)
     if len(witness.segments) != k or len(witness.markings) != k:
         return False
@@ -490,7 +474,7 @@ def replay_witness(
         return False
     if pattern.eps_pump and any(net.label(t) is not EPSILON for t in pump):
         return False
-    m = tuple(start)
+    m = tuple(net.initial_marking)
     for seg, recorded in zip(witness.segments, witness.markings):
         try:
             m = fire_sequence(net, m, seg)
@@ -531,7 +515,7 @@ def search_graph(
             stats=stats,
             message="state space did not close within budget",
         )
-    if not replay_witness(graph.net, graph.markings[graph.initial], pattern, witness):
+    if not replay_witness(graph.net, pattern, witness):
         raise RuntimeError("internal error: witness failed its replay check")
     return Verdict(FAILS, witness, stats)
 
@@ -545,44 +529,24 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
     """Markings consistent with observing word from the initial marking.
 
     Returns (frozenset of markings, complete). When complete is False the
-    set is a sound under-approximation. A search of its own, it is the
-    independent reference for the observer in the witness replay and tests.
+    set is a sound under-approximation. The budget bounds the explored
+    (marking, position) states. Sharing only the firing kernel and the
+    search loop with the observer, it is the independent reference for the
+    observer in the witness replay and tests.
     """
     for sym in word:
         if sym not in net.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
     word = tuple(word)
-    start = (net.initial_marking, 0)
-    seen = {start}
-    seen_markings = {net.initial_marking}
-    queue = deque([(start, 0)])
-    complete = True
-    result = set()
-    if len(word) == 0:
-        result.add(net.initial_marking)
-    while queue:
-        (m, pos), d = queue.popleft()
-        if d >= budget.max_depth:
-            complete = False
-            continue
+
+    def expand(state):
+        m, pos = state
         for ti, m2 in successors(net, m):
             lab = net.labels[ti]
             if lab is EPSILON:
-                pos2 = pos
+                yield lab, (m2, pos)
             elif pos < len(word) and lab == word[pos]:
-                pos2 = pos + 1
-            else:
-                continue
-            if m2 not in seen_markings:
-                if len(seen_markings) >= budget.max_states:
-                    complete = False
-                    continue
-                seen_markings.add(m2)
-            nxt = (m2, pos2)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if pos2 == len(word):
-                result.add(m2)
-            queue.append((nxt, d + 1))
-    return frozenset(result), complete
+                yield lab, (m2, pos + 1)
+
+    exp = _explore((net.initial_marking, 0), expand, budget)
+    return frozenset(m for m, pos in exp.states if pos == len(word)), exp.complete

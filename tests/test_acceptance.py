@@ -73,7 +73,7 @@ def assert_pumping(net, verdict):
     times lands each half on final + m * (middle-end - middle-start)."""
     tw = build_twin(net)
     pattern = strong_detectability_pattern(len(tw.net.places))
-    assert replay_witness(tw.net, tw.net.initial_marking, pattern, verdict.witness)
+    assert replay_witness(tw.net, pattern, verdict.witness)
     alpha, beta, gamma = verdict.witness.segments
     m1, m2, m3 = verdict.witness.markings
     half = tw.half

@@ -25,7 +25,6 @@ from lpndetect.explore import (
     _fed_by_cycle,
     _segment_count,
     _witness_search,
-    km_nodes,
     replay_witness,
     strong_detectability_pattern,
     unobservable_cycle_pattern,
@@ -61,23 +60,23 @@ class TestReachabilityGraph:
 
 class TestKarpMiller:
     def test_e1(self, e1):
-        root = build_km_tree(e1, Budget())
-        assert root.marking == (1,)
-        assert [c.marking for c in root.children] == [(1,)]
-        assert not any(n.cut for n in km_nodes(root))
+        tree = build_km_tree(e1, Budget())
+        assert [n.marking for n in tree.states] == [(1,), (1,)]
+        assert tree.succ == [[("t", 1)], []] and tree.complete
 
     def test_e3_accelerates(self, e3):
-        root = build_km_tree(e3, Budget())
-        assert root.marking == (1, 0)
-        assert root.children[0].marking == (1, OMEGA)
+        tree = build_km_tree(e3, Budget())
+        # The second (1,ω) repeats its parent and has no children.
+        assert [n.marking for n in tree.states] == [(1, 0), (1, OMEGA), (1, OMEGA)]
 
     def test_budget_bounds_the_tree(self, e4):
         def cuts(budget):
-            return [n.cut for n in km_nodes(build_km_tree(e4, budget))]
+            tree = build_km_tree(e4, budget)
+            return [v in tree.cut for v in range(len(tree.states))]
 
         assert cuts(Budget()) == [False] * 11
-        # Preorder: the root, (1,ω,0) and its repeat, (1,0,ω).
-        assert cuts(Budget(max_states=4)) == [False, True, False, True]
+        # BFS order: the root, (1,ω,0), (1,0,ω), and the repeat of (1,ω,0).
+        assert cuts(Budget(max_states=4)) == [False, True, True, False]
         assert cuts(Budget(max_depth=1)) == [False, True, True]
 
     def test_e4_coverability_semantics(self, e4):
@@ -99,7 +98,7 @@ class TestKarpMiller:
         for _ in range(600):
             net = random_net(rng, max_places=5, max_trans=6, max_weight=3,
                              max_tokens=3)
-            markings = [n.marking for n in km_nodes(build_km_tree(net, Budget()))]
+            markings = [n.marking for n in build_km_tree(net, Budget()).states]
             for _ in range(4):
                 target = tuple(rng.randint(0, 3) for _ in net.places)
                 km = any(leq(target, m) for m in markings)
@@ -125,7 +124,7 @@ class TestKarpMiller:
     def test_no_places(self):
         net = make_net([], {"t": ("a", {}, {})})
         assert coverable(net, ())
-        assert [n.marking for n in km_nodes(build_km_tree(net, Budget(10, 3)))] == [(), ()]
+        assert [n.marking for n in build_km_tree(net, Budget(10, 3)).states] == [(), ()]
         with pytest.raises(InputError):
             coverable(net, (0,))
 
@@ -151,7 +150,7 @@ class TestSearchPattern:
         v = search_pattern(tw.net, pattern, Budget(200, 20))
         assert v.outcome == FAILS
         assert v.witness.segments == ((), ("(t,u)",), ())
-        assert replay_witness(tw.net, tw.net.initial_marking, pattern, v.witness)
+        assert replay_witness(tw.net, pattern, v.witness)
 
     def test_e1_twin_holds(self, e1):
         tw = build_twin(e1)
@@ -193,10 +192,34 @@ class TestSearchPattern:
             if v.outcome != FAILS:
                 continue
             found += 1
-            assert replay_witness(tw.net, tw.net.initial_marking, pattern, v.witness)
+            assert replay_witness(tw.net, pattern, v.witness)
             # covering-constraint soundness, checked independently here
             pump_start, pump_end, _ = v.witness.markings
             assert leq(pump_start, pump_end)
+
+    def test_replay_rejects_tampered_witnesses(self):
+        # e pumps q without observation, c drains it again, d empties p.
+        net = make_net(
+            ["p", "q"],
+            {
+                "e": (EPSILON, {"p": 1}, {"p": 1, "q": 1}),
+                "c": (EPSILON, {"q": 1}, {}),
+                "a": ("a", {"p": 1}, {"p": 1}),
+                "d": ("a", {"p": 1}, {}),
+            },
+            {"p": 1},
+        )
+        pattern = unobservable_cycle_pattern()
+        assert replay_witness(net, pattern, Witness(((), ("e",)), ((1, 0), (1, 1))))
+        for segments, markings in (
+            (((),), ((1, 0),)),  # one segment where two are due
+            (((), ()), ((1, 0), (1, 0))),  # empty pump
+            (((), ("a",)), ((1, 0), (1, 0))),  # observable step in an ε-pump
+            ((("d",), ("e",)), ((0, 0), (0, 1))),  # e does not fire without p
+            (((), ("e",)), ((1, 0), (1, 2))),  # recorded marking differs
+            ((("e",), ("c",)), ((1, 1), (1, 0))),  # pump ends below its start
+        ):
+            assert not replay_witness(net, pattern, Witness(segments, markings))
 
     def test_holds_only_when_complete(self):
         # on truncated state spaces the search may fail or stay inconclusive,
@@ -361,8 +384,7 @@ class TestWitnessOnGraph:
                         fired = _fired_witness_search(n, start, pattern, budget)
                     if kind == "state-cut":
                         for witness in (walked[0], fired[0]):
-                            assert witness is None or replay_witness(
-                                n, start, pattern, witness)
+                            assert witness is None or replay_witness(n, pattern, witness)
                         differ[q, kind] += walked != fired
                     else:
                         assert walked == fired
@@ -394,6 +416,47 @@ class TestWitnessOnGraph:
         assert searched == [(True, 0), (True, 0), (False, 0)]
 
 
+def _marking_capped_estimate(net, word, budget):
+    """estimate as it stood before it ran on the package's one search: a
+    cap on distinct markings plus a depth cap on (marking, position)
+    states. Kept as the reference that estimate is compared against."""
+    word = tuple(word)
+    start = (net.initial_marking, 0)
+    seen = {start}
+    seen_markings = {net.initial_marking}
+    queue = deque([(start, 0)])
+    complete = True
+    result = set()
+    if len(word) == 0:
+        result.add(net.initial_marking)
+    while queue:
+        (m, pos), d = queue.popleft()
+        if d >= budget.max_depth:
+            complete = False
+            continue
+        for ti, m2 in successors(net, m):
+            lab = net.labels[ti]
+            if lab is EPSILON:
+                pos2 = pos
+            elif pos < len(word) and lab == word[pos]:
+                pos2 = pos + 1
+            else:
+                continue
+            if m2 not in seen_markings:
+                if len(seen_markings) >= budget.max_states:
+                    complete = False
+                    continue
+                seen_markings.add(m2)
+            nxt = (m2, pos2)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if pos2 == len(word):
+                result.add(m2)
+            queue.append((nxt, d + 1))
+    return frozenset(result), complete
+
+
 class TestEstimate:
     def test_e2_word_aa(self, e2, budget):
         est, complete = estimate(e2, ("a", "a"), budget)
@@ -416,3 +479,46 @@ class TestEstimate:
     def test_unknown_symbol(self, e1, budget):
         with pytest.raises(InputError):
             estimate(e1, ("z",), budget)
+
+    def test_matches_marking_capped_search(self):
+        # The budget now counts (marking, position) states, not markings, so
+        # either side may close where the other is cut; where both close they
+        # agree, and neither holds a marking outside the large-budget result.
+        rng = random.Random(67)
+        large = Budget(5000, 500)
+        budgets = (Budget(8, 4), Budget(40, 10), Budget(200, 30))
+        records = both = only_ref = only_new = 0
+        for _ in range(600):
+            net = random_net(rng)
+            for _ in range(2):
+                word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+                big = estimate(net, word, large)[0]
+                for budget in budgets:
+                    ref = _marking_capped_estimate(net, word, budget)
+                    new = estimate(net, word, budget)
+                    assert ref[0] <= big and new[0] <= big, (net, word, budget)
+                    if ref[1] and new[1]:
+                        assert ref[0] == new[0], (net, word, budget)
+                        both += 1
+                    only_ref += ref[1] and not new[1]
+                    only_new += new[1] and not ref[1]
+                    records += 1
+        print("records", records, "complete on both", both,
+              "only reference complete", only_ref, "only estimate complete", only_new)
+        assert records == 3600 and both > 2800
+
+    def test_budget_bounds_the_work(self, monkeypatch):
+        # An ε-producer beside an observable self-loop: every position of a
+        # long word has unboundedly many markings. Each stored state is
+        # expanded once, so the budget caps the firings, not just the markings.
+        net = make_net(
+            ["p", "q"],
+            {"t": (EPSILON, {"p": 1}, {"p": 1, "q": 1}), "u": ("a", {"p": 1}, {"p": 1})},
+            {"p": 1},
+        )
+        calls = []
+        real_successors = explore.successors
+        monkeypatch.setattr(explore, "successors",
+                            lambda *args: calls.append(args) or real_successors(*args))
+        assert estimate(net, ("a",) * 400, Budget(300, 10**6)) == (frozenset(), False)
+        assert len(calls) <= 300

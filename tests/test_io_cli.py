@@ -67,6 +67,10 @@ class TestParse:
             # non-ASCII digits pass str.isdigit(); int() rejects '²'
             ("places p\ninitial p=²\n", 2, 9),
             ("places p\ntrans t label a pre p:٣\n", 2, 21),
+            ("places p\ninitial p\n", 2, 9),
+            ("places p\ntrans\n", 2, 1),
+            ("places p\ntrans t label a\ntrans t label b\n", 3, 7),
+            ("places p\ntrans t label a pre p\n", 2, 21),
         ],
     )
     def test_errors_report_position(self, text, line, col):
@@ -243,6 +247,10 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
         assert rep["witness"]["word"] == []
+        assert main(["check-opacity", write_net(tmp_path, e1), "--secret", str(secret)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "current-state-opacity: FAILS", "  word: (empty)", "  estimate marking: [1]",
+        ]
         secret2 = tmp_path / "secret2.txt"
         secret2.write_text("q=1\n")
         assert main([
@@ -324,6 +332,17 @@ class TestCli:
         p3 = write_net(tmp_path, e3, "e3.lpn")
         assert main(["reach", p3, "--max-states", "20", "--max-depth", "20"]) == 2
         capsys.readouterr()
+
+    def test_estimate_output(self, tmp_path, e2, e3, capsys):
+        p3 = write_net(tmp_path, e3, "e3.lpn")
+        assert main(["estimate", p3, "--word", "aaa", "--max-states", "3"]) == 2
+        assert capsys.readouterr() == ("{}\n", "note: estimate truncated by budget\n")
+        p2 = write_net(tmp_path, e2)
+        assert main(["estimate", p2, "--word", ""]) == 0
+        assert capsys.readouterr().out == "{[1,0]}\n"
+        # Without a comma, each character is one symbol.
+        assert main(["estimate", p2, "--word", "aa"]) == 0
+        assert capsys.readouterr().out == "{[0,1],[1,0]}\n"
 
     def test_km_truncated_by_budget(self, tmp_path, e3, capsys):
         p3 = write_net(tmp_path, e3)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lpndetect import make_net
-from lpndetect.explore import Budget, build_km_tree, build_reachability_graph, km_nodes
+from lpndetect.explore import Budget, build_km_tree, build_reachability_graph
 from lpndetect.net import (
     EPSILON,
     FiringError,
@@ -110,6 +110,34 @@ def test_initial_marking_dimension():
         make_net(["p"], {"t": ("a", {}, {})}, [1, 2])
 
 
+def _net(**change):
+    fields = dict(places=("p",), transitions=("t",), pre=((1,),), post=((0,),),
+                  labels=("a",), alphabet=frozenset("a"), initial_marking=(1,))
+    return LabeledPetriNet(**{**fields, **change})
+
+
+_MALFORMED = [
+    (lambda: _net(places=(), transitions=(), pre=(), post=(), labels=()),
+     "at least one place or transition"),
+    (lambda: _net(places=("p", "p"), pre=((1, 0),), post=((0, 0),),
+                  initial_marking=(1, 0)), "duplicate place"),
+    (lambda: _net(transitions=("t", "u", "t"), pre=((1,),) * 3, post=((0,),) * 3,
+                  labels=("a",) * 3), "duplicate transition"),
+    (lambda: _net(labels=("b",)), "label 'b' not in alphabet"),
+    (lambda: _net(initial_marking=(-1,)), "must be non-negative"),
+    (lambda: _net(post=()), "wrong transition dimension"),
+    (lambda: _net(pre=((1, 0),)), "wrong place dimension"),
+    (lambda: _net(post=((-1,),)), "weights must be non-negative"),
+    (lambda: make_net(["p"], {"t": ("a", {}, {"q": 1})}), "unknown place 'q'"),
+]
+
+
+@pytest.mark.parametrize("build,message", _MALFORMED, ids=[m for _, m in _MALFORMED])
+def test_malformed_net_is_rejected(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def test_monotonicity_random():
     # t enabled at m and m <= m2 implies t enabled at m2, with the firing
     # difference preserved componentwise
@@ -182,7 +210,7 @@ def test_kernel_matches_reference_random():
         for m in build_reachability_graph(net, budget).markings:
             assert_kernel_agrees(net, m)
         if len(net.transitions) <= 3:
-            for node in km_nodes(build_km_tree(net, Budget())):
+            for node in build_km_tree(net, Budget()).states:
                 assert_kernel_agrees(net, node.marking)
                 omega_markings += float("inf") in node.marking
     assert omega_markings >= 100
