@@ -240,14 +240,15 @@ def _run(args) -> int:
         _write_dot(args, graph_to_dot(graph))
         status = "complete" if graph.complete else "truncated"
         print(f"reachability graph: {len(graph.markings)} nodes, "
-              f"{len(graph.edges)} edges, {status}")
+              f"{sum(map(len, graph.succ))} edges, {status}")
         return EXIT_HOLDS if graph.complete else EXIT_INCONCLUSIVE
     if cmd == "observer":
         budget = _budget(args)
         obs = explore_observer(build_reachability_graph(net, budget), budget)
         _write_dot(args, observer_to_dot(obs))
         status = "complete" if obs.complete else "truncated"
-        print(f"observer: {len(obs.states)} states, {len(obs.edges)} edges, {status}")
+        print(f"observer: {len(obs.states)} states, "
+              f"{sum(map(len, obs.succ))} edges, {status}")
         return EXIT_HOLDS if obs.complete else EXIT_INCONCLUSIVE
     if cmd == "estimate":
         word = _parse_word(args.word)

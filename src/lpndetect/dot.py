@@ -8,8 +8,11 @@ from .explore import OMEGA, Exploration, ReachabilityGraph
 from .net import EPSILON, LabeledPetriNet
 
 
-def _q(s: str) -> str:
-    return '"' + str(s).replace('"', r"\"") + '"'
+def _q(*lines) -> str:
+    """A DOT string of lines, each escaped, joined by DOT's line break."""
+    return '"' + r"\n".join(
+        str(s).replace("\\", "\\\\").replace('"', '\\"') for s in lines
+    ) + '"'
 
 
 def _fmt_count(n) -> str:
@@ -22,10 +25,8 @@ def _marking_caption(m) -> str:
 
 def net_to_dot(net: LabeledPetriNet) -> str:
     lines = ["digraph net {", "  rankdir=LR;"]
-    newline = "\\n"
     for p, n in zip(net.places, net.initial_marking):
-        caption = _q(p + newline + str(n))
-        lines.append(f"  {_q(p)} [shape=circle label={caption}];")
+        lines.append(f"  {_q(p)} [shape=circle label={_q(p, n)}];")
     for ti, t in enumerate(net.transitions):
         lab = net.labels[ti]
         shown = "~" if lab is EPSILON else lab

@@ -1,15 +1,17 @@
 """State-space machinery.
 
 Provides the one budgeted breadth-first search, which builds reachability
-graphs, Karp-Miller coverability trees and current-marking estimates here
-and the observer in analyze; backward coverability queries, and the two
-path questions the checkers ask (see PathPattern): a covering pump
-followed by a mismatch, for strong detectability on the twin net, and an
-unobservable covering pump, for the standing assumption. Each question is
-explored once. The reachability graph is built under the budget and every
-witness is read off it; nothing is fired twice. When the graph closes the
-answer is decided. Otherwise a walk of the open graph, whose pumps close on
-covering, finds a sound witness or reports the question inconclusive.
+graphs, Karp-Miller coverability trees, current-marking estimates and the
+witness walk here and the observer in analyze; backward coverability
+queries, and the two path questions the checkers ask (see PathPattern): a
+covering pump followed by a mismatch, for strong detectability on the twin
+net, and an unobservable covering pump, for the standing assumption. Each
+question is explored once. The reachability graph is built under the
+budget and every witness is read off it by a walk of its nodes; nothing is
+fired twice. When the graph closes the answer is decided and the walk is
+unbounded. Otherwise the walk, whose pumps close on covering, runs under
+the same budget and finds a sound witness or reports the question
+inconclusive.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ class Verdict:
 class Exploration:
     """A budgeted breadth-first search from one root, node 0.
 
-    succ[v] lists (label, w) for every stored successor w of node v, in the
-    order they were expanded; edges is the same list flattened. parent[v]
-    is (u, label), the BFS tree edge into v (None at the root), so
-    path_to(v) is a shortest label path to v. cut holds the nodes that lost
-    a successor; complete means a root was stored and nothing was cut.
+    succ[v] is a tuple of (label, w) for every stored successor w of an
+    expanded node v, in the order they were expanded; every stored node is
+    expanded unless a goal stopped the search. edges is succ flattened.
+    parent[v] is (u, label), the BFS tree edge into v (None at the root),
+    so path_to(v) is a shortest label path to v. cut holds the nodes that
+    lost a successor; complete means a root was stored and nothing was cut.
     """
 
     states: list  # index = node id
@@ -125,43 +128,53 @@ class Exploration:
     def edges(self) -> list:
         return [(v, label, w) for v, out in enumerate(self.succ) for label, w in out]
 
-    def path_to(self, v: int) -> tuple:
-        path = []
+    def branch(self, v: int) -> list:
+        """The node ids on the BFS tree path from the root to v."""
+        path = [v]
         while self.parent[v] is not None:
-            v, label = self.parent[v]
-            path.append(label)
-        return tuple(reversed(path))
+            v = self.parent[v][0]
+            path.append(v)
+        return path[::-1]
+
+    def path_to(self, v: int) -> tuple:
+        return tuple(self.parent[w][1] for w in self.branch(v)[1:])
 
 
-def _explore(root, expand, budget: Budget) -> Exploration:
+def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
     """The one budgeted breadth-first search of the package.
 
     expand(state) yields (label, successor), the successor None when it
     could not be computed within the budget; root None stores no state. A
     new state is stored if fewer than budget.max_states states are stored
-    and it lies at most budget.max_depth steps deep; otherwise its source is cut.
+    and it lies at most budget.max_depth steps deep; otherwise its source is
+    cut. The search stops at the first stored state that meets goal, if
+    given; stored last and in BFS order, it is the least deep to meet it.
     """
     if root is None:
         return Exploration([], [], [], [], set())
-    states, index, succ, parent, depth = [root], {root: 0}, [[]], [None], [0]
-    cut = set()
+    states, index, succ, parent, depth = [root], {root: 0}, [], [None], [0]
+    cut, max_states, max_depth = set(), budget.max_states, budget.max_depth
+    found = goal is not None and goal(root)
     v = 0
-    while v < len(states):  # states are stored in BFS order: the queue
+    while v < len(states) and not found:  # states are stored in BFS order: the queue
         d = depth[v] + 1
-        out = succ[v]
+        out = []
         for label, x in expand(states[v]):
             w = index.get(x)
             if w is None:
-                if x is None or len(states) >= budget.max_states or d > budget.max_depth:
+                w = len(states)
+                if x is None or w >= max_states or d > max_depth:
                     cut.add(v)
                     continue
-                w = len(states)
                 states.append(x)
                 index[x] = w
-                succ.append([])
                 parent.append((v, label))
                 depth.append(d)
+                found = goal is not None and goal(x)
             out.append((label, w))
+            if found:
+                break
+        succ.append(tuple(out))
         v += 1
     return Exploration(states, succ, parent, depth, cut)
 
@@ -389,78 +402,63 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
 
 
 def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget):
-    """0/1-BFS over (segment, node, pump anchor, moved) states of graph.
+    """A walk of graph over (segment, node, pump anchor) states on _explore.
 
-    Nothing is fired: the run starts at the initial node and follows the
-    stored successor lists. On a closed graph the pump closes on returning
-    to its anchor, as covering forces equality there (see _exact_exists).
-    On an open graph it closes once its end marking covers its anchor's,
-    and no state is expanded at cost budget.max_depth or more; below that
-    cost a node lies less than budget.max_depth deep, so all its successors
-    are stored unless the graph was cut by budget.max_states.
+    Nothing is fired: the run follows the stored successor lists from the
+    initial node. A segment ends on the step that starts the next: (1, x)
+    steps to (1, y), then to (2, y, x), anchoring the pump at x; (2, x, a)
+    steps to (2, y, a), then, if x covers a, to (3, y, None). The goal is a
+    covering (2, x, a) or, with three segments, any (3, x, None) whose
+    marking passes the final test. On a closed graph covering is returning
+    to the anchor (see _exact_exists) and the finite walk is unbounded. On
+    an open graph x covers a if its marking does, and the walk runs under
+    budget; a state less than budget.max_depth deep lies less deep in the
+    graph, so it lost no successor unless the graph hit budget.max_states.
 
-    Returns (witness-or-None, exhausted, nodes-seen, max-cost), exhausted
-    being True iff no witness exists and the graph is closed. The BFS
-    layers count fired transitions, so the first accepted state yields a
-    witness of minimal total segment length; ties break on declared
-    transition order.
+    Returns (witness-or-None, exhausted, walk states stored, depth reached),
+    exhausted being True iff no witness exists and the graph is closed.
+    Depth counts fired transitions, so the witness has minimal total length;
+    ties break on the own segment's steps first, then on transition order.
     """
     net, markings, k = graph.net, graph.markings, _segment_count(pattern)
+    eps_pump, final_ok = pattern.eps_pump, pattern.final_ok
     if graph.complete:
-        covers, cap = operator.eq, float("inf")
+        covers, budget = operator.eq, Budget(float("inf"), float("inf"))
     else:
-        covers, cap = (lambda a, x: leq(markings[a], markings[x])), budget.max_depth
-    seen = {graph.initial}
-    init = (1, graph.initial, None, False)
-    parents = {init: None}  # state -> (prev_state, transition or None on close)
-    queue = deque([(init, 0)])
-    accepted = None
-    max_cost = 0
-    while queue:
-        state, c = queue.popleft()
-        j, x, anchor, moved = state
-        max_cost = max(max_cost, c)
-        if j != 2 or (moved and covers(anchor, x)):
-            if j == k:
-                if pattern.final_ok(markings[x]):
-                    accepted = state
-                    break
-            else:
-                nxt = (j + 1, x, x if j == 1 else None, False)
-                if nxt not in parents:
-                    parents[nxt] = (state, None)
-                    queue.appendleft((nxt, c))
-        if c >= cap:
-            continue
-        eps_only = j == 2 and pattern.eps_pump
-        for t, y in graph.succ[x]:
-            if eps_only and net.is_observable(t):
-                continue
-            seen.add(y)
-            nxt = (j, y, anchor, True)
-            if nxt not in parents:
-                parents[nxt] = (state, t)
-                queue.append((nxt, c + 1))
+        covers = lambda a, x: leq(markings[a], markings[x])  # noqa: E731
 
-    if accepted is None:
-        return None, graph.complete, len(seen), max_cost
+    def expand(state):
+        j, x, a = state
+        out = graph.succ[x]
+        for t, y in out:
+            if not (j == 2 and eps_pump and net.is_observable(t)):
+                yield t, (j, y, a)
+        if j == 1:
+            for t, y in out:
+                if not (eps_pump and net.is_observable(t)):
+                    yield t, (2, y, x)
+        elif j == 2 and k == 3 and covers(a, x):
+            for t, y in out:
+                yield t, (3, y, None)
 
-    # Walk the parent chain back: a close ends the segment of its source.
-    segments = [[] for _ in range(k)]
-    boundary_markings = [None] * (k - 1) + [markings[accepted[1]]]
-    state = accepted
-    while parents[state] is not None:
-        prev, t = parents[state]
-        if t is None:
-            boundary_markings[prev[0] - 1] = markings[prev[1]]
-        else:
-            segments[state[0] - 1].append(t)
-        state = prev
+    def goal(state):
+        j, x, a = state
+        return (j == 3 or j == 2 and covers(a, x)) and final_ok(markings[x])
+
+    walk = _explore((1, graph.initial, None), expand, budget, goal)
+    v = len(walk.states) - 1
+    if not goal(walk.states[v]):
+        return None, graph.complete, len(walk.states), walk.depth[v]
+    # A step belongs to the segment it enters; a segment ends at its last
+    # node on the run, and those after the goal's end at the goal.
+    run = [walk.states[w] for w in walk.branch(v)]
+    steps = tuple(zip(walk.path_to(v), run[1:]))
+    ends = {j: x for j, x, _ in run}
     witness = Witness(
-        segments=tuple(tuple(reversed(s)) for s in segments),
-        markings=tuple(boundary_markings),
+        segments=tuple(tuple(t for t, (j, _, _) in steps if j == i) for i in range(1, k + 1)),
+        markings=tuple(markings[ends.get(i, run[-1][1])] for i in range(1, k + 1)),
     )
-    return witness, False, len(seen), max_cost
+    return witness, False, len(walk.states), walk.depth[v]
 
 
 def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness) -> bool:

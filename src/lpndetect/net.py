@@ -60,8 +60,8 @@ class LabeledPetriNet:
     initial_marking: Marking
 
     # index maps, filled in __post_init__
-    place_index: dict = field(default_factory=dict, compare=False, repr=False)
-    transition_index: dict = field(default_factory=dict, compare=False, repr=False)
+    place_index: dict = field(init=False, compare=False, repr=False)
+    transition_index: dict = field(init=False, compare=False, repr=False)
     # The firing kernel, filled in __post_init__: per transition its pre arcs
     # ((place, weight), ...) of positive weight and its effect post - pre
     # (see successors).

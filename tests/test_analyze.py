@@ -160,14 +160,14 @@ class TestObserver:
     def test_e1(self, e1):
         obs = build_observer(e1)
         assert obs.states == [frozenset({(1,)})]
-        assert obs.succ[0] == [("a", 0)]
+        assert obs.succ[0] == (("a", 0),)
 
     def test_e2_subset_construction(self, e2):
         obs = build_observer(e2)
         assert obs.states[0] == frozenset({(1, 0)})
         big = dict(obs.succ[0])["a"]
         assert obs.states[big] == frozenset({(1, 0), (0, 1)})
-        assert obs.succ[big] == [("a", big)]
+        assert obs.succ[big] == (("a", big),)
 
     def test_matches_estimate(self, e2, budget):
         obs = build_observer(e2)
@@ -463,7 +463,7 @@ class TestOneExplorer:
         assert graph.complete and graph.depth == [0, 1]
         obs = explore_observer(graph, budget)
         assert obs.complete and obs.depth == [0, 1]
-        assert obs.succ == [[("a", 1)], [("b", 0)]]
+        assert obs.succ == [(("a", 1),), (("b", 0),)]
         v = check_weak(net, budget)
         assert v.outcome == HOLDS
         assert (v.stats.states, v.stats.depth) == (2, 1)
@@ -588,7 +588,7 @@ class TestHardChecks:
 
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         init = frozenset({(1,)})
-        lonely = Observer([init], succ=[[]], parent=[None], depth=[0], cut=set())
+        lonely = Observer([init], succ=[()], parent=[None], depth=[0], cut=set())
         monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
         with pytest.raises(RuntimeError):
             check_weak(e1, budget)

@@ -35,6 +35,37 @@ from lpndetect.net import EPSILON, InputError, leq, successors
 from netgen import random_net
 
 
+class TestExplore:
+    """_explore's goal: the search stops at the first stored state meeting it."""
+
+    @staticmethod
+    def expand(n):
+        yield "inc", n + 1
+        yield "dbl", 2 * n
+
+    def test_goal_stops_at_the_least_deep_match(self):
+        budget = Budget(10**4, 6)
+        full = explore._explore(1, self.expand, budget)
+        hit = explore._explore(1, self.expand, budget, goal=lambda n: n % 5 == 0)
+        v = len(hit.states) - 1
+        assert hit.states == full.states[:v + 1] and hit.states[-1] == 5
+        assert hit.path_to(v) == ("inc", "dbl", "inc") and hit.depth[v] == 3
+        assert min(full.depth[w] for w, n in enumerate(full.states) if n % 5 == 0) == 3
+        # Only the states before the goal's source were fully expanded.
+        source = hit.parent[v][0]
+        assert hit.succ[:source] == full.succ[:source] and len(hit.succ) == source + 1
+
+    def test_unmet_goal_changes_nothing(self):
+        budget = Budget(50, 6)
+        full = explore._explore(1, self.expand, budget)
+        missed = explore._explore(1, self.expand, budget, goal=lambda n: n > 10**6)
+        assert vars(missed) == vars(full) and not full.complete
+
+    def test_goal_met_by_the_root(self):
+        exp = explore._explore(1, self.expand, Budget(), goal=lambda n: n == 1)
+        assert (exp.states, exp.succ, exp.cut) == ([1], [], set())
+
+
 class TestReachabilityGraph:
     def test_e1(self, e1):
         g = build_reachability_graph(e1, Budget(100, 100))
@@ -62,7 +93,7 @@ class TestKarpMiller:
     def test_e1(self, e1):
         tree = build_km_tree(e1, Budget())
         assert [n.marking for n in tree.states] == [(1,), (1,)]
-        assert tree.succ == [[("t", 1)], []] and tree.complete
+        assert tree.succ == [(("t", 1),), ()] and tree.complete
 
     def test_e3_accelerates(self, e3):
         tree = build_km_tree(e3, Budget())
@@ -349,11 +380,14 @@ class TestWitnessOnGraph:
     """The graph walk against the firing search it replaces.
 
     _fired_witness_search is that search as it stood before the walk took
-    over open graphs, kept here as the reference. On a closed graph the
-    walk must equal it run without a budget; on a graph cut only by
-    max_depth, it must equal it run under the graph's budget. A graph cut
-    by max_states may hold other markings than the ones the firing search
-    saw first, so there both witnesses need only replay.
+    over open graphs, kept here as the reference. Its third result counts
+    markings, the walk's counts walk states, so only witness, exhausted and
+    depth are compared. On a closed graph the walk must equal it run without
+    a budget (the depth only where a witness is found, as the walk stops
+    there); on a graph cut only by max_depth, it must equal it run under the
+    graph's budget, the walk given room for all its states. A graph cut by
+    max_states may hold other markings than the ones the firing search saw
+    first, so there both witnesses need only replay.
     """
 
     def test_graph_walk_matches_firing_search(self):
@@ -373,27 +407,71 @@ class TestWitnessOnGraph:
                 start = n.initial_marking
                 for budget in (Budget(300, 30), Budget(50, 3)):
                     graph = build_reachability_graph(n, budget)
-                    walked = _witness_search(graph, pattern, budget)
                     if graph.complete:
-                        kind, fired = "closed", _fired_witness_search(
-                            n, start, pattern, unbounded)
+                        kind = "closed"
+                        walked = _witness_search(graph, pattern, budget)
+                        fired = _fired_witness_search(n, start, pattern, unbounded)
                         assert fired[1] or fired[0] is not None  # never truncated
-                    else:
-                        kind = ("state-cut" if len(graph.markings) == budget.max_states
-                                else "depth-cut")
+                        assert walked[:2] == fired[:2]
+                        assert walked[0] is None or walked[3] == fired[3]
+                    elif len(graph.markings) < budget.max_states:
+                        kind = "depth-cut"
+                        walked = _witness_search(
+                            graph, pattern, Budget(10**6, budget.max_depth))
                         fired = _fired_witness_search(n, start, pattern, budget)
-                    if kind == "state-cut":
+                        assert (walked[:2], walked[3]) == (fired[:2], fired[3])
+                    else:
+                        kind = "state-cut"
+                        walked = _witness_search(graph, pattern, budget)
+                        fired = _fired_witness_search(n, start, pattern, budget)
                         for witness in (walked[0], fired[0]):
                             assert witness is None or replay_witness(n, pattern, witness)
-                        differ[q, kind] += walked != fired
-                    else:
-                        assert walked == fired
+                        differ[q, kind] += walked[0] != fired[0]
                     compared[q, kind] += 1
                     found[q, kind] += walked[0] is not None
         print("compared", compared, "witnesses", found, "differ", differ)
         assert min(compared.values()) > 0
         assert min(found.values()) >= 10
         assert min(found[q, "closed"] for q in ("strong", "eps")) >= 25
+
+    def test_budget_bounds_the_walk(self, e3):
+        # e3's twin graph never closes; the walk stores at most max_states
+        # of its (segment, node, anchor) states and finds no witness.
+        tw = build_twin(e3)
+        pattern = strong_detectability_pattern(len(tw.net.places))
+        budget = Budget(2000, 100)
+        graph = build_reachability_graph(tw.net, budget)
+        assert not graph.complete
+        witness, exhausted, states, depth = _witness_search(graph, pattern, budget)
+        assert (witness, exhausted) == (None, False)
+        assert states == 2000 and depth <= 100
+        v = check_strong(e3, budget)
+        assert v.outcome == INCONCLUSIVE and v.stats.states <= 2000
+
+    def test_walk_cut_by_max_states_is_inconclusive(self):
+        # The twin graph has 17 markings at depth 3 under both budgets; the
+        # walk needs 52 states to reach its witness, so at 50 it gives up.
+        net = make_net(
+            ["p0", "p1"],
+            {
+                "t0": (EPSILON, {"p0": 2}, {}),
+                "t1": ("b", {"p0": 2, "p1": 2}, {"p0": 2, "p1": 1}),
+                "t2": (EPSILON, {"p0": 2}, {"p0": 1, "p1": 1}),
+                "t3": ("b", {}, {"p1": 2}),
+                "t4": ("a", {}, {"p0": 1, "p1": 1}),
+            },
+            {},
+        )
+        tw = build_twin(net)
+        pattern = strong_detectability_pattern(len(tw.net.places))
+        v = search_pattern(tw.net, pattern, Budget(60, 3))
+        assert v.outcome == FAILS and v.stats.states == 52
+        assert v.witness == Witness(
+            (("(t4,t4)",), ("(t4,t4)", "(t2,~)"), ()),
+            ((1, 1, 1, 1), (1, 3, 2, 2), (1, 3, 2, 2)),
+        )
+        v = search_pattern(tw.net, pattern, Budget(50, 3))
+        assert v.outcome == INCONCLUSIVE and v.stats.states == 50
 
     def test_witness_search_fires_nothing(self, e1, e2, e4, monkeypatch):
         calls, searched = [], []

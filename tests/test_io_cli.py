@@ -137,6 +137,15 @@ class TestDot:
         for name in e2.places + e2.transitions:
             assert f'"{name}"' in text
 
+    def test_names_are_escaped(self):
+        # Backslashes are escaped before quotes; the caption's line break
+        # is DOT's own \n, inserted between the escaped parts.
+        net = make_net(["p\\", 'q"'], {"t": ("a", {"p\\": 1}, {'q"': 1})}, {"p\\": 1})
+        lines = net_to_dot(net).splitlines()
+        assert r'  "p\\" [shape=circle label="p\\\n1"];' in lines
+        assert r'  "q\"" [shape=circle label="q\"\n0"];' in lines
+        assert r'  "p\\" -> "t";' in lines and r'  "t" -> "q\"";' in lines
+
     def test_graph_observer_km(self, e2, e3):
         g = build_reachability_graph(e2, Budget(100, 100))
         assert "digraph" in graph_to_dot(g)
@@ -327,11 +336,18 @@ class TestCli:
         assert main(["reach", p2]) == 0
         assert main(["observer", p2]) == 0
         assert main(["estimate", p2, "--word", "a,a"]) == 0
-        out = capsys.readouterr().out
-        assert "{[0,1],[1,0]}" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["reachability graph: 2 nodes, 3 edges, complete",
+                           "observer: 2 states, 2 edges, complete",
+                           "{[0,1],[1,0]}"]
         p3 = write_net(tmp_path, e3, "e3.lpn")
-        assert main(["reach", p3, "--max-states", "20", "--max-depth", "20"]) == 2
-        capsys.readouterr()
+        small = ["--max-states", "20", "--max-depth", "20"]
+        assert main(["reach", p3, *small]) == 2
+        assert main(["observer", p3, *small]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "reachability graph: 20 nodes, 19 edges, truncated",
+            "observer: 19 states, 18 edges, truncated",
+        ]
 
     def test_estimate_output(self, tmp_path, e2, e3, capsys):
         p3 = write_net(tmp_path, e3, "e3.lpn")

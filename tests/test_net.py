@@ -224,3 +224,15 @@ def test_kernel_recomputed_on_replace(e2):
     assert list(successors(net, (1, 0))) == [(0, (1, 0))]
     for m in ((1, 0), (2, 0), (2, 1), (0, 1)):
         assert_kernel_agrees(net, m)
+
+
+def test_index_maps_are_not_parameters(e2):
+    # __post_init__ fills both maps, so the constructor takes neither.
+    with pytest.raises(TypeError):
+        LabeledPetriNet(e2.places, e2.transitions, e2.pre, e2.post, e2.labels,
+                        e2.alphabet, e2.initial_marking, place_index={"zzz": 5})
+    with pytest.raises(ValueError):
+        dataclasses.replace(e2, transition_index={})
+    net = dataclasses.replace(e2, places=("q", "p"), initial_marking=(0, 1))
+    assert net.place_index == {"q": 0, "p": 1}
+    assert net.transition_index == e2.transition_index == {"t1": 0, "t2": 1, "t3": 2}
