@@ -17,16 +17,21 @@ from typing import Optional
 
 from .net import (
     EPSILON,
+    FiringError,
     InputError,
     LabeledPetriNet,
     Marking,
     NetError,
+    enabled,
+    fire_sequence,
 )
 from .explore import (
     Budget,
+    EPS_PUMP,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    STRONG,
     Exploration,
     ReachabilityGraph,
     SearchStats,
@@ -37,8 +42,6 @@ from .explore import (
     build_reachability_graph,
     search_graph,
     search_pattern,
-    strong_detectability_pattern,
-    unobservable_cycle_pattern,
 )
 from .twin import build_twin
 
@@ -85,11 +88,15 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     )
     stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
     if dead is not None:
-        deadlock_free = Verdict(
-            FAILS,
-            Witness(segments=(graph.path_to(dead),), markings=(graph.markings[dead],)),
-            stats,
-        )
+        path, m = graph.path_to(dead), graph.markings[dead]
+        # Replay on the checked reference: path fires to m, where nothing is enabled.
+        try:
+            replayed = fire_sequence(net, net.initial_marking, path) == m
+        except FiringError:
+            replayed = False
+        if not replayed or any(enabled(net, m, t) for t in net.transitions):
+            raise RuntimeError("internal error: deadlock witness failed its replay check")
+        deadlock_free = Verdict(FAILS, Witness(segments=(path,), markings=(m,)), stats)
     elif graph.complete:
         deadlock_free = Verdict(HOLDS, stats=stats)
     else:
@@ -101,7 +108,7 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
         no_inf = Verdict(HOLDS, stats=SearchStats(0, 0, 0.0),
                          message="no unobservable transitions")
     else:
-        no_inf = search_graph(graph, unobservable_cycle_pattern(), budget, t0)
+        no_inf = search_graph(graph, EPS_PUMP, budget, t0)
     return AssumptionReport(deadlock_free, no_inf, graph)
 
 
@@ -130,8 +137,7 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     # The twin search does not read the net's graph, so it is not kept alive.
     report = replace(_gate_assumptions(g, budget), graph=None)
     tw = build_twin(g)
-    pattern = strong_detectability_pattern(len(tw.net.places))
-    return search_pattern(tw.net, pattern, budget), tw, report
+    return search_pattern(tw.net, STRONG, budget), tw, report
 
 
 # ---------------------------------------------------------------------------

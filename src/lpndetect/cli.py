@@ -180,28 +180,23 @@ def _report(prop, verdict: Verdict, digest, assumptions=None, tw=None):
 
 
 def _emit_verdict(args, prop, verdict, digest, assumptions=None, tw=None) -> int:
+    rep = _report(prop, verdict, digest, assumptions, tw)
     if getattr(args, "json", False):
-        print(json.dumps(_report(prop, verdict, digest, assumptions, tw), indent=2))
+        print(json.dumps(rep, indent=2))
     else:
-        print(f"{prop}: {verdict.outcome.upper()}")
-        if verdict.message:
-            print(f"  note: {verdict.message}")
-        w = verdict.witness
-        if isinstance(w, Witness):
-            for i, seg in enumerate(w.segments, start=1):
-                shown = " ".join(seg) if seg else "(empty)"
-                print(f"  segment {i}: {shown}")
-                print(f"  marking {i}: {list(w.markings[i - 1])}")
-        elif w is not None:
-            print(f"  word: {''.join(w.word) or '(empty)'}")
-            for m in sorted(w.estimate):
-                print(f"  estimate marking: {list(m)}")
-        if assumptions is not None:
-            print(f"  deadlock-free: {assumptions.deadlock_free.outcome}")
-            print(
-                "  no-infinite-unobservable: "
-                f"{assumptions.no_infinite_unobservable.outcome}"
-            )
+        print(f"{prop}: {rep['outcome'].upper()}")
+        if rep["message"]:
+            print(f"  note: {rep['message']}")
+        w = rep["witness"] or {}
+        for i, (seg, m) in enumerate(zip(w.get("segments", ()), w.get("markings", ())), 1):
+            print(f"  segment {i}: {' '.join(seg) or '(empty)'}")
+            print(f"  marking {i}: {m}")
+        if "word" in w:
+            print(f"  word: {''.join(w['word']) or '(empty)'}")
+            for m in w["estimate"]:
+                print(f"  estimate marking: {m}")
+        for name, outcome in (rep["assumptions"] or {}).items():
+            print(f"  {name.replace('_', '-')}: {outcome}")
     return _OUTCOME_EXIT[verdict.outcome]
 
 

@@ -319,39 +319,28 @@ class PathPattern:
     """A run alpha beta [gamma] from the initial marking.
 
     alpha is any firing sequence. beta is a nonempty loop whose end marking
-    covers its start marking. When mismatch_pairs is None the run ends after
-    beta, which then fires unobservable transitions only (eps_pump).
-    Otherwise beta fires any transitions and a third segment gamma follows,
-    any firing sequence ending in a marking m with m[a] != m[b] for some
-    pair (a, b).
+    covers its start marking. With eps_pump the run ends after beta, which
+    fires unobservable transitions only. Otherwise beta fires any
+    transitions and a third segment gamma follows, any firing sequence
+    ending in a twin marking whose two halves disagree.
     """
 
-    mismatch_pairs: Optional[tuple] = None
+    eps_pump: bool
 
     @property
-    def eps_pump(self) -> bool:
-        return self.mismatch_pairs is None
+    def segments(self) -> int:
+        return 2 if self.eps_pump else 3
 
     def final_ok(self, m: Marking) -> bool:
-        if self.mismatch_pairs is None:
-            return True
-        return any(m[a] != m[b] for a, b in self.mismatch_pairs)
+        h = len(m) // 2
+        return self.eps_pump or m[:h] != m[h:]
 
 
-def strong_detectability_pattern(n_places: int) -> PathPattern:
-    """Three segments over a twin net: reach, pump (covering, nonempty),
-    then reach a marking whose two halves disagree."""
-    half = n_places // 2
-    return PathPattern(tuple((i, i + half) for i in range(half)))
-
-
-def unobservable_cycle_pattern() -> PathPattern:
-    """Two segments: reach, then a nonempty all-unobservable pump (covering)."""
-    return PathPattern()
-
-
-def _segment_count(pattern: PathPattern) -> int:
-    return 2 if pattern.mismatch_pairs is None else 3
+# Strong detectability, over a twin net: reach, pump (covering, nonempty),
+# then reach a marking whose two halves disagree.
+STRONG = PathPattern(eps_pump=False)
+# The standing assumption: reach, then a nonempty all-unobservable covering pump.
+EPS_PUMP = PathPattern(eps_pump=True)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +409,7 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
     Depth counts fired transitions, so the witness has minimal total length;
     ties break on the own segment's steps first, then on transition order.
     """
-    net, markings, k = graph.net, graph.markings, _segment_count(pattern)
+    net, markings, k = graph.net, graph.markings, pattern.segments
     eps_pump, final_ok = pattern.eps_pump, pattern.final_ok
     if graph.complete:
         covers, budget = operator.eq, Budget(float("inf"), float("inf"))
@@ -464,7 +453,7 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
 def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness) -> bool:
     """Re-fire a witness from the initial marking and check every pattern
     constraint."""
-    k = _segment_count(pattern)
+    k = pattern.segments
     if len(witness.segments) != k or len(witness.markings) != k:
         return False
     pump = witness.segments[1]

@@ -15,7 +15,7 @@ identity up to object equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .net import EPSILON, InputError, LabeledPetriNet, make_net
 
@@ -34,7 +34,6 @@ class ParseError(InputError):
 @dataclass
 class NetDocument:
     net: LabeledPetriNet
-    spans: dict = field(default_factory=dict)  # id -> (line, column)
 
 
 def _tokens(line: str):
@@ -56,7 +55,6 @@ def _nat(text, line, col, what):
 
 def parse_lpn(text: str) -> NetDocument:
     places = {}  # id -> None, in declared order
-    spans = {}
     initial = {}
     alphabet_extra = []
     transitions = {}  # id -> (label, pre map, post map)
@@ -73,15 +71,14 @@ def parse_lpn(text: str) -> NetDocument:
         rest = toks[1:]
         if head == "places":
             for pid, col in rest:
-                if pid in spans:
+                if pid in places or pid in transitions:
                     raise ParseError(f"duplicate identifier {pid!r}", lineno, col)
                 places[pid] = None
-                spans[pid] = (lineno, col)
         elif head == "initial":
             for tok, col in rest:
                 if "=" not in tok:
                     raise ParseError(f"expected <place>=<count>, got {tok!r}", lineno, col)
-                pid, _, num = tok.partition("=")
+                pid, _, num = tok.rpartition("=")
                 known_place(pid, lineno, col)
                 initial[pid] = _nat(num, lineno, col, f"initial count of {pid!r}")
         elif head == "alphabet":
@@ -94,9 +91,8 @@ def parse_lpn(text: str) -> NetDocument:
             if not rest:
                 raise ParseError("missing transition identifier", lineno, hcol)
             tid, tcol = rest[0]
-            if tid in spans or tid in transitions:
+            if tid in places or tid in transitions:
                 raise ParseError(f"duplicate identifier {tid!r}", lineno, tcol)
-            spans[tid] = (lineno, tcol)
             body = rest[1:]
             if len(body) < 2 or body[0][0] != "label":
                 raise ParseError(f"transition {tid!r} is missing a label", lineno, tcol)
@@ -121,7 +117,7 @@ def parse_lpn(text: str) -> NetDocument:
 
     used = {lab for (lab, _, _) in transitions.values() if lab is not EPSILON}
     net = make_net(places, transitions, initial, alphabet=used | set(alphabet_extra))
-    return NetDocument(net=net, spans=spans)
+    return NetDocument(net=net)
 
 
 def render_lpn(net: LabeledPetriNet, comments=()) -> str:
@@ -159,7 +155,7 @@ def parse_marking(net: LabeledPetriNet, text: str, where="marking") -> tuple:
     for tok in text.split():
         if "=" not in tok:
             raise InputError(f"{where}: expected <place>=<count>, got {tok!r}")
-        pid, _, num = tok.partition("=")
+        pid, _, num = tok.rpartition("=")
         if pid not in net.place_index:
             raise InputError(f"{where}: unknown place {pid!r}")
         if not _is_nat(num):

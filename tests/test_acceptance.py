@@ -30,11 +30,7 @@ from lpndetect import (
     observation,
 )
 from lpndetect.cli import main
-from lpndetect.explore import (
-    build_reachability_graph,
-    replay_witness,
-    strong_detectability_pattern,
-)
+from lpndetect.explore import STRONG, build_reachability_graph, replay_witness
 from lpndetect.gadgets import (
     coverability_to_strong,
     inclusion_to_weak,
@@ -72,8 +68,7 @@ def assert_pumping(net, verdict):
     """Replayed twin witness pumps: repeating the middle segment m extra
     times lands each half on final + m * (middle-end - middle-start)."""
     tw = build_twin(net)
-    pattern = strong_detectability_pattern(len(tw.net.places))
-    assert replay_witness(tw.net, pattern, verdict.witness)
+    assert replay_witness(tw.net, STRONG, verdict.witness)
     alpha, beta, gamma = verdict.witness.segments
     m1, m2, m3 = verdict.witness.markings
     half = tw.half

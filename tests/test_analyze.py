@@ -586,6 +586,47 @@ class TestHardChecks:
                              capture_output=True, text=True)
         assert out.stdout.split() == ["error", "error"], out.stderr
 
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_false_deadlock_raises(self, e2, budget, monkeypatch, moved):
+        # e2's second node, (0, 1), is made to look dead, though t3 is
+        # enabled there; moved also records (0, 0) there, where t2 does not
+        # lead.
+        real = explore.build_reachability_graph
+
+        def fake(net, budget):
+            graph = real(net, budget)
+            graph.succ[1] = ()
+            if moved:
+                graph.states[1] = (0, 0)
+            return graph
+
+        monkeypatch.setattr(analyze, "build_reachability_graph", fake)
+        with pytest.raises(RuntimeError, match="deadlock witness"):
+            check_assumptions(e2, budget)
+
+    def test_false_deadlock_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from lpndetect import Budget, analyze, check_assumptions, explore, make_net\n"
+            "real = explore.build_reachability_graph\n"
+            "def fake(net, budget):\n"
+            "    graph = real(net, budget)\n"
+            "    graph.succ[1] = ()\n"
+            "    return graph\n"
+            "analyze.build_reachability_graph = fake\n"
+            "e2 = make_net(['p', 'q'], {'t1': ('a', {'p': 1}, {'p': 1}),\n"
+            "    't2': ('a', {'p': 1}, {'q': 1}), 't3': ('a', {'q': 1}, {'q': 1})},\n"
+            "    {'p': 1})\n"
+            "try:\n"
+            "    print(check_assumptions(e2, Budget(200, 20)).deadlock_free.outcome)\n"
+            "except RuntimeError:\n"
+            "    print('error')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["error"], out.stderr
+
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         init = frozenset({(1,)})
         lonely = Observer([init], succ=[()], parent=[None], depth=[0], cut=set())

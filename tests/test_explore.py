@@ -16,18 +16,18 @@ from lpndetect import (
     coverable,
     estimate,
     make_net,
+    mismatch,
     search_pattern,
 )
 from lpndetect import explore
 from lpndetect.analyze import check_assumptions, check_strong
 from lpndetect.explore import (
+    EPS_PUMP,
+    STRONG,
     Witness,
     _fed_by_cycle,
-    _segment_count,
     _witness_search,
     replay_witness,
-    strong_detectability_pattern,
-    unobservable_cycle_pattern,
 )
 from lpndetect.gadgets import selfloop_unobservable
 from lpndetect.net import EPSILON, InputError, leq, successors
@@ -177,40 +177,48 @@ class TestKarpMiller:
 class TestSearchPattern:
     def test_e4_twin_fails_with_minimal_witness(self, e4):
         tw = build_twin(e4)
-        pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, pattern, Budget(200, 20))
+        v = search_pattern(tw.net, STRONG, Budget(200, 20))
         assert v.outcome == FAILS
         assert v.witness.segments == ((), ("(t,u)",), ())
-        assert replay_witness(tw.net, pattern, v.witness)
+        assert replay_witness(tw.net, STRONG, v.witness)
 
     def test_e1_twin_holds(self, e1):
         tw = build_twin(e1)
-        pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, pattern, Budget(1000, 50))
+        v = search_pattern(tw.net, STRONG, Budget(1000, 50))
         assert v.outcome == HOLDS
 
     def test_e3_twin_inconclusive(self, e3):
         tw = build_twin(e3)
-        pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, pattern, Budget(200, 20))
+        v = search_pattern(tw.net, STRONG, Budget(200, 20))
         assert v.outcome == INCONCLUSIVE
 
-    def test_unobservable_cycle_pattern_rejects_observable(self, e1):
-        v = search_pattern(e1, unobservable_cycle_pattern(), Budget(100, 100))
+    def test_eps_pump_rejects_observable(self, e1):
+        v = search_pattern(e1, EPS_PUMP, Budget(100, 100))
         assert v.outcome == HOLDS
 
     def test_pattern_constructors(self):
-        strong = strong_detectability_pattern(6)
-        assert not strong.eps_pump
-        assert strong.mismatch_pairs == ((0, 3), (1, 4), (2, 5))
-        assert strong.final_ok((1, 0, 0, 0, 0, 0))
-        assert not strong.final_ok((1, 2, 0, 1, 2, 0))
+        assert (STRONG.eps_pump, STRONG.segments) == (False, 3)
+        assert STRONG.final_ok((1, 0, 0, 0, 0, 0))
+        assert STRONG.final_ok((0, 0, 0, 0, 0, 1))
+        assert not STRONG.final_ok((1, 2, 0, 1, 2, 0))
         # a twin without places has halves that never disagree
-        assert not strong_detectability_pattern(0).final_ok(())
-        cycle = unobservable_cycle_pattern()
-        assert cycle.eps_pump
-        assert cycle.mismatch_pairs is None
-        assert cycle.final_ok((0, 7))
+        assert not STRONG.final_ok(())
+        assert (EPS_PUMP.eps_pump, EPS_PUMP.segments) == (True, 2)
+        assert EPS_PUMP.final_ok((0, 7)) and EPS_PUMP.final_ok(())
+
+    def test_final_test_matches_twin_mismatch(self):
+        # STRONG's final test against the checked reference, twin.mismatch,
+        # on every marking of random twin graphs.
+        rng = random.Random(59)
+        checked = disagree = 0
+        for _ in range(200):
+            tw = build_twin(random_net(rng))
+            for m in build_reachability_graph(tw.net, Budget(300, 30)).markings:
+                assert STRONG.final_ok(m) == mismatch(tw, m)[0]
+                checked += 1
+                disagree += STRONG.final_ok(m)
+        print("markings", checked, "halves disagree", disagree)
+        assert disagree >= 1000 and checked - disagree >= 1000
 
     def test_fails_witness_always_replays(self):
         rng = random.Random(41)
@@ -218,12 +226,11 @@ class TestSearchPattern:
         while found < 15:
             net = random_net(rng)
             tw = build_twin(net)
-            pattern = strong_detectability_pattern(len(tw.net.places))
-            v = search_pattern(tw.net, pattern, Budget(400, 30))
+            v = search_pattern(tw.net, STRONG, Budget(400, 30))
             if v.outcome != FAILS:
                 continue
             found += 1
-            assert replay_witness(tw.net, pattern, v.witness)
+            assert replay_witness(tw.net, STRONG, v.witness)
             # covering-constraint soundness, checked independently here
             pump_start, pump_end, _ = v.witness.markings
             assert leq(pump_start, pump_end)
@@ -240,8 +247,7 @@ class TestSearchPattern:
             },
             {"p": 1},
         )
-        pattern = unobservable_cycle_pattern()
-        assert replay_witness(net, pattern, Witness(((), ("e",)), ((1, 0), (1, 1))))
+        assert replay_witness(net, EPS_PUMP, Witness(((), ("e",)), ((1, 0), (1, 1))))
         for segments, markings in (
             (((),), ((1, 0),)),  # one segment where two are due
             (((), ()), ((1, 0), (1, 0))),  # empty pump
@@ -250,7 +256,7 @@ class TestSearchPattern:
             (((), ("e",)), ((1, 0), (1, 2))),  # recorded marking differs
             ((("e",), ("c",)), ((1, 1), (1, 0))),  # pump ends below its start
         ):
-            assert not replay_witness(net, pattern, Witness(segments, markings))
+            assert not replay_witness(net, EPS_PUMP, Witness(segments, markings))
 
     def test_holds_only_when_complete(self):
         # on truncated state spaces the search may fail or stay inconclusive,
@@ -261,7 +267,7 @@ class TestSearchPattern:
             graph = build_reachability_graph(net, Budget(30, 10))
             if graph.complete:
                 continue
-            v = search_pattern(net, unobservable_cycle_pattern(), Budget(30, 10))
+            v = search_pattern(net, EPS_PUMP, Budget(30, 10))
             if not any(not net.is_observable(t) for t in net.transitions):
                 continue  # trivially decided without exploration
             assert v.outcome in (FAILS, INCONCLUSIVE)
@@ -309,7 +315,7 @@ def _fired_witness_search(net, start, pattern, budget):
     witness of minimal total segment length; ties break on declared
     transition order.
     """
-    k = _segment_count(pattern)
+    k = pattern.segments
     truncated = False
     root, covers, marking_of = tuple(start), leq, tuple
     max_depth = budget.max_depth
@@ -401,8 +407,8 @@ class TestWitnessOnGraph:
             net = random_net(rng)
             tw = build_twin(net)
             for q, n, pattern in (
-                ("strong", tw.net, strong_detectability_pattern(len(tw.net.places))),
-                ("eps", net, unobservable_cycle_pattern()),
+                ("strong", tw.net, STRONG),
+                ("eps", net, EPS_PUMP),
             ):
                 start = n.initial_marking
                 for budget in (Budget(300, 30), Budget(50, 3)):
@@ -438,11 +444,10 @@ class TestWitnessOnGraph:
         # e3's twin graph never closes; the walk stores at most max_states
         # of its (segment, node, anchor) states and finds no witness.
         tw = build_twin(e3)
-        pattern = strong_detectability_pattern(len(tw.net.places))
         budget = Budget(2000, 100)
         graph = build_reachability_graph(tw.net, budget)
         assert not graph.complete
-        witness, exhausted, states, depth = _witness_search(graph, pattern, budget)
+        witness, exhausted, states, depth = _witness_search(graph, STRONG, budget)
         assert (witness, exhausted) == (None, False)
         assert states == 2000 and depth <= 100
         v = check_strong(e3, budget)
@@ -463,14 +468,13 @@ class TestWitnessOnGraph:
             {},
         )
         tw = build_twin(net)
-        pattern = strong_detectability_pattern(len(tw.net.places))
-        v = search_pattern(tw.net, pattern, Budget(60, 3))
+        v = search_pattern(tw.net, STRONG, Budget(60, 3))
         assert v.outcome == FAILS and v.stats.states == 52
         assert v.witness == Witness(
             (("(t4,t4)",), ("(t4,t4)", "(t2,~)"), ()),
             ((1, 1, 1, 1), (1, 3, 2, 2), (1, 3, 2, 2)),
         )
-        v = search_pattern(tw.net, pattern, Budget(50, 3))
+        v = search_pattern(tw.net, STRONG, Budget(50, 3))
         assert v.outcome == INCONCLUSIVE and v.stats.states == 50
 
     def test_witness_search_fires_nothing(self, e1, e2, e4, monkeypatch):

@@ -36,9 +36,7 @@ trans t3 label a pre q:1 post q:1
 
 class TestParse:
     def test_e2_text(self, e2):
-        doc = parse_lpn(E2_TEXT)
-        assert doc.net == e2
-        assert doc.spans["t2"] == (5, 7)
+        assert parse_lpn(E2_TEXT).net == e2
 
     def test_epsilon_label(self):
         doc = parse_lpn("places p\ntrans u label ~ post p:1\n")
@@ -70,6 +68,8 @@ class TestParse:
             ("places p\ninitial p\n", 2, 9),
             ("places p\ntrans\n", 2, 1),
             ("places p\ntrans t label a\ntrans t label b\n", 3, 7),
+            ("places p t\ntrans t label a\n", 2, 7),
+            ("places p\ntrans t label a\nplaces t\n", 3, 8),
             ("places p\ntrans t label a pre p\n", 2, 21),
         ],
     )
@@ -97,6 +97,13 @@ class TestRender:
         gadget = inclusion_to_weak(g, g)
         assert parse_lpn(render_lpn(gadget.net)).net == gadget.net
 
+    def test_equals_in_place_id(self):
+        # rightmost '=' separates the count, as ':' does the weight
+        net = make_net(["a=b"], {"t": ("s", {"a=b": 1}, {})}, {"a=b": 1})
+        text = render_lpn(net)
+        assert "initial a=b=1\n" in text
+        assert parse_lpn(text).net == net
+
     def test_comments_ignored(self, e2):
         text = render_lpn(e2, comments=("hello", "world"))
         assert text.startswith("# hello\n# world\n")
@@ -107,6 +114,10 @@ class TestMarkingParsing:
     def test_parse_marking(self, e2):
         assert parse_marking(e2, "q=2") == (0, 2)
         assert parse_marking(e2, "p=1 q=3") == (1, 3)
+
+    def test_parse_marking_equals_in_place_id(self):
+        net = make_net(["a=b", "c"], {}, {})
+        assert parse_marking(net, "a=b=1 c=2") == (1, 2)
 
     def test_parse_marking_errors(self, e2):
         from lpndetect.net import InputError
