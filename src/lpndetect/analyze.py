@@ -164,7 +164,7 @@ def _eps_closure(eps: list, cut: set, nodes) -> Optional[frozenset]:
     return frozenset(seen)
 
 
-def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
+def explore_observer(graph: ReachabilityGraph, budget: Budget, goal=None) -> Observer:
     """Budgeted subset construction over the nodes of a reachability graph.
 
     Nothing is fired: symbol steps and ε-closures are read off graph.succ.
@@ -172,7 +172,8 @@ def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
     never stored: it counts as a dropped successor, or leaves no state when
     it is the initial closure. Every stored state is thus an exact estimate,
     mapped to its markings at the end; the observer closes only if the graph
-    closed, within budget.max_depth firings.
+    closed, within budget.max_depth firings. goal, if given, stops the
+    search as in _explore; it is tested on each stored estimate.
     """
     net, cut, n = graph.net, graph.cut, len(graph.succ)
     eps = [[] for _ in range(n)]  # per node: its ε-successors
@@ -190,9 +191,12 @@ def explore_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
             if targets:
                 yield sym, _eps_closure(eps, cut, targets)
 
-    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget)
-    states = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
-    return replace(obs, states=states)
+    def markings(nodes):
+        return frozenset(map(graph.markings.__getitem__, nodes))
+
+    found = None if goal is None else (lambda nodes: goal(markings(nodes)))
+    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget, found)
+    return replace(obs, states=list(map(markings, obs.states)))
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
@@ -292,20 +296,23 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     """Current-state opacity with respect to a finite secret marking set.
 
     Opaque (HOLDS) iff no observation's estimate is a nonempty subset of the
-    secret set. FAILS carries the violating observation and estimate. The
-    check does not require the standing assumptions.
+    secret set. FAILS carries the violating observation and estimate; the
+    observer stops at the first such estimate, so its stats count the
+    observer states stored up to it. The check does not require the
+    standing assumptions.
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
-    obs = explore_observer(build_reachability_graph(g, budget), budget)
+    obs = explore_observer(build_reachability_graph(g, budget), budget,
+                           goal=lambda est: bool(est) and est <= secret_set)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
-    for v, state in enumerate(obs.states):
-        if state and state <= secret_set:
-            return Verdict(
-                FAILS,
-                OpacityWitness(word=obs.path_to(v), estimate=state),
-                stats,
-            )
+    v = len(obs.states) - 1
+    if obs.states and obs.states[v] <= secret_set:  # the goal stopped the search
+        return Verdict(
+            FAILS,
+            OpacityWitness(word=obs.path_to(v), estimate=obs.states[v]),
+            stats,
+        )
     if obs.complete:
         return Verdict(HOLDS, stats=stats)
     return Verdict(

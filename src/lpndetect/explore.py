@@ -6,12 +6,14 @@ witness walk here and the observer in analyze; backward coverability
 queries, and the two path questions the checkers ask (see PathPattern): a
 covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
-question is explored once. The reachability graph is built under the
-budget and every witness is read off it by a walk of its nodes; nothing is
-fired twice. When the graph closes the answer is decided and the walk is
-unbounded. Otherwise the walk, whose pumps close on covering, runs under
-the same budget and finds a sound witness or reports the question
-inconclusive.
+question is explored once, and every witness is read off the reachability
+graph by a walk of its nodes; nothing is fired twice. search_pattern builds
+the graph in rounds. Once a round's prefix proves the net unbounded, the
+walk runs on the prefix, and a witness it finds there, or a walk that fills
+the budget, is the answer. Else the graph is built under the budget. When
+it closes the answer is decided and the walk is unbounded. Otherwise the
+walk, whose pumps close on covering, runs under the same budget and finds
+a sound witness or reports the question inconclusive.
 """
 
 from __future__ import annotations
@@ -100,16 +102,23 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
+# Expanded states at the first checkpoint of _explore_rounds; each further
+# checkpoint doubles the count.
+FIRST_CHECKPOINT = 64
+
+
 @dataclass
 class Exploration:
     """A budgeted breadth-first search from one root, node 0.
 
     succ[v] is a tuple of (label, w) for every stored successor w of an
-    expanded node v, in the order they were expanded; every stored node is
-    expanded unless a goal stopped the search. edges is succ flattened.
-    parent[v] is (u, label), the BFS tree edge into v (None at the root),
-    so path_to(v) is a shortest label path to v. cut holds the nodes that
-    lost a successor; complete means a root was stored and nothing was cut.
+    expanded node v, in the order they were expanded; the first len(succ)
+    stored nodes are expanded, all of them unless a goal stopped the search
+    or it is paused at a checkpoint (see _explore_rounds). edges is succ
+    flattened. parent[v] is (u, label), the BFS tree edge into v (None at
+    the root), so path_to(v) is a shortest label path to v. cut holds the
+    nodes that lost a successor; complete means a root was stored, every
+    stored node was expanded and nothing was cut.
     """
 
     states: list  # index = node id
@@ -122,7 +131,7 @@ class Exploration:
 
     @property
     def complete(self) -> bool:
-        return bool(self.states) and not self.cut
+        return bool(self.states) and not self.cut and len(self.succ) == len(self.states)
 
     @property
     def edges(self) -> list:
@@ -140,8 +149,8 @@ class Exploration:
         return tuple(self.parent[w][1] for w in self.branch(v)[1:])
 
 
-def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
-    """The one budgeted breadth-first search of the package.
+def _explore_rounds(root, expand, budget: Budget, goal=None):
+    """The one budgeted breadth-first search of the package, resumable.
 
     expand(state) yields (label, successor), the successor None when it
     could not be computed within the budget; root None stores no state. A
@@ -149,14 +158,24 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
     and it lies at most budget.max_depth steps deep; otherwise its source is
     cut. The search stops at the first stored state that meets goal, if
     given; stored last and in BFS order, it is the least deep to meet it.
+
+    Yields the exploration each time its count of expanded states reaches
+    FIRST_CHECKPOINT, twice that, and so on, while a stored state is still
+    unexpanded, and once more when the search ends. It is one object
+    throughout, which grows when the search resumes.
     """
     if root is None:
-        return Exploration([], [], [], [], set())
+        yield Exploration([], [], [], [], set())
+        return
     states, index, succ, parent, depth = [root], {root: 0}, [], [None], [0]
     cut, max_states, max_depth = set(), budget.max_states, budget.max_depth
+    exp = Exploration(states, succ, parent, depth, cut)
     found = goal is not None and goal(root)
-    v = 0
+    v, checkpoint = 0, FIRST_CHECKPOINT
     while v < len(states) and not found:  # states are stored in BFS order: the queue
+        if v == checkpoint:
+            yield exp
+            checkpoint *= 2
         d = depth[v] + 1
         out = []
         for label, x in expand(states[v]):
@@ -176,7 +195,13 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
                 break
         succ.append(tuple(out))
         v += 1
-    return Exploration(states, succ, parent, depth, cut)
+    yield exp
+
+
+def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
+    """_explore_rounds run to the end."""
+    *_, exp = _explore_rounds(root, expand, budget, goal)
+    return exp
 
 
 @dataclass
@@ -190,16 +215,24 @@ class ReachabilityGraph(Exploration):
         return self.states
 
 
-def build_reachability_graph(net: LabeledPetriNet, budget: Budget) -> ReachabilityGraph:
-    """BFS over the markings reachable from the initial marking, in
-    declared transition order."""
+def _graph_rounds(net: LabeledPetriNet, budget: Budget):
+    """The reachability graph at each round of its search (see
+    _explore_rounds): BFS over the markings reachable from the initial
+    marking, in declared transition order."""
     names = net.transitions
 
     def expand(m):
         for ti, m2 in successors(net, m):
             yield names[ti], m2
 
-    return ReachabilityGraph(**vars(_explore(net.initial_marking, expand, budget)), net=net)
+    for exp in _explore_rounds(net.initial_marking, expand, budget):
+        yield ReachabilityGraph(**vars(exp), net=net)
+
+
+def build_reachability_graph(net: LabeledPetriNet, budget: Budget) -> ReachabilityGraph:
+    """The reachability graph, built to the end of its search."""
+    *_, graph = _graph_rounds(net, budget)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +436,16 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
     an open graph x covers a if its marking does, and the walk runs under
     budget; a state less than budget.max_depth deep lies less deep in the
     graph, so it lost no successor unless the graph hit budget.max_states.
+    graph may be a prefix (see search_pattern) whose first unexpanded node
+    lies budget.max_depth deep: a state on an unexpanded node is then at
+    the depth cap, where expanding it would store nothing, and is skipped.
 
     Returns (witness-or-None, exhausted, walk states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
     Depth counts fired transitions, so the witness has minimal total length;
     ties break on the own segment's steps first, then on transition order.
     """
-    net, markings, k = graph.net, graph.markings, pattern.segments
+    net, markings, succ, k = graph.net, graph.markings, graph.succ, pattern.segments
     eps_pump, final_ok = pattern.eps_pump, pattern.final_ok
     if graph.complete:
         covers, budget = operator.eq, Budget(float("inf"), float("inf"))
@@ -418,7 +454,10 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
 
     def expand(state):
         j, x, a = state
-        out = graph.succ[x]
+        try:
+            out = succ[x]
+        except IndexError:  # unexpanded in a prefix: state is at the depth cap
+            return
         for t, y in out:
             if not (j == 2 and eps_pump and net.is_observable(t)):
                 yield t, (j, y, a)
@@ -478,9 +517,36 @@ def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget) -
     FAILS carries a minimal replay-checked witness. HOLDS is emitted only
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
+
+    The graph is built in rounds (see _explore_rounds), and the answer is
+    that of search_graph on the whole graph; a round may give it early. A
+    prefix in which some transition with a nonzero effect >= 0 has fired
+    proves the net unbounded: the whole graph never closes, and its walk
+    runs under budget. If nothing in the prefix was cut, its walk under
+    depth cap D, the depth of its first unexpanded node, expands only
+    fully expanded nodes short of the cap, so it stores the first states
+    that the walk of the whole graph stores, in the same order. A witness
+    among them, or max_states of them, is therefore that walk's answer.
     """
     t0 = time.perf_counter()
-    graph = build_reachability_graph(net, budget)
+    growing = {
+        t for t, (_, effect) in zip(net.transitions, net.kernel)
+        if any(effect) and min(effect) >= 0
+    }
+    if not growing:  # no prefix can prove the net unbounded
+        return search_graph(build_reachability_graph(net, budget), pattern, budget, t0)
+    unbounded = False
+    for graph in _graph_rounds(net, budget):
+        expanded = len(graph.succ)
+        if expanded == len(graph.states):  # the search has ended
+            break
+        unbounded = unbounded or any(t in growing for out in graph.succ for t, _ in out)
+        if unbounded and not graph.cut:
+            # D <= budget.max_depth, as no deeper node is stored.
+            cap = Budget(budget.max_states, graph.depth[expanded])
+            walked = _witness_search(graph, pattern, cap)
+            if walked[0] is not None or walked[2] == budget.max_states:
+                return _walk_verdict(graph, pattern, walked, t0)
     return search_graph(graph, pattern, budget, t0)
 
 
@@ -492,7 +558,14 @@ def search_graph(
     if graph.complete and not _exact_exists(graph, pattern):
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
         return Verdict(HOLDS, None, stats)
-    witness, _, states, depth = _witness_search(graph, pattern, budget)
+    return _walk_verdict(graph, pattern, _witness_search(graph, pattern, budget), t0)
+
+
+def _walk_verdict(
+    graph: ReachabilityGraph, pattern: PathPattern, walked, t0: float
+) -> Verdict:
+    """The verdict on the result of _witness_search on graph."""
+    witness, _, states, depth = walked
     stats = SearchStats(states, depth, time.perf_counter() - t0)
     if witness is None:
         if graph.complete:

@@ -10,6 +10,7 @@ markings can be shared freely.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -19,6 +20,12 @@ EPSILON = None
 Marking = tuple  # tuple[int, ...], indexed by declared place order
 FiringSequence = tuple  # tuple[str, ...] of transition ids
 ObservationWord = tuple  # tuple[str, ...] of alphabet symbols
+
+# The unobservable label in the text format (see textio).
+EPSILON_MARK = "~"
+
+# What the text format cannot read back inside an identifier or a symbol.
+_UNREADABLE = re.compile(r"[\s#]")
 
 
 class NetError(Exception):
@@ -76,6 +83,14 @@ class LabeledPetriNet:
             raise InputError("duplicate place identifier")
         if len(set(self.transitions)) != len(self.transitions):
             raise InputError("duplicate transition identifier")
+        for kind, names in (("place", self.places), ("transition", self.transitions),
+                            ("symbol", self.alphabet)):
+            for x in names:
+                if not isinstance(x, str) or not x or _UNREADABLE.search(x):
+                    raise InputError(
+                        f"{kind} {x!r} must be a nonempty string without whitespace or '#'")
+        if EPSILON_MARK in self.alphabet:
+            raise InputError(f"{EPSILON_MARK!r} marks the unobservable label, not a symbol")
         if len(self.labels) != len(self.transitions):
             raise InputError("labeling must cover every transition")
         for lab in self.labels:

@@ -8,8 +8,10 @@ unobservable label):
     alphabet <sym>+                # optional; widens the inferred alphabet
     trans <id> label (<sym>|~) [pre (<id>:<nat>)*] [post (<id>:<nat>)*]
 
-Rendering is canonical in declared order and parse(render(net)) is the
-identity up to object equality.
+A place is counted at most once in the initial directives and once in each
+pre or post list. Rendering is canonical in declared order and
+parse(render(net)) is the identity up to object equality; the net refuses
+identifiers the grammar cannot read back.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .net import EPSILON, InputError, LabeledPetriNet, make_net
-
-EPSILON_MARK = "~"
+from .net import EPSILON, EPSILON_MARK, InputError, LabeledPetriNet, make_net
 
 _TOKEN = re.compile(r"\S+")
 
@@ -80,6 +80,8 @@ def parse_lpn(text: str) -> NetDocument:
                     raise ParseError(f"expected <place>=<count>, got {tok!r}", lineno, col)
                 pid, _, num = tok.rpartition("=")
                 known_place(pid, lineno, col)
+                if pid in initial:
+                    raise ParseError(f"repeated initial count of {pid!r}", lineno, col)
                 initial[pid] = _nat(num, lineno, col, f"initial count of {pid!r}")
         elif head == "alphabet":
             for sym, col in rest:
@@ -98,11 +100,11 @@ def parse_lpn(text: str) -> NetDocument:
                 raise ParseError(f"transition {tid!r} is missing a label", lineno, tcol)
             lab = body[1][0]
             label = EPSILON if lab == EPSILON_MARK else lab
-            pre_map, post_map = {}, {}
+            arcs = {"pre": {}, "post": {}}
             section = None
             for tok, col in body[2:]:
-                if tok in ("pre", "post"):
-                    section = pre_map if tok == "pre" else post_map
+                if tok in arcs:
+                    section = tok
                     continue
                 if section is None:
                     raise ParseError(f"unexpected token {tok!r} before pre/post", lineno, col)
@@ -110,8 +112,10 @@ def parse_lpn(text: str) -> NetDocument:
                     raise ParseError(f"expected <place>:<weight>, got {tok!r}", lineno, col)
                 pid, _, num = tok.rpartition(":")
                 known_place(pid, lineno, col)
-                section[pid] = _nat(num, lineno, col, f"arc weight on {pid!r}")
-            transitions[tid] = (label, pre_map, post_map)
+                if pid in arcs[section]:
+                    raise ParseError(f"repeated {section} arc on {pid!r}", lineno, col)
+                arcs[section][pid] = _nat(num, lineno, col, f"arc weight on {pid!r}")
+            transitions[tid] = (label, arcs["pre"], arcs["post"])
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, hcol)
 
@@ -152,12 +156,15 @@ def render_lpn(net: LabeledPetriNet, comments=()) -> str:
 def parse_marking(net: LabeledPetriNet, text: str, where="marking") -> tuple:
     """Parse one marking given as whitespace-separated <place>=<count> pairs."""
     counts = {}
-    for tok in text.split():
+    for match in _TOKEN.finditer(text):
+        tok, col = match.group(0), match.start() + 1
         if "=" not in tok:
             raise InputError(f"{where}: expected <place>=<count>, got {tok!r}")
         pid, _, num = tok.rpartition("=")
         if pid not in net.place_index:
             raise InputError(f"{where}: unknown place {pid!r}")
+        if pid in counts:
+            raise InputError(f"{where}, column {col}: repeated count of {pid!r}")
         if not _is_nat(num):
             raise InputError(f"{where}: bad count {num!r} for {pid!r}")
         counts[pid] = int(num)
@@ -168,10 +175,9 @@ def parse_secret_file(net: LabeledPetriNet, text: str) -> list:
     """One marking per line, each a list of <place>=<count> pairs."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        out.append(parse_marking(net, body, where=f"secret line {lineno}"))
+        body = raw.split("#", 1)[0]  # unstripped, so that columns count from the line start
+        if body.strip():
+            out.append(parse_marking(net, body, where=f"secret line {lineno}"))
     if not out:
         raise InputError("secret file contains no markings")
     return out

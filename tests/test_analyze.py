@@ -224,13 +224,14 @@ def _eps_closure(net, markings, tracker: _BudgetTracker):
     return frozenset(out)
 
 
-def _fired_observer(net, budget: Budget) -> Observer:
+def _fired_observer(net, budget: Budget, goal=None) -> Observer:
     """Budgeted subset construction over the net's markings.
 
     Every stored state is an exact estimate. The ε-closures share one
     allowance of budget.max_states distinct markings; a successor whose
     closure would exceed it is not stored, nor is any state when the
-    initial closure would, and complete is then False.
+    initial closure would, and complete is then False. goal stops the
+    search as in explore_observer.
     """
     tracker = _BudgetTracker(budget)
     symbols = sorted(net.alphabet)
@@ -243,7 +244,7 @@ def _fired_observer(net, budget: Budget) -> Observer:
                 yield sym, _eps_closure(net, targets, tracker)
 
     return explore._explore(
-        _eps_closure(net, {net.initial_marking}, tracker), expand, budget)
+        _eps_closure(net, {net.initial_marking}, tracker), expand, budget, goal)
 
 
 def _eps_chain(n):
@@ -274,7 +275,10 @@ class TestObserverOnGraph:
         # decides: the one net whose verdicts are known to differ.
         nets = [random_net(rng, eps_prob=0.35) for _ in range(300)] + [_eps_chain(50)]
         exact = Budget(300, 200)  # a complete estimate is exact under any budget
-        fired = lambda graph, budget: _fired_observer(graph.net, budget)  # noqa: E731
+
+        def fired(graph, budget, goal=None):
+            return _fired_observer(graph.net, budget, goal)
+
         compared = checked = 0
         differ = Counter()
         for budget, open_too in ((Budget(300, 30), True), (Budget(50, 3), True),
@@ -444,6 +448,70 @@ class TestCheckOpacity:
         opaque = check_opacity(gadget.net, [secret_marking(gadget)], b)
         assert weak.outcome == FAILS
         assert opaque.outcome == HOLDS
+
+
+def _ring(k, n, eps=False):
+    """Places p0..p{k-1} in a cycle, t_i moving a token from p_i to p_{i+1},
+    labelled b, a, b, ...; with eps t2, t5, ... are unobservable. n tokens
+    start on p0."""
+    trans = {
+        f"t{i}": (EPSILON if eps and i % 3 == 2 else "ba"[i % 2],
+                  {f"p{i}": 1}, {f"p{(i + 1) % k}": 1})
+        for i in range(k)
+    }
+    return make_net([f"p{i}" for i in range(k)], trans, {"p0": n})
+
+
+def _scanned_opacity(net, secret, budget):
+    """check_opacity as it stood before its observer stopped at the first
+    secret estimate: the whole observer, scanned in BFS order. Kept as the
+    reference. Returns (outcome, witness, states, depth)."""
+    obs = explore_observer(build_reachability_graph(net, budget), budget)
+    size = (len(obs.states), max(obs.depth, default=0))
+    for v, state in enumerate(obs.states):
+        if state and state <= secret:
+            return (FAILS, analyze.OpacityWitness(obs.path_to(v), state)) + size
+    return (HOLDS if obs.complete else INCONCLUSIVE, None) + size
+
+
+class TestOpacityStopsEarly:
+    """check_opacity's observer stops at the first secret estimate."""
+
+    def test_matches_the_whole_observer_scan(self):
+        rng = random.Random(73)
+        cases = []
+        for k in (3, 4, 5, 6):
+            for n in (1, 2, 3):
+                for eps in (False, True):
+                    cases += [(_ring(k, n, eps), Budget(5000, 1000))] * 6
+        for _ in range(300):
+            net = random_net(rng, eps_prob=0.3)
+            cases += [(net, Budget(300, 30)), (net, Budget(50, 3))]
+        outcomes, fewer = Counter(), 0
+        for net, budget in cases:
+            markings = build_reachability_graph(net, budget).markings
+            secret = set(rng.sample(markings, min(len(markings), rng.randint(1, 3))))
+            ours = check_opacity(net, secret, budget)
+            outcome, witness, states, depth = _scanned_opacity(net, frozenset(secret), budget)
+            assert (ours.outcome, ours.witness) == (outcome, witness)
+            if outcome == FAILS:
+                assert ours.stats.states <= states and ours.stats.depth <= depth
+                assert ours.stats.depth == len(witness.word)
+                fewer += ours.stats.states < states
+            else:
+                assert (ours.stats.states, ours.stats.depth) == (states, depth)
+            outcomes[outcome] += 1
+        print("records", len(cases), dict(outcomes), "fewer states", fewer)
+        assert len(cases) == 744 and outcomes[FAILS] >= 400 and fewer >= 150
+
+    def test_ring_stops_at_its_first_secret_estimate(self):
+        # ring(8, 4) with all four tokens on p1: seen after b b b b.
+        net, budget = _ring(8, 4), Budget(20000, 2000)
+        full = explore_observer(build_reachability_graph(net, budget), budget)
+        assert len(full.states) == 1740
+        v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
+        assert v.outcome == FAILS and v.witness.word == ("b",) * 4
+        assert (v.stats.states, v.stats.depth) == (12, 4)
 
 
 class TestOneExplorer:

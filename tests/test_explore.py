@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -28,6 +28,7 @@ from lpndetect.explore import (
     _fed_by_cycle,
     _witness_search,
     replay_witness,
+    search_graph,
 )
 from lpndetect.gadgets import selfloop_unobservable
 from lpndetect.net import EPSILON, InputError, leq, successors
@@ -64,6 +65,154 @@ class TestExplore:
     def test_goal_met_by_the_root(self):
         exp = explore._explore(1, self.expand, Budget(), goal=lambda n: n == 1)
         assert (exp.states, exp.succ, exp.cut) == ([1], [], set())
+
+    def test_goal_stopped_search_is_not_complete(self):
+        # Nothing is cut, but state 3 was stored unexpanded.
+        def chain(n):
+            yield "s", n + 1
+
+        exp = explore._explore(0, chain, Budget(100, 100), goal=lambda n: n == 3)
+        assert exp.states == [0, 1, 2, 3] and len(exp.succ) == 3 and not exp.cut
+        assert not exp.complete
+        assert explore._explore(0, chain, Budget(100, 3)).complete is False  # cut at 3
+        assert explore._explore(0, lambda n: iter(()), Budget()).complete
+
+
+def _one_shot_explore(root, expand, budget, goal=None):
+    """_explore as it stood before it became resumable, kept as the
+    reference that the rounds, run to the end, are compared against."""
+    if root is None:
+        return explore.Exploration([], [], [], [], set())
+    states, index, succ, parent, depth = [root], {root: 0}, [], [None], [0]
+    cut, max_states, max_depth = set(), budget.max_states, budget.max_depth
+    found = goal is not None and goal(root)
+    v = 0
+    while v < len(states) and not found:
+        d = depth[v] + 1
+        out = []
+        for label, x in expand(states[v]):
+            w = index.get(x)
+            if w is None:
+                w = len(states)
+                if x is None or w >= max_states or d > max_depth:
+                    cut.add(v)
+                    continue
+                states.append(x)
+                index[x] = w
+                parent.append((v, label))
+                depth.append(d)
+                found = goal is not None and goal(x)
+            out.append((label, w))
+            if found:
+                break
+        succ.append(tuple(out))
+        v += 1
+    return explore.Exploration(states, succ, parent, depth, cut)
+
+
+class TestRounds:
+    """The resumable search and search_pattern's walks of its prefixes."""
+
+    def test_rounds_run_to_the_end_equal_the_one_shot_search(self):
+        rng = random.Random(61)
+        fields = ("states", "succ", "parent", "depth", "cut", "complete")
+        rounds = goals_met = 0
+        for _ in range(100):
+            tw = build_twin(random_net(rng))
+            m0, names, h = tw.net.initial_marking, tw.net.transitions, tw.half
+
+            def expand(m):
+                for ti, m2 in successors(tw.net, m):
+                    yield names[ti], m2
+
+            def goal(m):
+                return m[:h] != m[h:]
+
+            for budget in (Budget(300, 30), Budget(700, 60)):
+                for g in (None, goal):
+                    seen = [(len(exp.succ), list(exp.states))
+                            for exp in explore._explore_rounds(m0, expand, budget, g)]
+                    exp = explore._explore(m0, expand, budget, g)
+                    ref = _one_shot_explore(m0, expand, budget, g)
+                    assert all(getattr(exp, f) == getattr(ref, f) for f in fields)
+                    # One yield per doubling of the expanded states while a
+                    # stored state is unexpanded, then the end; each a prefix.
+                    *checkpoints, last = seen
+                    assert [n for n, _ in checkpoints] == [
+                        explore.FIRST_CHECKPOINT * 2**i for i in range(len(checkpoints))]
+                    for n, states in checkpoints:
+                        assert n < len(states) and states == ref.states[:len(states)]
+                    assert last == (len(ref.succ), ref.states)
+                    rounds += len(checkpoints)
+                    goals_met += g is not None and g(ref.states[-1])
+        print("checkpoints", rounds, "goals met", goals_met)
+        assert rounds >= 150 and goals_met >= 50
+
+    def test_search_pattern_matches_the_whole_graph_search(self, monkeypatch):
+        # The reference builds the whole graph under the budget and searches
+        # it; search_pattern must give the same outcome, witness, stats and
+        # message. A record is decided early when search_pattern answers
+        # from a prefix without calling search_graph.
+        rng = random.Random(11)
+        nets = [random_net(rng) for _ in range(300)] + [
+            random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)]
+        real = explore.search_graph
+        calls = []
+        monkeypatch.setattr(explore, "search_graph",
+                            lambda *args: calls.append(args) or real(*args))
+        records, early = 0, Counter()
+
+        def key(v):
+            return v.outcome, v.witness, v.stats.states, v.stats.depth, v.message
+
+        for net in nets:
+            tw = build_twin(net)
+            for n, pattern in ((tw.net, STRONG), (net, EPS_PUMP)):
+                for budget in (Budget(50, 3), Budget(300, 30), Budget(2000, 100)):
+                    calls.clear()
+                    ours = search_pattern(n, pattern, budget)
+                    if not calls:
+                        early[ours.outcome] += 1
+                    ref = real(build_reachability_graph(n, budget), pattern, budget, 0.0)
+                    assert key(ours) == key(ref)
+                    records += 1
+        print("records", records, "decided early", dict(early))
+        assert records == 3600 and early[FAILS] >= 400 and early[INCONCLUSIVE] >= 50
+        assert set(early) == {FAILS, INCONCLUSIVE}
+
+    def test_bounded_twin_never_walks_a_prefix(self, monkeypatch):
+        # A ring is bounded; with a dead transition that would grow p0 its
+        # twin is built in rounds, yet no prefix proves it unbounded.
+        ring = {f"t{i}": ("ab"[i % 2], {f"p{i}": 1}, {f"p{(i + 1) % 6}": 1}) for i in range(6)}
+        dead = dict(ring, g=("a", {"x": 1}, {"x": 1, "p0": 1}))
+        walks = []
+        real = explore._witness_search
+        monkeypatch.setattr(explore, "_witness_search",
+                            lambda graph, *args: walks.append(graph) or real(graph, *args))
+        for transitions in (ring, dead):
+            net = make_net([f"p{i}" for i in range(6)] + ["x"], transitions, {"p0": 3})
+            tw = build_twin(net)
+            walks.clear()
+            v = search_pattern(tw.net, STRONG, Budget(20000, 2000))
+            assert v.outcome == FAILS and len(walks) == 1 and walks[0].complete
+            assert len(walks[0].markings) > 4 * explore.FIRST_CHECKPOINT
+
+    def test_e4_is_decided_in_the_first_round(self, e4, monkeypatch):
+        walks = []
+        real = explore._witness_search
+        monkeypatch.setattr(explore, "_witness_search",
+                            lambda graph, *args: walks.append(len(graph.markings))
+                            or real(graph, *args))
+        budget = Budget(2000, 100)
+        tw = build_twin(e4)
+        v = search_pattern(tw.net, STRONG, budget)
+        assert v.witness.segments == ((), ("(t,u)",), ())
+        # One walk, on the first prefix: 64 expanded of 2000 twin markings.
+        assert len(walks) == 1 and walks[0] < 200
+        ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
+        assert walks[1:] == [2000]
+        assert (v.outcome, v.witness, v.stats.states, v.stats.depth) == \
+            (ref.outcome, ref.witness, ref.stats.states, ref.stats.depth)
 
 
 class TestReachabilityGraph:

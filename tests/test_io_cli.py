@@ -78,6 +78,20 @@ class TestParse:
             parse_lpn(text)
         assert (exc.value.line, exc.value.column) == (line, col)
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("places p\ninitial p=1 p=2\n", 2, 13),
+            ("places p\ninitial p=1\ninitial p=2\n", 3, 9),
+            ("places p\ntrans t label a pre p:1 p:3\n", 2, 25),
+            ("places p q\ntrans t label a post p:1 q:1 pre q:1 post p:2\n", 2, 43),
+        ],
+    )
+    def test_repeated_place_reports_position(self, text, line, col):
+        with pytest.raises(ParseError, match="repeated") as exc:
+            parse_lpn(text)
+        assert (exc.value.line, exc.value.column) == (line, col)
+
 
 class TestRender:
     def test_roundtrip_fixtures(self, e1, e2, e3, e4, gadcov):
@@ -129,6 +143,14 @@ class TestMarkingParsing:
         # '²' passes str.isdigit() but int() rejects it.
         with pytest.raises(InputError, match="bad count"):
             parse_marking(e2, "p=²")
+
+    def test_parse_marking_repeated_place(self, e2):
+        from lpndetect.net import InputError
+
+        with pytest.raises(InputError, match="column 5: repeated count of 'p'"):
+            parse_marking(e2, "p=1 p=5")
+        with pytest.raises(InputError, match="secret line 2, column 7: repeated count of 'q'"):
+            parse_secret_file(e2, "p=1\n  q=1 q=2  # twice\n")
 
     def test_parse_secret_file(self, e2):
         text = "# comment\np=1\n\nq=1  # trailing\n"

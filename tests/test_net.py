@@ -138,6 +138,30 @@ def test_malformed_net_is_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize("bad", ["", "a b", "a#b", "a\tb", "a\nb", "#"])
+def test_unreadable_identifiers_are_rejected(bad):
+    # render_lpn would write them, and parse_lpn could not read them back.
+    for build in (
+        lambda: make_net([bad], {"t": ("a", {}, {})}),
+        lambda: make_net(["p"], {bad: ("a", {}, {})}),
+        lambda: make_net(["p"], {"t": (bad, {}, {})}),
+        lambda: make_net(["p"], {"t": ("a", {}, {})}, alphabet=["a", bad]),
+    ):
+        with pytest.raises(InputError, match="without whitespace or '#'"):
+            build()
+
+
+def test_unobservable_mark_is_no_symbol():
+    with pytest.raises(InputError, match="marks the unobservable label"):
+        make_net(["p"], {"t": ("~", {}, {})})
+
+
+def test_twin_and_gadget_identifiers_stay_legal():
+    net = make_net(["p'", "(t,~)", "a=b:c"], {"(t,u)": ("a", {"p'": 1}, {"(t,~)": 1})},
+                   {"p'": 1})
+    assert net.places == ("p'", "(t,~)", "a=b:c") and net.transitions == ("(t,u)",)
+
+
 def test_monotonicity_random():
     # t enabled at m and m <= m2 implies t enabled at m2, with the firing
     # difference preserved componentwise
