@@ -303,11 +303,14 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
-    obs = explore_observer(build_reachability_graph(g, budget), budget,
-                           goal=lambda est: bool(est) and est <= secret_set)
+
+    def goal(est):
+        return bool(est) and est <= secret_set
+
+    obs = explore_observer(build_reachability_graph(g, budget), budget, goal)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     v = len(obs.states) - 1
-    if obs.states and obs.states[v] <= secret_set:  # the goal stopped the search
+    if obs.states and goal(obs.states[v]):  # the goal stopped the search
         return Verdict(
             FAILS,
             OpacityWitness(word=obs.path_to(v), estimate=obs.states[v]),

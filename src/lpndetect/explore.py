@@ -533,7 +533,9 @@ def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget) -
         t for t, (_, effect) in zip(net.transitions, net.kernel)
         if any(effect) and min(effect) >= 0
     }
-    if not growing:  # no prefix can prove the net unbounded
+    if not growing:
+        # No prefix can prove the net unbounded, so none would be walked:
+        # build the graph in one go, where perfbench/spans.py counts it.
         return search_graph(build_reachability_graph(net, budget), pattern, budget, t0)
     unbounded = False
     for graph in _graph_rounds(net, budget):

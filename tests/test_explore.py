@@ -130,9 +130,9 @@ class TestRounds:
 
             for budget in (Budget(300, 30), Budget(700, 60)):
                 for g in (None, goal):
-                    seen = [(len(exp.succ), list(exp.states))
-                            for exp in explore._explore_rounds(m0, expand, budget, g)]
-                    exp = explore._explore(m0, expand, budget, g)
+                    seen = []  # the exploration grows in place: copy each round
+                    for exp in explore._explore_rounds(m0, expand, budget, g):
+                        seen.append((len(exp.succ), list(exp.states)))
                     ref = _one_shot_explore(m0, expand, budget, g)
                     assert all(getattr(exp, f) == getattr(ref, f) for f in fields)
                     # One yield per doubling of the expanded states while a
@@ -152,14 +152,21 @@ class TestRounds:
         # The reference builds the whole graph under the budget and searches
         # it; search_pattern must give the same outcome, witness, stats and
         # message. A record is decided early when search_pattern answers
-        # from a prefix without calling search_graph.
+        # from a prefix without calling search_graph. Otherwise it called
+        # search_graph on the whole graph (the last round is the graph the
+        # one-shot build gives, see the test above) and must return its
+        # verdict, so only the early records build the reference.
         rng = random.Random(11)
         nets = [random_net(rng) for _ in range(300)] + [
             random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)]
         real = explore.search_graph
         calls = []
-        monkeypatch.setattr(explore, "search_graph",
-                            lambda *args: calls.append(args) or real(*args))
+
+        def recorded(graph, *args):
+            calls.append((graph, real(graph, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(explore, "search_graph", recorded)
         records, early = 0, Counter()
 
         def key(v):
@@ -171,9 +178,12 @@ class TestRounds:
                 for budget in (Budget(50, 3), Budget(300, 30), Budget(2000, 100)):
                     calls.clear()
                     ours = search_pattern(n, pattern, budget)
-                    if not calls:
+                    if calls:
+                        [(graph, ref)] = calls
+                        assert len(graph.succ) == len(graph.markings)  # searched to the end
+                    else:
                         early[ours.outcome] += 1
-                    ref = real(build_reachability_graph(n, budget), pattern, budget, 0.0)
+                        ref = real(build_reachability_graph(n, budget), pattern, budget, 0.0)
                     assert key(ours) == key(ref)
                     records += 1
         print("records", records, "decided early", dict(early))
