@@ -4,9 +4,10 @@ and current-state opacity.
 Strong detectability is checked on the twin net as a path question: reach
 a marking, pump a covering loop, then reach a marking whose halves
 disagree. Weak detectability and opacity work on the observer, the
-deterministic automaton over current-marking estimates. Bounded nets (whose
-state space closes within budget) get exact verdicts; unbounded nets get
-sound witnesses or an inconclusive report.
+deterministic automaton over current-marking estimates. An integer
+certificate on the arc tables, where one applies, proves `holds` without a
+graph; otherwise bounded nets (whose state space closes within budget) get
+exact verdicts, and unbounded nets sound witnesses or an inconclusive report.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .explore import (
     search_graph,
     search_pattern,
 )
-from .twin import build_twin
+from .twin import TwinNet, build_twin
 
 
 class AssumptionError(NetError):
@@ -64,7 +65,7 @@ class AssumptionError(NetError):
 class AssumptionReport:
     deadlock_free: Verdict
     no_infinite_unobservable: Verdict
-    # The graph both verdicts were read from, or None where no checker reads it.
+    # The graph the uncertified verdicts were read from, or None.
     graph: Optional[ReachabilityGraph] = field(compare=False, repr=False)
 
     @property
@@ -72,15 +73,53 @@ class AssumptionReport:
         return self.deadlock_free.fails or self.no_infinite_unobservable.fails
 
 
+def _forever_enabled(net: LabeledPetriNet) -> Optional[str]:
+    """A transition enabled at every reachable marking, or None: no transition
+    lowers its input places, which start with at least their arc weights."""
+    lowered = {p for _, effect in net.kernel for p, d in enumerate(effect) if d < 0}
+    m0 = net.initial_marking
+    return next((t for t, (pre, _) in zip(net.transitions, net.kernel)
+                 if all(p not in lowered and m0[p] >= w for p, w in pre)), None)
+
+
+def _eps_ranked(net: LabeledPetriNet) -> bool:
+    """Whether every unobservable transition removes a token, so that the
+    token count ranks unobservable runs and each is finite."""
+    return all(sum(effect) <= -1
+               for lab, (_, effect) in zip(net.labels, net.kernel) if lab is EPSILON)
+
+
+def _twin_invariant(tw: TwinNet) -> bool:
+    """Whether every twin transition changes both halves equally, so that
+    every reachable twin marking has equal halves."""
+    return all(e[:tw.half] == e[tw.half:] for _, e in tw.net.kernel)
+
+
+def _certified(t0: float, message: str) -> Verdict:
+    return Verdict(HOLDS, stats=SearchStats(0, 0, time.perf_counter() - t0),
+                   message="certificate: " + message)
+
+
 def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     """Check deadlock-freedom and absence of infinite unobservable runs.
 
-    Both questions are answered from one reachability graph. Both verdicts
-    are exact when it closes within budget; otherwise a found violation is
-    sound and the rest is inconclusive.
+    A question its certificate proves (a transition enabled at every
+    reachable marking; a token count every unobservable step lowers) is
+    answered without a graph. The rest are answered from one reachability
+    graph, exactly when it closes within budget; otherwise a found
+    violation is sound and the rest is inconclusive.
     """
     t0 = time.perf_counter()
-    graph = build_reachability_graph(net, budget)
+    live, ranked = _forever_enabled(net), _eps_ranked(net)
+    graph = None if live and ranked else build_reachability_graph(net, budget)
+    if ranked:
+        no_inf = _certified(t0, "every unobservable transition removes a token")
+    else:
+        no_inf = search_graph(graph, EPS_PUMP, budget, t0)
+    if live:
+        deadlock_free = _certified(
+            t0, f"{live} stays enabled, as no transition lowers its input places")
+        return AssumptionReport(deadlock_free, no_inf, graph)
     # Every stored node was expanded: one without a stored successor is dead
     # unless the budget cut its successors.
     dead = next(
@@ -103,12 +142,6 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
         deadlock_free = Verdict(
             INCONCLUSIVE, stats=stats, message="no deadlock found within budget"
         )
-
-    if all(lab is not EPSILON for lab in net.labels):
-        no_inf = Verdict(HOLDS, stats=SearchStats(0, 0, 0.0),
-                         message="no unobservable transitions")
-    else:
-        no_inf = search_graph(graph, EPS_PUMP, budget, t0)
     return AssumptionReport(deadlock_free, no_inf, graph)
 
 
@@ -122,7 +155,8 @@ def _gate_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
 def check_strong(g: LabeledPetriNet, budget: Budget) -> Verdict:
     """Strong detectability via the twin net.
 
-    HOLDS: strongly detectable (proved on a closed twin state space).
+    HOLDS: strongly detectable, proved by the twin invariant certificate
+    (_twin_invariant) or, where it fails, on a closed twin state space.
     FAILS: not strongly detectable, with a pumpable three-segment witness
     over twin transitions. INCONCLUSIVE: the budget ran out first.
     A definite assumption violation raises AssumptionError.
@@ -136,7 +170,11 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     without building either again."""
     # The twin search does not read the net's graph, so it is not kept alive.
     report = replace(_gate_assumptions(g, budget), graph=None)
+    t0 = time.perf_counter()
     tw = build_twin(g)
+    if _twin_invariant(tw):
+        return _certified(t0, "twin invariant, as every twin transition "
+                              "changes both halves equally"), tw, report
     return search_pattern(tw.net, STRONG, budget), tw, report
 
 
@@ -236,7 +274,8 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     """check_weak's (verdict, assumption report); the observer reuses the gate's graph."""
     t0 = time.perf_counter()
     report = _gate_assumptions(g, budget)
-    obs = explore_observer(report.graph, budget)
+    graph = report.graph if report.graph is not None else build_reachability_graph(g, budget)
+    obs = explore_observer(graph, budget)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not obs.complete:
         return Verdict(

@@ -44,6 +44,23 @@ def e4():
 
 
 @pytest.fixture
+def e5():
+    # unbounded, strongly detectable, deadlock free, without ε; no
+    # certificate proves deadlock freedom or strong detectability
+    return make_net(
+        ["s", "x", "y", "z", "q"],
+        {
+            "t1": ("a", {"s": 1}, {"x": 1}),
+            "t2": ("a", {"s": 1}, {"y": 1}),
+            "u1": ("b", {"x": 1}, {"z": 1}),
+            "u2": ("b", {"y": 1}, {"z": 1}),
+            "w": ("c", {"z": 1}, {"z": 1, "q": 1}),
+        },
+        {"s": 1},
+    )
+
+
+@pytest.fixture
 def gadcov():
     # coverability gadget over a one-transition net; bounded, not strongly
     # detectable because the probes are firable

@@ -261,8 +261,21 @@ def test_criterion_6_unbounded_witness_search():
         e3 = make_net(
             ["p", "q"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1})}, {"p": 1}
         )
+        # e3 has the twin invariant; no certificate proves e5
+        e5 = make_net(
+            ["s", "x", "y", "z", "q"],
+            {
+                "t1": ("a", {"s": 1}, {"x": 1}),
+                "t2": ("a", {"s": 1}, {"y": 1}),
+                "u1": ("b", {"x": 1}, {"z": 1}),
+                "u2": ("b", {"y": 1}, {"z": 1}),
+                "w": ("c", {"z": 1}, {"z": 1, "q": 1}),
+            },
+            {"s": 1},
+        )
         for b in (Budget(50, 10), Budget(1000, 50), Budget(20000, 500)):
-            assert check_strong(e3, b).outcome == INCONCLUSIVE
+            assert check_strong(e3, b).outcome == HOLDS
+            assert check_strong(e5, b).outcome == INCONCLUSIVE
 
 
 def eps_cycle_brute(net, budget):
@@ -401,12 +414,20 @@ def test_criterion_9_tooling(tmp_path, capsys):
         jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
         assert rep["witness"] is not None
 
-        code, out = run([
-            "check-strong", str(p3), "--json",
-            "--max-states", "100", "--max-depth", "20",
-        ])
-        assert code == 2
-        jsonschema.validate(json.loads(out), VERDICT_REPORT_SCHEMA)
+        p5 = tmp_path / "e5.lpn"
+        p5.write_text(
+            "places s x y z q\ninitial s=1\n"
+            "trans t1 label a pre s:1 post x:1\ntrans t2 label a pre s:1 post y:1\n"
+            "trans u1 label b pre x:1 post z:1\ntrans u2 label b pre y:1 post z:1\n"
+            "trans w label c pre z:1 post z:1 q:1\n"
+        )
+        for path, expected in ((p3, 0), (p5, 2)):
+            code, out = run([
+                "check-strong", str(path), "--json",
+                "--max-states", "100", "--max-depth", "20",
+            ])
+            assert code == expected
+            jsonschema.validate(json.loads(out), VERDICT_REPORT_SCHEMA)
 
         secret = tmp_path / "secret.txt"
         secret.write_text("p=1\n")

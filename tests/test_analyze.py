@@ -62,7 +62,7 @@ class TestAssumptions:
         assert rep.deadlock_free.witness.markings == ((0,),)
         assert rep.deadlock_free.witness.segments == (("t",),)
 
-    def test_deadlock_scan_reads_stored_successors(self, e2, e3, budget, monkeypatch):
+    def test_deadlock_scan_reads_stored_successors(self, e2, e5, budget, monkeypatch):
         # The graph fires once per stored node and the scan fires nothing.
         calls = []
         real = explore.successors
@@ -76,15 +76,16 @@ class TestAssumptions:
             assert len(calls) == len(rep.graph.markings)
         # A node whose successors the budget cut is live, not a deadlock.
         for cutting in (Budget(100, 50), Budget(5, 100)):
-            rep = check_assumptions(e3, cutting)
+            rep = check_assumptions(e5, cutting)
             last = len(rep.graph.markings) - 1
             assert not rep.graph.succ[last] and last in rep.graph.cut
             assert rep.deadlock_free.outcome == INCONCLUSIVE
 
-    def test_unbounded_deadlock_free_inconclusive(self, e3):
-        rep = check_assumptions(e3, Budget(100, 50))
-        assert rep.deadlock_free.outcome == INCONCLUSIVE
-        assert rep.no_infinite_unobservable.holds  # no unobservable transitions
+    def test_unbounded_deadlock_free_inconclusive(self, e5):
+        for b in (Budget(100, 50), Budget(50, 10), Budget(1000, 50), Budget(20000, 500)):
+            rep = check_assumptions(e5, b)
+            assert rep.deadlock_free.outcome == INCONCLUSIVE
+            assert rep.no_infinite_unobservable.holds  # no unobservable transitions
 
 
 class TestCheckStrong:
@@ -97,8 +98,8 @@ class TestCheckStrong:
         # minimal total length is 2; both segments verified by replay in-library
         assert v.witness.segments == (("(t1,t2)",), ("(t1,t3)",), ())
 
-    def test_e3_inconclusive(self, e3):
-        assert check_strong(e3, Budget(200, 20)).outcome == INCONCLUSIVE
+    def test_e5_inconclusive(self, e5):
+        assert check_strong(e5, Budget(200, 20)).outcome == INCONCLUSIVE
 
     def test_e4_fails_depth_one(self, e4):
         v = check_strong(e4, Budget(200, 20))
@@ -606,10 +607,41 @@ def e2_eps():
     )
 
 
+class TestCertificates:
+    def test_certificates_agree_with_the_graphs(self):
+        # Each certificate is sound: where it holds, no graph refutes it.
+        rng = random.Random(7)
+        budget = Budget(2000, 100)
+        certified = Counter()
+        for _ in range(600):
+            net = random_net(rng, max_places=5, max_trans=6, eps_prob=0.3)
+            live, ranked = analyze._forever_enabled(net), analyze._eps_ranked(net)
+            has_eps = EPSILON in net.labels
+            if live or (ranked and has_eps):
+                graph = build_reachability_graph(net, budget)
+            if live:
+                certified["live"] += 1
+                assert all(enabled(net, m, live) for m in graph.markings)
+                assert all(out or v in graph.cut for v, out in enumerate(graph.succ))
+            if ranked and has_eps:
+                certified["ranked"] += 1
+                assert not explore.search_graph(graph, explore.EPS_PUMP, budget, 0.0).fails
+            tw = build_twin(net)
+            if analyze._twin_invariant(tw):
+                certified["twin"] += 1
+                v = explore.search_pattern(tw.net, explore.STRONG, budget)
+                assert not v.fails
+                if build_reachability_graph(tw.net, budget).complete:
+                    assert v.holds
+        print("certified", dict(certified))
+        assert certified["live"] >= 200
+        assert certified["ranked"] >= 50 and certified["twin"] >= 50
+
+
 class TestOneExploration:
-    def test_each_graph_built_once(self, e2_eps, budget, monkeypatch):
-        built = []
-        real = explore.build_reachability_graph
+    def test_each_graph_built_once(self, e1, e2_eps, budget, monkeypatch):
+        built, rounds = [], []
+        real, real_rounds = explore.build_reachability_graph, explore._graph_rounds
 
         def counting(net, *args, **kwargs):
             built.append(net)
@@ -617,6 +649,19 @@ class TestOneExploration:
 
         monkeypatch.setattr(explore, "build_reachability_graph", counting)
         monkeypatch.setattr(analyze, "build_reachability_graph", counting)
+        monkeypatch.setattr(explore, "_graph_rounds",
+                            lambda net, b: rounds.append(net) or real_rounds(net, b))
+        # Certificates prove both of e1's assumptions and its strong
+        # detectability: the gate builds no graph, and the observer its own.
+        rep = check_assumptions(e1, budget)
+        assert rep.deadlock_free.holds and rep.no_infinite_unobservable.holds
+        assert rep.graph is None and built == []
+        assert check_weak(e1, budget).holds
+        assert built == [e1]
+        built.clear()
+        rounds.clear()
+        assert check_strong(e1, budget).holds
+        assert built == [] and rounds == []
         rep = check_assumptions(e2_eps, budget)
         assert rep.deadlock_free.holds and rep.no_infinite_unobservable.holds
         assert built == [e2_eps]

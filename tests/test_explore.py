@@ -599,9 +599,10 @@ class TestWitnessOnGraph:
         assert min(found.values()) >= 10
         assert min(found[q, "closed"] for q in ("strong", "eps")) >= 25
 
-    def test_budget_bounds_the_walk(self, e3):
+    def test_budget_bounds_the_walk(self, e3, e5):
         # e3's twin graph never closes; the walk stores at most max_states
-        # of its (segment, node, anchor) states and finds no witness.
+        # of its (segment, node, anchor) states and finds no witness. So
+        # does e5's, which no certificate proves.
         tw = build_twin(e3)
         budget = Budget(2000, 100)
         graph = build_reachability_graph(tw.net, budget)
@@ -609,7 +610,7 @@ class TestWitnessOnGraph:
         witness, exhausted, states, depth = _witness_search(graph, STRONG, budget)
         assert (witness, exhausted) == (None, False)
         assert states == 2000 and depth <= 100
-        v = check_strong(e3, budget)
+        v = check_strong(e5, budget)
         assert v.outcome == INCONCLUSIVE and v.stats.states <= 2000
 
     def test_walk_cut_by_max_states_is_inconclusive(self):

@@ -237,13 +237,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert parse_lpn(out).net == build_twin(e2).net
 
-    def test_check_strong_exit_codes(self, tmp_path, e1, e2, e3, capsys):
+    def test_check_strong_exit_codes(self, tmp_path, e1, e2, e3, e5, capsys):
         assert main(["check-strong", write_net(tmp_path, e1)]) == 0
         assert main(["check-strong", write_net(tmp_path, e2)]) == 1
-        assert main([
-            "check-strong", write_net(tmp_path, e3),
-            "--max-states", "100", "--max-depth", "20",
-        ]) == 2
+        for net, code in ((e3, 0), (e5, 2)):
+            assert main([
+                "check-strong", write_net(tmp_path, net),
+                "--max-states", "100", "--max-depth", "20",
+            ]) == code
         capsys.readouterr()
 
     def test_check_strong_assumption_error(self, tmp_path, capsys):
@@ -335,7 +336,18 @@ class TestCli:
             "no_infinite_unobservable": "holds",
         }
 
-    def test_check_assumptions_reports_the_worse_verdict(self, tmp_path, e3, capsys):
+    def test_verdicts_name_their_certificate(self, tmp_path, e3, capsys):
+        path = write_net(tmp_path, e3)
+        assert main(["check-assumptions", path]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "  note: certificate: t stays enabled, as no transition lowers its input places")
+        assert main(["check-strong", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert rep["message"].startswith("certificate: twin invariant")
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (0, 0)
+
+    def test_check_assumptions_reports_the_worse_verdict(self, tmp_path, e5, capsys):
         # FAILS < INCONCLUSIVE < HOLDS; a tie goes to deadlock freedom.
         small, mid = ["--max-states", "20", "--max-depth", "20"], \
             ["--max-states", "50", "--max-depth", "10"]
@@ -344,18 +356,28 @@ class TestCli:
         one_shot = make_net(["p"], {"t": ("a", {"p": 1}, {})}, {"p": 1})
         drained = make_net(["p", "q", "r"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1}),
                                              "u": (EPSILON, {"q": 1}, {"r": 1})}, {"p": 1})
+        # drained with p's token shuttled to s and back: no certificate applies
+        shuttle = make_net(["p", "q", "r", "s"],
+                           {"t": ("a", {"p": 1}, {"p": 1, "q": 1}),
+                            "u": (EPSILON, {"q": 1}, {"r": 1}),
+                            "x": ("b", {"p": 1}, {"s": 1}),
+                            "y": ("b", {"s": 1}, {"p": 1})}, {"p": 1})
         for net, extra, code, shown in (
-            (e3, small, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
+            (e5, small, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
                             "  deadlock-free: inconclusive",
                             "  no-infinite-unobservable: holds"]),
             (eps_pump, mid, 1, ["FAILS", "  segment 1: (empty)", "  marking 1: [1, 0]",
                                 "  segment 2: t", "  marking 2: [1, 1]",
-                                "  deadlock-free: inconclusive",
+                                "  deadlock-free: holds",
                                 "  no-infinite-unobservable: fails"]),
             (one_shot, [], 1, ["FAILS", "  segment 1: t", "  marking 1: [0]",
                                "  deadlock-free: fails",
                                "  no-infinite-unobservable: holds"]),
-            (drained, mid, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
+            (drained, mid, 2, ["INCONCLUSIVE",
+                               "  note: state space did not close within budget",
+                               "  deadlock-free: holds",
+                               "  no-infinite-unobservable: inconclusive"]),
+            (shuttle, mid, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
                                "  deadlock-free: inconclusive",
                                "  no-infinite-unobservable: inconclusive"]),
         ):
