@@ -48,6 +48,7 @@ EXIT_ERROR = 3
 
 _OUTCOME_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 _OUTCOME_RANK = {FAILS: 0, INCONCLUSIVE: 1, HOLDS: 2}
+_ASSUMPTIONS = ("deadlock_free", "no_infinite_unobservable")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,10 +173,10 @@ def _report(prop, verdict: Verdict, digest, assumptions=None, tw=None):
         "input_sha256": digest,
     }
     if assumptions is not None:
-        rep["assumptions"] = {
-            "deadlock_free": assumptions.deadlock_free.outcome,
-            "no_infinite_unobservable": assumptions.no_infinite_unobservable.outcome,
-        }
+        rep["assumptions"] = {}
+        for name in _ASSUMPTIONS:
+            v = getattr(assumptions, name)
+            rep["assumptions"].update({name: v.outcome, f"{name}_message": v.message})
     return rep
 
 
@@ -195,8 +196,11 @@ def _emit_verdict(args, prop, verdict, digest, assumptions=None, tw=None) -> int
             print(f"  word: {''.join(w['word']) or '(empty)'}")
             for m in w["estimate"]:
                 print(f"  estimate marking: {m}")
-        for name, outcome in (rep["assumptions"] or {}).items():
-            print(f"  {name.replace('_', '-')}: {outcome}")
+        assumed = rep["assumptions"] or {}
+        for name in _ASSUMPTIONS if assumed else ():
+            print(f"  {name.replace('_', '-')}: {assumed[name]}")
+            if assumed[f"{name}_message"]:
+                print(f"    note: {assumed[f'{name}_message']}")
     return _OUTCOME_EXIT[verdict.outcome]
 
 

@@ -7,18 +7,18 @@ queries, and the two path questions the checkers ask (see PathPattern): a
 covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
-graph by a walk of its nodes; nothing is fired twice. search_pattern builds
-the graph in rounds. Once a round's prefix proves the net unbounded, the
-walk runs on the prefix, and a witness it finds there, or a walk that fills
-the budget, is the answer. Else the graph is built under the budget. When
-it closes the answer is decided and the walk is unbounded. Otherwise the
-walk, whose pumps close on covering, runs under the same budget and finds
-a sound witness or reports the question inconclusive.
+graph; nothing is fired twice. search_pattern builds the graph in rounds.
+Once a round's prefix proves the net unbounded, a walk of the prefix's
+nodes runs, and a witness it finds there, or a walk that fills the budget,
+is the answer. Else the graph is built under the budget. When it closes the
+answer is decided, and a witness is read off three breadth-first distances
+(see _lasso); stats.states then counts the nodes those searches stored.
+Otherwise the walk, whose pumps close on covering, runs under the same
+budget and finds a sound witness or reports the question inconclusive.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -55,6 +55,10 @@ class Budget:
 
 @dataclass
 class SearchStats:
+    """states counts what the deciding search stored: markings, observer
+    states, walk states of a witness on an open graph, or the nodes the
+    distance searches of a witness on a closed graph stored (see _lasso)."""
+
     states: int = 0
     depth: int = 0
     wall_time: float = 0.0
@@ -402,7 +406,7 @@ def _fed_by_cycle(n_nodes: int, edge_list) -> set:
     return {v for v, d in enumerate(indegree) if d}
 
 
-def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
+def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     """Decide the pattern on a complete (hence bounded) reachability graph.
 
     On a bounded net a covering loop cannot strictly increase the marking,
@@ -411,6 +415,9 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
     such a cycle passes the final test. The peel of the allowed edges
     finds those nodes: after an ε pump the final test always passes, and
     otherwise every edge is allowed.
+
+    Returns the nodes the peel keeps if the pattern holds, else the empty
+    set; they hold every pump anchor (see _lasso).
     """
     net = graph.net
     allowed = [
@@ -420,37 +427,40 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> bool:
         if not pattern.eps_pump or not net.is_observable(t)
     ]
     fed = _fed_by_cycle(len(graph.markings), allowed)
-    return any(pattern.final_ok(graph.markings[v]) for v in fed)
+    return fed if any(pattern.final_ok(graph.markings[v]) for v in fed) else set()
 
 
-def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget):
-    """A walk of graph over (segment, node, pump anchor) states on _explore.
+def _witness_search(
+    graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None
+):
+    """A minimal witness read off graph, firing nothing.
 
-    Nothing is fired: the run follows the stored successor lists from the
-    initial node. A segment ends on the step that starts the next: (1, x)
-    steps to (1, y), then to (2, y, x), anchoring the pump at x; (2, x, a)
-    steps to (2, y, a), then, if x covers a, to (3, y, None). The goal is a
-    covering (2, x, a) or, with three segments, any (3, x, None) whose
-    marking passes the final test. On a closed graph covering is returning
-    to the anchor (see _exact_exists) and the finite walk is unbounded. On
-    an open graph x covers a if its marking does, and the walk runs under
+    On a closed graph it is _lasso's, from the nodes fed that the peel kept
+    (see _exact_exists; the graph is peeled here if fed is not given).
+    On an open graph it is a walk over (segment, node, pump anchor) states
+    on _explore, following the stored successor lists from the initial
+    node. A segment ends on the step that starts the next: (1, x) steps to
+    (1, y), then to (2, y, x), anchoring the pump at x; (2, x, a) steps to
+    (2, y, a), then, if the marking of x covers that of a, to (3, y, None).
+    The goal is a covering (2, x, a) or, with three segments, any
+    (3, x, None) whose marking passes the final test. The walk runs under
     budget; a state less than budget.max_depth deep lies less deep in the
     graph, so it lost no successor unless the graph hit budget.max_states.
     graph may be a prefix (see search_pattern) whose first unexpanded node
     lies budget.max_depth deep: a state on an unexpanded node is then at
     the depth cap, where expanding it would store nothing, and is skipped.
 
-    Returns (witness-or-None, exhausted, walk states stored, depth reached),
+    Returns (witness-or-None, exhausted, states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
-    Depth counts fired transitions, so the witness has minimal total length;
-    ties break on the own segment's steps first, then on transition order.
+    The states are walk states, or the nodes _lasso's searches stored. Depth
+    counts fired transitions, so the witness has minimal total length; ties
+    break on the own segment's steps first, then on transition order.
     """
+    if graph.complete:
+        return _lasso(graph, pattern, _exact_exists(graph, pattern) if fed is None else fed)
     net, markings, succ, k = graph.net, graph.markings, graph.succ, pattern.segments
     eps_pump, final_ok = pattern.eps_pump, pattern.final_ok
-    if graph.complete:
-        covers, budget = operator.eq, Budget(float("inf"), float("inf"))
-    else:
-        covers = lambda a, x: leq(markings[a], markings[x])  # noqa: E731
+    covers = lambda a, x: leq(markings[a], markings[x])  # noqa: E731
 
     def expand(state):
         j, x, a = state
@@ -476,7 +486,7 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
     walk = _explore((1, graph.initial, None), expand, budget, goal)
     v = len(walk.states) - 1
     if not goal(walk.states[v]):
-        return None, graph.complete, len(walk.states), walk.depth[v]
+        return None, False, len(walk.states), walk.depth[v]
     # A step belongs to the segment it enters; a segment ends at its last
     # node on the run, and those after the goal's end at the goal.
     run = [walk.states[w] for w in walk.branch(v)]
@@ -487,6 +497,79 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
         markings=tuple(markings[ends.get(i, run[-1][1])] for i in range(1, k + 1)),
     )
     return witness, False, len(walk.states), walk.depth[v]
+
+
+def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
+    """_witness_search on a closed graph, from three BFS distances.
+
+    A run through pump anchor x is at least d0(x) + c(x) + dF(x) long: the
+    depth of x, its shortest nonempty cycle of allowed edges (see
+    _exact_exists) and its distance to a node passing the final test, 0
+    for the ε pump. Anchors in fed are tried in order of d0 + dF, each
+    cycle BFS bounded by the best total so far, ties kept. As the walk on
+    open graphs steps within a segment before leaving it, then in
+    transition order, the tied anchor taken is the one whose BFS tree path
+    comes first, a path before its prefixes; beta is the first shortest
+    cycle, and gamma the first shortest descent of dF.
+    """
+    markings, succ, n = graph.markings, graph.succ, len(graph.markings)
+    to_final = [0 if pattern.eps_pump or pattern.final_ok(m) else None for m in markings]
+    queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
+    pred = [[] for _ in range(n)]
+    for v, out in enumerate(succ if queue else ()):
+        for _, w in out:
+            pred[w].append(v)
+    for v in queue:
+        for u in pred[v]:
+            if to_final[u] is None:
+                to_final[u] = to_final[v] + 1
+                queue.append(u)
+    stored, best, tied = len(queue), float("inf"), []
+    for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
+                       if to_final[x] is not None):
+        if s >= best:
+            break
+        pump, seen = _first_cycle(graph, pattern, x, best - s)
+        stored += seen
+        if pump is not None:
+            if s + len(pump) < best:
+                best, tied = s + len(pump), []
+            tied.append((graph.branch(x) + [n], x, pump))
+    if not tied:
+        return None, True, stored, 0
+    _, x, pump = min(tied)
+    gamma, v = [], x
+    while to_final[v]:
+        t, v = next((t, w) for t, w in succ[v] if to_final[w] == to_final[v] - 1)
+        gamma.append(t)
+    k = pattern.segments
+    witness = Witness((graph.path_to(x), pump, tuple(gamma))[:k],
+                      (markings[x], markings[x], markings[v])[:k])
+    return witness, False, stored, best
+
+
+def _first_cycle(graph: ReachabilityGraph, pattern: PathPattern, x: int, limit):
+    """The labels of the first shortest nonempty cycle of allowed edges
+    through x, or None if it is longer than limit; and the count of nodes
+    its BFS stored."""
+    parent, level, d = {x: None}, [x], 0
+    while level and d < limit:
+        d, nxt = d + 1, []
+        for u in level:
+            for t, w in graph.succ[u]:
+                if pattern.eps_pump and graph.net.is_observable(t):
+                    continue
+                if w == x:
+                    labels = [t]
+                    while u != x:
+                        u, t = parent[u]
+                        labels.append(t)
+                    return tuple(labels[::-1]), len(parent)
+                if w not in parent:
+                    parent[w] = (u, t)
+                    nxt.append(w)
+        level = nxt
+    return None, len(parent)
 
 
 def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness) -> bool:
@@ -557,10 +640,11 @@ def search_graph(
 ) -> Verdict:
     """search_pattern on the already built reachability graph from its
     initial node; t0 is when the question started, for the wall time."""
-    if graph.complete and not _exact_exists(graph, pattern):
+    fed = _exact_exists(graph, pattern) if graph.complete else None
+    if fed is not None and not fed:
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
         return Verdict(HOLDS, None, stats)
-    return _walk_verdict(graph, pattern, _witness_search(graph, pattern, budget), t0)
+    return _walk_verdict(graph, pattern, _witness_search(graph, pattern, budget, fed), t0)
 
 
 def _walk_verdict(

@@ -63,6 +63,8 @@ VERDICT_REPORT_SCHEMA = {
                         "no_infinite_unobservable": {
                             "enum": ["holds", "fails", "inconclusive"]
                         },
+                        "deadlock_free_message": {"type": "string"},
+                        "no_infinite_unobservable_message": {"type": "string"},
                     },
                     "additionalProperties": False,
                 },

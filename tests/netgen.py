@@ -39,6 +39,18 @@ def random_net(
     return make_net(places, transitions, initial, alphabet=symbols)
 
 
+def ring(k, n, eps=False):
+    """Places p0..p{k-1} in a cycle, t_i moving a token from p_i to p_{i+1},
+    labelled b, a, b, ...; with eps t2, t5, ... are unobservable. n tokens
+    start on p0."""
+    trans = {
+        f"t{i}": (EPSILON if eps and i % 3 == 2 else "ba"[i % 2],
+                  {f"p{i}": 1}, {f"p{(i + 1) % k}": 1})
+        for i in range(k)
+    }
+    return make_net([f"p{i}" for i in range(k)], trans, {"p0": n})
+
+
 def random_observable_net(rng, **kw):
     kw.setdefault("eps_prob", 0.0)
     kw.setdefault("max_tokens", 2)

@@ -39,7 +39,7 @@ from lpndetect.net import (
 )
 from lpndetect.twin import project
 
-from netgen import bounded_wellformed_net, random_net
+from netgen import bounded_wellformed_net, random_net, ring
 
 
 class TestAssumptions:
@@ -451,18 +451,6 @@ class TestCheckOpacity:
         assert opaque.outcome == HOLDS
 
 
-def _ring(k, n, eps=False):
-    """Places p0..p{k-1} in a cycle, t_i moving a token from p_i to p_{i+1},
-    labelled b, a, b, ...; with eps t2, t5, ... are unobservable. n tokens
-    start on p0."""
-    trans = {
-        f"t{i}": (EPSILON if eps and i % 3 == 2 else "ba"[i % 2],
-                  {f"p{i}": 1}, {f"p{(i + 1) % k}": 1})
-        for i in range(k)
-    }
-    return make_net([f"p{i}" for i in range(k)], trans, {"p0": n})
-
-
 def _scanned_opacity(net, secret, budget):
     """check_opacity as it stood before its observer stopped at the first
     secret estimate: the whole observer, scanned in BFS order. Kept as the
@@ -484,7 +472,7 @@ class TestOpacityStopsEarly:
         for k in (3, 4, 5, 6):
             for n in (1, 2, 3):
                 for eps in (False, True):
-                    cases += [(_ring(k, n, eps), Budget(5000, 1000))] * 6
+                    cases += [(ring(k, n, eps), Budget(5000, 1000))] * 6
         for _ in range(300):
             net = random_net(rng, eps_prob=0.3)
             cases += [(net, Budget(300, 30)), (net, Budget(50, 3))]
@@ -507,7 +495,7 @@ class TestOpacityStopsEarly:
 
     def test_ring_stops_at_its_first_secret_estimate(self):
         # ring(8, 4) with all four tokens on p1: seen after b b b b.
-        net, budget = _ring(8, 4), Budget(20000, 2000)
+        net, budget = ring(8, 4), Budget(20000, 2000)
         full = explore_observer(build_reachability_graph(net, budget), budget)
         assert len(full.states) == 1740
         v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)

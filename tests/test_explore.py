@@ -30,10 +30,10 @@ from lpndetect.explore import (
     replay_witness,
     search_graph,
 )
-from lpndetect.gadgets import selfloop_unobservable
+from lpndetect.gadgets import coverability_to_strong, selfloop_unobservable
 from lpndetect.net import EPSILON, InputError, leq, successors
 
-from netgen import random_net
+from netgen import random_net, ring
 
 
 class TestExplore:
@@ -542,12 +542,14 @@ def _fired_witness_search(net, start, pattern, budget):
 
 
 class TestWitnessOnGraph:
-    """The graph walk against the firing search it replaces.
+    """The witness read off the graph against the firing search it replaces.
 
     _fired_witness_search is that search as it stood before the walk took
     over open graphs, kept here as the reference. Its third result counts
-    markings, the walk's counts walk states, so only witness, exhausted and
-    depth are compared. On a closed graph the walk must equal it run without
+    markings, _witness_search's counts walk states on an open graph and the
+    nodes its distance searches stored on a closed one, so only witness,
+    exhausted and depth are compared. On a closed graph the witness, read
+    off three BFS distances, must equal it run without
     a budget (the depth only where a witness is found, as the walk stops
     there); on a graph cut only by max_depth, it must equal it run under the
     graph's budget, the walk given room for all its states. A graph cut by
@@ -641,9 +643,9 @@ class TestWitnessOnGraph:
         calls, searched = [], []
         real_successors, real_search = explore.successors, explore._witness_search
 
-        def spy(graph, pattern, budget):
+        def spy(graph, *args):
             before = len(calls)
-            result = real_search(graph, pattern, budget)
+            result = real_search(graph, *args)
             searched.append((graph.complete, len(calls) - before))
             return result
 
@@ -656,6 +658,92 @@ class TestWitnessOnGraph:
         assert check_assumptions(gadget.net, closed).no_infinite_unobservable.fails
         assert check_strong(e4, Budget(100000, 20)).fails  # on an open twin graph
         assert searched == [(True, 0), (True, 0), (False, 0)]
+
+
+    def test_closed_graph_stores_no_walk_state(self, e1, e2, e4, monkeypatch):
+        # On a closed graph the witness comes from BFS distances, not from a
+        # search over (segment, node, anchor) states on _explore.
+        calls, real = [], explore._explore
+        monkeypatch.setattr(explore, "_explore",
+                            lambda *args: calls.append(args) or real(*args))
+        budget = Budget(5000, 1000)
+        gadget = selfloop_unobservable(e1, (1,))
+        for n, pattern in ((build_twin(e2).net, STRONG), (gadget.net, EPS_PUMP)):
+            graph = build_reachability_graph(n, budget)
+            assert graph.complete
+            witness, exhausted, states, _ = _witness_search(graph, pattern, budget)
+            assert replay_witness(n, pattern, witness) and not exhausted and states > 0
+        assert calls == []
+        graph = build_reachability_graph(build_twin(e4).net, Budget(100, 20))
+        assert _witness_search(graph, STRONG, Budget(100, 20))[0] is not None
+        assert len(calls) == 1  # an open graph is walked
+
+    def test_tied_anchors(self):
+        # A ring of 60 nodes, one of which (node 40) passes the final test:
+        # every node up to it is an anchor of a run of total length 100, the
+        # ring's cycle through it between the path to it and the path on.
+        # The firing search takes the longest alpha, anchored at node 40.
+        size, final = 60, 40
+        net = _graph_net(size, [(v, (v + 1) % size) for v in range(size)], {final})
+        budget = Budget(5000, 1000)
+        v = search_graph(build_reachability_graph(net, budget), STRONG, budget, 0.0)
+        fired = _fired_witness_search(net, net.initial_marking, STRONG, Budget(10**6, 10**6))
+        assert (v.witness, v.stats.depth) == (fired[0], fired[3]) == (v.witness, 100)
+        assert [len(seg) for seg in v.witness.segments] == [40, 60, 0]
+        # One BFS of the ring per tied anchor and one reverse BFS.
+        assert v.stats.states == (final + 2) * size
+
+    def test_tied_anchors_on_two_branches(self):
+        # Node 0 leads first to ring A (nodes 1-10), then to ring B (nodes
+        # 11-18); the final nodes A2 and B4 give runs of the same total, 13.
+        # B4 lies deeper, but the firing search steps in transition order,
+        # so it anchors at A2, the deepest tied anchor on the first branch.
+        edges = [(0, 1), (0, 11)] + [(1 + i, 1 + (i + 1) % 10) for i in range(10)] \
+            + [(11 + i, 11 + (i + 1) % 8) for i in range(8)]
+        net = _graph_net(19, edges, {3, 15})
+        budget = Budget(5000, 1000)
+        v = search_graph(build_reachability_graph(net, budget), STRONG, budget, 0.0)
+        fired = _fired_witness_search(net, net.initial_marking, STRONG, Budget(10**6, 10**6))
+        assert (v.witness, v.stats.depth) == (fired[0], fired[3])
+        assert v.witness.segments[0] == ("t0_1", "t1_2", "t2_3") and v.stats.depth == 13
+
+    def test_benchmark_shapes_match_firing_search(self):
+        # Twins and nets the random nets do not resemble: rings with several
+        # tokens and the coverability gadgets, both questions. The last net
+        # gives ring(4, 2) an unobservable self-loop at (0, 1, 0, 1).
+        budget, unbounded = Budget(20000, 2000), Budget(10**6, 10**6)
+        base = ring(4, 2)
+        nets = [base, ring(5, 2, eps=True)] + [
+            coverability_to_strong(base, target).net for target in ((0, 0, 0, 2), (3, 0, 0, 0))
+        ] + [selfloop_unobservable(base, (0, 1, 0, 1)).net]
+        found = Counter()
+        for net in nets:
+            for q, n, pattern in (("strong", build_twin(net).net, STRONG),
+                                  ("eps", net, EPS_PUMP)):
+                graph = build_reachability_graph(n, budget)
+                assert graph.complete
+                v = search_graph(graph, pattern, budget, 0.0)
+                fired = _fired_witness_search(n, n.initial_marking, pattern, unbounded)
+                assert (v.fails, v.witness) == (fired[0] is not None, fired[0])
+                assert not v.fails or v.stats.depth == fired[3]
+                found[q] += v.fails
+        assert found == {"strong": 4, "eps": 1}
+
+
+def _graph_net(size, edges, final):
+    """A net whose reachability graph is the given graph on nodes 0..size-1
+    from node 0, the edges (u, v) in transition order, named t{u}_{v}.
+
+    Node v marks q_v and r_v, so the halves of its marking agree, except at
+    a node in final, which marks r_{v+1} instead: there STRONG's final test
+    passes. Only node u marks q_u, so only its transitions are enabled.
+    """
+    def marks(v):
+        return {f"q{v}": 1, f"r{(v + (v in final)) % size}": 1}
+
+    places = [f"q{v}" for v in range(size)] + [f"r{v}" for v in range(size)]
+    transitions = {f"t{u}_{v}": ("a", marks(u), marks(v)) for u, v in edges}
+    return make_net(places, transitions, marks(0))
 
 
 def _marking_capped_estimate(net, word, budget):

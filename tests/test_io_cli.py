@@ -189,6 +189,11 @@ class TestDot:
         assert "digraph" in text and "ω" in text
 
 
+# The notes of the two assumption certificates; LIVE_T names transition t.
+EPS_CERTIFICATE = "certificate: every unobservable transition removes a token"
+LIVE_T = "certificate: t stays enabled, as no transition lowers its input places"
+
+
 def write_net(tmp_path, net, name="net.lpn"):
     path = tmp_path / name
     path.write_text(render_lpn(net))
@@ -323,6 +328,8 @@ class TestCli:
             assert rep["assumptions"] == {
                 "deadlock_free": "holds",
                 "no_infinite_unobservable": "holds",
+                "deadlock_free_message": "",
+                "no_infinite_unobservable_message": EPS_CERTIFICATE,
             }
             assert main([prop, path]) == 1
             assert "  deadlock-free: holds\n" in capsys.readouterr().out
@@ -334,6 +341,8 @@ class TestCli:
         assert rep["assumptions"] == {
             "deadlock_free": "holds",
             "no_infinite_unobservable": "holds",
+            "deadlock_free_message": LIVE_T,
+            "no_infinite_unobservable_message": EPS_CERTIFICATE,
         }
 
     def test_verdicts_name_their_certificate(self, tmp_path, e3, capsys):
@@ -346,6 +355,22 @@ class TestCli:
         jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
         assert rep["message"].startswith("certificate: twin invariant")
         assert (rep["stats"]["states"], rep["stats"]["depth"]) == (0, 0)
+
+    def test_check_assumptions_reports_each_message(self, tmp_path, e3, capsys):
+        # Both assumptions of e3 are certified; each certificate is shown.
+        path = write_net(tmp_path, e3)
+        assert main(["check-assumptions", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:] == ["  deadlock-free: holds", "    note: " + LIVE_T,
+                           "  no-infinite-unobservable: holds", "    note: " + EPS_CERTIFICATE]
+        assert main(["check-assumptions", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert rep["assumptions"]["deadlock_free_message"] == LIVE_T
+        assert rep["assumptions"]["no_infinite_unobservable_message"] == EPS_CERTIFICATE
+        old = dict(rep, assumptions={k: v for k, v in rep["assumptions"].items()
+                                     if not k.endswith("_message")})
+        jsonschema.validate(old, VERDICT_REPORT_SCHEMA)  # the fields are optional
 
     def test_check_assumptions_reports_the_worse_verdict(self, tmp_path, e5, capsys):
         # FAILS < INCONCLUSIVE < HOLDS; a tie goes to deadlock freedom.
@@ -365,21 +390,29 @@ class TestCli:
         for net, extra, code, shown in (
             (e5, small, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
                             "  deadlock-free: inconclusive",
-                            "  no-infinite-unobservable: holds"]),
+                            "    note: no deadlock found within budget",
+                            "  no-infinite-unobservable: holds",
+                            "    note: " + EPS_CERTIFICATE]),
             (eps_pump, mid, 1, ["FAILS", "  segment 1: (empty)", "  marking 1: [1, 0]",
                                 "  segment 2: t", "  marking 2: [1, 1]",
                                 "  deadlock-free: holds",
+                                "    note: " + LIVE_T,
                                 "  no-infinite-unobservable: fails"]),
             (one_shot, [], 1, ["FAILS", "  segment 1: t", "  marking 1: [0]",
                                "  deadlock-free: fails",
-                               "  no-infinite-unobservable: holds"]),
+                               "  no-infinite-unobservable: holds",
+                               "    note: " + EPS_CERTIFICATE]),
             (drained, mid, 2, ["INCONCLUSIVE",
                                "  note: state space did not close within budget",
                                "  deadlock-free: holds",
-                               "  no-infinite-unobservable: inconclusive"]),
+                               "    note: " + LIVE_T,
+                               "  no-infinite-unobservable: inconclusive",
+                               "    note: state space did not close within budget"]),
             (shuttle, mid, 2, ["INCONCLUSIVE", "  note: no deadlock found within budget",
                                "  deadlock-free: inconclusive",
-                               "  no-infinite-unobservable: inconclusive"]),
+                               "    note: no deadlock found within budget",
+                               "  no-infinite-unobservable: inconclusive",
+                               "    note: state space did not close within budget"]),
         ):
             assert main(["check-assumptions", write_net(tmp_path, net), *extra]) == code
             out = capsys.readouterr().out.splitlines()
