@@ -202,6 +202,24 @@ def _eps_closure(eps: list, cut: set, nodes) -> Optional[frozenset]:
     return frozenset(seen)
 
 
+def _tables(graph: ReachabilityGraph):
+    """Per node its ε-successors and per symbol, per node its successors by
+    it; built once per graph and kept on it, for the observer and check_weak."""
+    if "_tables" not in vars(graph):
+        net, n = graph.net, len(graph.succ)
+        label = dict(zip(net.transitions, net.labels))
+        eps = [[] for _ in range(n)]
+        steps = {sym: [()] * n for sym in sorted(net.alphabet)}
+        for v, out in enumerate(graph.succ):
+            for t, w in out:
+                if label[t] is EPSILON:
+                    eps[v].append(w)
+                else:
+                    steps[label[t]][v] += (w,)
+        graph._tables = eps, steps
+    return graph._tables
+
+
 def explore_observer(graph: ReachabilityGraph, budget: Budget, goal=None) -> Observer:
     """Budgeted subset construction over the nodes of a reachability graph.
 
@@ -211,17 +229,10 @@ def explore_observer(graph: ReachabilityGraph, budget: Budget, goal=None) -> Obs
     it is the initial closure. Every stored state is thus an exact estimate,
     mapped to its markings at the end; the observer closes only if the graph
     closed, within budget.max_depth firings. goal, if given, stops the
-    search as in _explore; it is tested on each stored estimate.
+    search as in _explore; it is tested on each stored estimate as a set of
+    graph node ids.
     """
-    net, cut, n = graph.net, graph.cut, len(graph.succ)
-    eps = [[] for _ in range(n)]  # per node: its ε-successors
-    steps = {sym: [()] * n for sym in sorted(net.alphabet)}  # per symbol, per node
-    for v, out in enumerate(graph.succ):
-        for t, w in out:
-            if net.is_observable(t):
-                steps[net.label(t)][v] += (w,)
-            else:
-                eps[v].append(w)
+    (eps, steps), cut = _tables(graph), graph.cut
 
     def expand(state):
         for sym, step in steps.items():
@@ -229,12 +240,9 @@ def explore_observer(graph: ReachabilityGraph, budget: Budget, goal=None) -> Obs
             if targets:
                 yield sym, _eps_closure(eps, cut, targets)
 
-    def markings(nodes):
-        return frozenset(map(graph.markings.__getitem__, nodes))
-
-    found = None if goal is None else (lambda nodes: goal(markings(nodes)))
-    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget, found)
-    return replace(obs, states=list(map(markings, obs.states)))
+    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget, goal)
+    return replace(obs, states=[frozenset(map(graph.markings.__getitem__, nodes))
+                                for nodes in obs.states])
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
@@ -264,10 +272,50 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     """Weak detectability.
 
     Exact on bounded nets: weakly detectable iff the observer has a
-    reachable cycle all of whose states are singleton estimates. Unbounded
-    nets are reported inconclusive; the problem has no general algorithm.
+    reachable cycle all of whose states are singleton estimates. The observer
+    stops at the first singleton estimate that reaches one (_singleton_cycle),
+    which the message of `holds` names. Unbounded nets are reported
+    inconclusive; the problem has no general algorithm.
     """
     return _check_weak(g, budget)[0]
+
+
+def _singleton_cycle(graph: ReachabilityGraph, found: list):
+    """check_weak's observer goal on a closed graph: whether the estimate is a
+    singleton {v} from which singleton estimates reach a cycle. The estimate
+    after {u} by a symbol depends on u alone, so this is a BFS from v over
+    graph nodes and the peel of its edges; found gets the word to a marking
+    on the cycle, the marking and the cycle's word. No later search enters
+    the nodes of one that found none, so together they are linear in the graph.
+    """
+    (eps, steps), acyclic = _tables(graph), set()
+    whole = Budget(len(graph.succ), len(graph.succ))
+
+    def singletons(u):
+        for sym, step in steps.items():
+            ws = set(step[u])  # {w} is ε-closed iff w is its only ε-successor
+            if len(ws) == 1 and ws.issuperset(eps[w := min(ws)]) and w not in acyclic:
+                yield sym, w
+
+    def goal(nodes):
+        if len(nodes) != 1 or nodes <= acyclic:
+            return False
+        tree = _explore(min(nodes), singletons, whole)
+        fed = _fed_by_cycle(len(tree.states), [(v, w) for v, _, w in tree.edges])
+        if not fed:
+            acyclic.update(tree.states)
+            return False
+        # Each fed node has an in-edge from a fed node: walk them back to a repeat.
+        into = {w: (v, sym) for v, sym, w in tree.edges if v in fed}
+        x, back = min(fed), []
+        while x not in back:
+            back.append(x)
+            x = into[x][0]
+        loop = [into[v][1] for v in back[back.index(x):][::-1]]
+        found.extend((tree.path_to(x), graph.markings[tree.states[x]], loop))
+        return True
+
+    return goal
 
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
@@ -275,9 +323,11 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     t0 = time.perf_counter()
     report = _gate_assumptions(g, budget)
     graph = report.graph if report.graph is not None else build_reachability_graph(g, budget)
-    obs = explore_observer(graph, budget)
+    cycle = []  # the singleton cycle the goal found, if any
+    obs = explore_observer(graph, budget,
+                           _singleton_cycle(graph, cycle) if graph.complete else None)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
-    if not obs.complete:
+    if not (obs.complete or cycle):
         return Verdict(
             INCONCLUSIVE,
             stats=stats,
@@ -286,14 +336,16 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
                 "of unbounded nets admits no general decision procedure"
             ),
         ), report
-    if not all(obs.succ):
+    if not all(obs.succ):  # over the expanded estimates
         raise RuntimeError(
             "internal error: the net is deadlock free, yet an estimate has no successor"
         )
-    singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
-    edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
-    if _fed_by_cycle(len(obs.states), edge_pairs):
-        return Verdict(HOLDS, stats=stats), report
+    if cycle:
+        prefix, m, loop = cycle
+        word = " ".join(obs.path_to(len(obs.states) - 1) + prefix) or "(empty)"
+        return Verdict(HOLDS, stats=stats, message=(
+            f"the estimate after the word {word} is {{{m}}}, and singleton "
+            f"estimates return to it under the word {' '.join(loop)}")), report
     return Verdict(
         FAILS,
         stats=stats,
@@ -343,13 +395,12 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
 
-    def goal(est):
-        return bool(est) and est <= secret_set
-
-    obs = explore_observer(build_reachability_graph(g, budget), budget, goal)
+    graph = build_reachability_graph(g, budget)
+    obs = explore_observer(graph, budget, lambda nodes: all(
+        graph.markings[v] in secret_set for v in nodes))
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     v = len(obs.states) - 1
-    if obs.states and goal(obs.states[v]):  # the goal stopped the search
+    if obs.states and obs.states[v] <= secret_set:  # the goal stopped the search
         return Verdict(
             FAILS,
             OpacityWitness(word=obs.path_to(v), estimate=obs.states[v]),

@@ -56,8 +56,9 @@ class Budget:
 @dataclass
 class SearchStats:
     """states counts what the deciding search stored: markings, observer
-    states, walk states of a witness on an open graph, or the nodes the
-    distance searches of a witness on a closed graph stored (see _lasso)."""
+    states up to the first answer where the observer stops at one, walk
+    states of a witness on an open graph, or the nodes the distance searches
+    of a witness on a closed graph stored (see _lasso)."""
 
     states: int = 0
     depth: int = 0

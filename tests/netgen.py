@@ -39,12 +39,12 @@ def random_net(
     return make_net(places, transitions, initial, alphabet=symbols)
 
 
-def ring(k, n, eps=False):
+def ring(k, n, eps=False, labels=("b", "a")):
     """Places p0..p{k-1} in a cycle, t_i moving a token from p_i to p_{i+1},
-    labelled b, a, b, ...; with eps t2, t5, ... are unobservable. n tokens
-    start on p0."""
+    labelled labels[0], labels[1], labels[0], ...; with eps t2, t5, ... are
+    unobservable. n tokens start on p0."""
     trans = {
-        f"t{i}": (EPSILON if eps and i % 3 == 2 else "ba"[i % 2],
+        f"t{i}": (EPSILON if eps and i % 3 == 2 else labels[i % 2],
                   {f"p{i}": 1}, {f"p{(i + 1) % k}": 1})
         for i in range(k)
     }

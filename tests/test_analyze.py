@@ -1,8 +1,11 @@
+import ast
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -39,7 +42,13 @@ from lpndetect.net import (
 )
 from lpndetect.twin import project
 
-from netgen import bounded_wellformed_net, random_net, ring
+from netgen import (
+    bounded_observable_net,
+    bounded_wellformed_net,
+    language_inclusion,
+    random_net,
+    ring,
+)
 
 
 class TestAssumptions:
@@ -278,7 +287,12 @@ class TestObserverOnGraph:
         exact = Budget(300, 200)  # a complete estimate is exact under any budget
 
         def fired(graph, budget, goal=None):
-            return _fired_observer(graph.net, budget, goal)
+            # goal reads graph node ids; an estimate holding a marking the
+            # graph did not store (an open graph's) meets neither goal here.
+            node = {m: v for v, m in enumerate(graph.markings)}
+            found = goal and (lambda est: est <= node.keys()
+                              and goal(frozenset(map(node.__getitem__, est))))
+            return _fired_observer(graph.net, budget, found)
 
         compared = checked = 0
         differ = Counter()
@@ -503,6 +517,184 @@ class TestOpacityStopsEarly:
         assert (v.stats.states, v.stats.depth) == (12, 4)
 
 
+def _peeled_weak(net, budget):
+    """check_weak as it stood before it stopped at the first singleton cycle:
+    the whole observer, decided by the peel of its singleton estimates. Kept
+    as the reference. Returns (outcome, states, depth), or None where the
+    assumption gate raises."""
+    report = check_assumptions(net, budget)
+    if report.any_fails:
+        return None
+    graph = report.graph if report.graph is not None else build_reachability_graph(net, budget)
+    obs = explore_observer(graph, budget)
+    size = (len(obs.states), max(obs.depth, default=0))
+    if not obs.complete:
+        return (INCONCLUSIVE,) + size
+    singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
+    edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
+    return (HOLDS if explore._fed_by_cycle(len(obs.states), edge_pairs) else FAILS,) + size
+
+
+_CYCLE = re.compile(r"the estimate after the word (.*) is \{(.*)\}, and singleton "
+                    r"estimates return to it under the word (.*)")
+
+
+def _check_named_cycle(net, message):
+    """The message's words replay: the prefix's estimate is {m}, and every
+    prefix of the cycle's word keeps a singleton estimate, ending at {m}."""
+    word, m, loop = _CYCLE.fullmatch(message).groups()
+    word = () if word == "(empty)" else tuple(word.split())
+    m, loop, exact = ast.literal_eval(m), tuple(loop.split()), Budget(20000, 2000)
+    assert estimate(net, word, exact) == ({m}, True)
+    for k in range(1, len(loop) + 1):
+        est, complete = estimate(net, word + loop[:k], exact)
+        assert complete and len(est) == 1
+    assert est == {m}
+
+
+def _incl2weak_drop():
+    """inclusion_to_weak(ring(4, 2), ring(4, 2) without its last transition)."""
+    g1 = ring(4, 2, labels=("s", "c"))
+    g2 = replace(g1, transitions=g1.transitions[:-1], pre=g1.pre[:-1],
+                 post=g1.post[:-1], labels=g1.labels[:-1])
+    return inclusion_to_weak(g1, g2).net
+
+
+class TestWeakStopsEarly:
+    """check_weak's observer stops at the first singleton estimate from which
+    singleton estimates reach a cycle."""
+
+    def test_matches_the_whole_observer_peel(self):
+        rng = random.Random(79)
+        big = Budget(20000, 2000)
+        cases = [(ring(k, n, eps), big) for k in range(3, 10) for n in range(1, 5)
+                 for eps in (False, True)]
+        included = Counter()  # language_inclusion(g1, g2) -> pairs taken
+        while min(included[True], included[False]) < 12:
+            g1, g2 = (bounded_observable_net(rng, max_places=3, max_trans=3, max_weight=1,
+                                             symbols=("s", "c")) for _ in range(2))
+            included[language_inclusion(g1, g2)] += 1
+            cases.append((inclusion_to_weak(g1, g2).net, big))
+        for eps_prob in (0.1, 0.3):
+            for _ in range(300):
+                net = random_net(rng, eps_prob=eps_prob)
+                cases += [(net, Budget(300, 30)), (net, Budget(50, 3))]
+        outcomes, early, fewer = Counter(), 0, 0
+        for net, budget in cases:
+            ref = _peeled_weak(net, budget)
+            try:
+                ours = check_weak(net, budget)
+            except AssumptionError:
+                assert ref is None
+                outcomes["raises"] += 1
+                continue
+            outcome, states, depth = ref
+            assert ours.outcome == outcome
+            outcomes[outcome] += 1
+            if outcome == HOLDS:  # only the stop proves it
+                early += 1
+                assert ours.stats.states <= states and ours.stats.depth <= depth
+                fewer += ours.stats.states < states
+                _check_named_cycle(net, ours.message)
+            else:
+                assert (ours.stats.states, ours.stats.depth) == (states, depth)
+        print("records", len(cases), dict(outcomes), "early stops", early,
+              "fewer states", fewer)
+        assert len(cases) == 1286 and early >= 120 and fewer >= 40 and outcomes[FAILS] >= 60
+
+    def test_ring_stops_at_its_root(self):
+        # ring(8, 4): {4 tokens on p0} is singleton and returns to itself.
+        net, budget = ring(8, 4), Budget(20000, 2000)
+        full = explore_observer(build_reachability_graph(net, budget), budget)
+        assert len(full.states) == 1740
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+        assert v.message == (
+            "the estimate after the word (empty) is {(4, 0, 0, 0, 0, 0, 0, 0)}, and "
+            "singleton estimates return to it under the word " + " ".join("bbbbaaaa" * 4))
+        _check_named_cycle(net, v.message)
+
+    def test_root_not_a_singleton(self, budget):
+        # The root estimate is {p, q, r}; after a it is {s}, which b keeps.
+        net = make_net(
+            ["p", "q", "r", "s"],
+            {"e1": (EPSILON, {"p": 1}, {"q": 1}), "e2": (EPSILON, {"p": 1}, {"r": 1}),
+             "u1": ("a", {"q": 1}, {"s": 1}), "u2": ("a", {"r": 1}, {"s": 1}),
+             "b": ("b", {"s": 1}, {"s": 1})},
+            {"p": 1},
+        )
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (2, 1)
+        assert v.message == ("the estimate after the word a is {(0, 0, 0, 1)}, and "
+                             "singleton estimates return to it under the word b")
+
+    def test_later_singleton_after_a_search_without_cycle(self, monkeypatch):
+        # The gadget's root estimate is a singleton whose search finds no
+        # cycle: x makes three branches. The 47th stored estimate is the
+        # first to reach one; the whole observer has 172 states.
+        net, budget = _incl2weak_drop(), Budget(20000, 2000)
+        searched = []
+        real = analyze._fed_by_cycle
+        monkeypatch.setattr(analyze, "_fed_by_cycle",
+                            lambda n, edges: searched.append(n) or real(n, edges))
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (47, 7)
+        assert searched == [1, 3]
+        assert _peeled_weak(net, budget) == (HOLDS, 172, 18)
+        _check_named_cycle(net, v.message)
+
+    def test_memo_skips_searched_nodes(self, budget, monkeypatch):
+        # Root {p}: d leads to {s}, a to {q1, q2}; {s} leads only to
+        # {q1, q2}. The root's search covers p and s and finds no cycle, so
+        # {s}, stored next, is not searched again; {r} after a b is, and
+        # c keeps it. Its search does not enter s again by d.
+        net = make_net(
+            ["p", "s", "q1", "q2", "r"],
+            {"pa1": ("a", {"p": 1}, {"q1": 1}), "pa2": ("a", {"p": 1}, {"q2": 1}),
+             "pd": ("d", {"p": 1}, {"s": 1}),
+             "sa1": ("a", {"s": 1}, {"q1": 1}), "sa2": ("a", {"s": 1}, {"q2": 1}),
+             "qb1": ("b", {"q1": 1}, {"r": 1}), "qb2": ("b", {"q2": 1}, {"r": 1}),
+             "rc": ("c", {"r": 1}, {"r": 1}), "rd": ("d", {"r": 1}, {"s": 1})},
+            {"p": 1},
+        )
+        searched = []
+        real = analyze._fed_by_cycle
+        monkeypatch.setattr(analyze, "_fed_by_cycle",
+                            lambda n, edges: searched.append(n) or real(n, edges))
+        v = check_weak(net, budget)
+        assert searched == [2, 1]  # {p} (with s), then {r}; never {s}
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (4, 2)
+        assert v.message == ("the estimate after the word a b is {(0, 0, 0, 0, 1)}, and "
+                             "singleton estimates return to it under the word c")
+
+    def test_a_step_with_an_eps_successor_is_no_singleton(self, budget):
+        # The step from {p} by a is {q}, whose ε-closure is {q, r}: no
+        # singleton follows {p}, although q alone would keep itself by b.
+        net = make_net(
+            ["p", "q", "r", "s"],
+            {"a": ("a", {"p": 1}, {"q": 1}), "b": ("b", {"q": 1}, {"q": 1}),
+             "e": (EPSILON, {"q": 1}, {"r": 1}), "c1": ("c", {"r": 1}, {"r": 1}),
+             "c2": ("c", {"r": 1}, {"s": 1}), "c3": ("c", {"s": 1}, {"s": 1}),
+             "c4": ("c", {"s": 1}, {"r": 1})},
+            {"p": 1},
+        )
+        v = check_weak(net, budget)
+        assert v.outcome == FAILS and v.stats.states == _peeled_weak(net, budget)[1] == 3
+
+    def test_estimate_without_successor_raises_after_the_stop(self, monkeypatch):
+        # The hard check covers the estimates expanded before the stop.
+        real = explore_observer
+
+        def lonely(graph, budget, goal=None):
+            obs = real(graph, budget, goal)
+            obs.succ[0] = ()
+            return obs
+
+        monkeypatch.setattr(analyze, "explore_observer", lonely)
+        with pytest.raises(RuntimeError, match="has no successor"):
+            check_weak(_incl2weak_drop(), Budget(20000, 2000))
+
+
 class TestOneExplorer:
     """The reachability graph and the observer share one breadth-first
     search, and so one budget rule."""
@@ -521,9 +713,10 @@ class TestOneExplorer:
         obs = explore_observer(graph, budget)
         assert obs.complete and obs.depth == [0, 1]
         assert obs.succ == [(("a", 1),), (("b", 0),)]
+        # check_weak stops at the root: {p} -a-> {q} -b-> {p} is its cycle.
         v = check_weak(net, budget)
         assert v.outcome == HOLDS
-        assert (v.stats.states, v.stats.depth) == (2, 1)
+        assert (v.stats.states, v.stats.depth) == (1, 0)
 
     def test_paths_off_the_bfs_tree(self):
         # Deadlock witnesses and observer words are read off parent links;
@@ -731,7 +924,8 @@ class TestHardChecks:
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         init = frozenset({(1,)})
         lonely = Observer([init], succ=[()], parent=[None], depth=[0], cut=set())
-        monkeypatch.setattr(analyze, "explore_observer", lambda net, budget: lonely)
+        monkeypatch.setattr(analyze, "explore_observer",
+                            lambda graph, budget, goal=None: lonely)
         with pytest.raises(RuntimeError):
             check_weak(e1, budget)
 

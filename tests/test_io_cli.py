@@ -319,6 +319,20 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert (rep["stats"]["states"], rep["stats"]["depth"]) == (2, 1)
 
+    def test_weak_holds_names_its_cycle(self, tmp_path, e1, capsys):
+        # e1's observer stops at its root {(1,)}, which a keeps.
+        cycle = ("the estimate after the word (empty) is {(1,)}, and singleton "
+                 "estimates return to it under the word a")
+        path = write_net(tmp_path, e1)
+        assert main(["check-weak", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert rep["outcome"] == "holds" and rep["message"] == cycle
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (1, 0)
+        assert main(["check-weak", path]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"weak-detectability: HOLDS\n  note: {cycle}\n")
+
     def test_checks_report_their_assumptions(self, tmp_path, e2, capsys):
         path = write_net(tmp_path, e2)
         for prop in ("check-strong", "check-weak"):
