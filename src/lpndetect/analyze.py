@@ -40,6 +40,7 @@ from .explore import (
     Witness,
     _explore,
     _fed_by_cycle,
+    _growing,
     build_reachability_graph,
     search_graph,
     search_pattern,
@@ -168,14 +169,19 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     """check_strong's (verdict, twin, assumption report), so that a caller
     can decode the witness's twin transitions and report the assumptions
     without building either again."""
-    # The twin search does not read the net's graph, so it is not kept alive.
-    report = replace(_gate_assumptions(g, budget), graph=None)
+    report = _gate_assumptions(g, budget)
+    graph, report = report.graph, replace(report, graph=None)
     t0 = time.perf_counter()
     tw = build_twin(g)
     if _twin_invariant(tw):
         return _certified(t0, "twin invariant, as every twin transition "
                               "changes both halves equally"), tw, report
-    return search_pattern(tw.net, STRONG, budget), tw, report
+    # The twin's graph is read off a closed graph of g, kept from the gate or
+    # built here unless a growing transition could prove g unbounded.
+    if graph is None and not _growing(g):
+        graph = build_reachability_graph(g, budget)
+    base = graph if graph is not None and graph.complete else None
+    return search_pattern(tw.net, STRONG, budget, base), tw, report
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ queries, and the two path questions the checkers ask (see PathPattern): a
 covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
-graph; nothing is fired twice. search_pattern builds the graph in rounds.
-Once a round's prefix proves the net unbounded, a walk of the prefix's
-nodes runs, and a witness it finds there, or a walk that fills the budget,
-is the answer. Else the graph is built under the budget. When it closes the
-answer is decided, and a witness is read off three breadth-first distances
-(see _lasso); stats.states then counts the nodes those searches stored.
-Otherwise the walk, whose pumps close on covering, runs under the same
-budget and finds a sound witness or reports the question inconclusive.
+graph; nothing is fired twice. The twin's graph is read off its net's
+closed graph where there is one, firing nothing; else search_pattern builds
+the graph in rounds. Once a round's prefix proves the net unbounded, a walk
+of the prefix's nodes runs, and a witness it finds there, or a walk that
+fills the budget, is the answer. Else the graph is built under the budget.
+When it closes the answer is decided, and a witness is read off three
+breadth-first distances (see _lasso); stats.states then counts the nodes
+those searches stored. Otherwise the walk, whose pumps close on covering,
+runs under the same budget and finds a sound witness or reports the
+question inconclusive.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .net import (
     leq,
     successors,
 )
+from .twin import pair_id
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -234,10 +237,40 @@ def _graph_rounds(net: LabeledPetriNet, budget: Budget):
         yield ReachabilityGraph(**vars(exp), net=net)
 
 
-def build_reachability_graph(net: LabeledPetriNet, budget: Budget) -> ReachabilityGraph:
-    """The reachability graph, built to the end of its search."""
-    *_, graph = _graph_rounds(net, budget)
-    return graph
+def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
+                             base: Optional[ReachabilityGraph] = None) -> ReachabilityGraph:
+    """The reachability graph, built to the end of its search.
+
+    If base, the closed graph of the net whose twin (see twin.build_twin)
+    is net, is given, every reachable twin marking pairs two of its nodes:
+    the search runs over pairs (u, v), reading successors off base.succ in
+    the twin's transition order and firing nothing, and stores a pair as
+    the marking of u followed by that of v.
+    """
+    if base is None:
+        *_, graph = _graph_rounds(net, budget)
+        return graph
+    ts, mk = base.net.transitions, base.markings
+    label = dict(zip(ts, base.net.labels))
+    ids = {(a, b): pair_id(a, b) for a in (*ts, None) for b in (*ts, None)
+           if a is None or b is None or label[a] == label[b]}
+    eps = [[(t, w) for t, w in out if label[t] is EPSILON] for out in base.succ]
+    obs = [[(label[t], t, w) for t, w in out if label[t] is not EPSILON] for out in base.succ]
+
+    def expand(pair):
+        u, v = pair
+        for t, w in eps[u]:
+            yield ids[t, None], (w, v)
+        for t, w in eps[v]:
+            yield ids[None, t], (u, w)
+        for sym, t1, w1 in obs[u]:
+            for sym2, t2, w2 in obs[v]:
+                if sym == sym2:
+                    yield ids[t1, t2], (w1, w2)
+
+    exp = _explore((0, 0), expand, budget)
+    exp.states[:] = [mk[u] + mk[v] for u, v in exp.states]
+    return ReachabilityGraph(**vars(exp), net=net)
 
 
 # ---------------------------------------------------------------------------
@@ -595,38 +628,40 @@ def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness)
     return leq(witness.markings[0], witness.markings[1]) and pattern.final_ok(m)
 
 
-def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget) -> Verdict:
+def _growing(net: LabeledPetriNet) -> set:
+    """The transitions with a nonzero effect >= 0: the net is unbounded if one fires."""
+    return {t for t, (_, effect) in zip(net.transitions, net.kernel)
+            if any(effect) and min(effect) >= 0}
+
+
+def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget,
+                   base: Optional[ReachabilityGraph] = None) -> Verdict:
     """Search for a computation matching pattern from the initial marking.
 
     FAILS carries a minimal replay-checked witness. HOLDS is emitted only
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
 
-    The graph is built in rounds (see _explore_rounds), and the answer is
-    that of search_graph on the whole graph; a round may give it early. A
-    prefix in which some transition with a nonzero effect >= 0 has fired
-    proves the net unbounded: the whole graph never closes, and its walk
-    runs under budget. If nothing in the prefix was cut, its walk under
-    depth cap D, the depth of its first unexpanded node, expands only
-    fully expanded nodes short of the cap, so it stores the first states
-    that the walk of the whole graph stores, in the same order. A witness
-    among them, or max_states of them, is therefore that walk's answer.
+    The graph is read off base if given (see build_reachability_graph), else
+    built in rounds (see _explore_rounds), and the answer is that of
+    search_graph on the whole graph; a round may give it early. A prefix in
+    which a growing transition has fired proves the net unbounded: the
+    whole graph never closes, and its walk runs under budget. If nothing in
+    the prefix was cut, its walk under depth cap D, the depth of its first
+    unexpanded node, expands only fully expanded nodes short of the cap, so
+    it stores the first states that the walk of the whole graph stores, in
+    the same order. A witness among them, or max_states of them, is
+    therefore that walk's answer.
     """
     t0 = time.perf_counter()
-    growing = {
-        t for t, (_, effect) in zip(net.transitions, net.kernel)
-        if any(effect) and min(effect) >= 0
-    }
-    if not growing:
-        # No prefix can prove the net unbounded, so none would be walked:
-        # build the graph in one go, where perfbench/spans.py counts it.
-        return search_graph(build_reachability_graph(net, budget), pattern, budget, t0)
-    unbounded = False
+    if base is not None:
+        return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
+    grows, unbounded = _growing(net), False
     for graph in _graph_rounds(net, budget):
         expanded = len(graph.succ)
         if expanded == len(graph.states):  # the search has ended
             break
-        unbounded = unbounded or any(t in growing for out in graph.succ for t, _ in out)
+        unbounded = unbounded or any(t in grows for out in graph.succ for t, _ in out)
         if unbounded and not graph.cut:
             # D <= budget.max_depth, as no deeper node is stored.
             cap = Budget(budget.max_states, graph.depth[expanded])

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import re
 import subprocess
@@ -820,13 +821,14 @@ class TestCertificates:
 
 
 class TestOneExploration:
-    def test_each_graph_built_once(self, e1, e2_eps, budget, monkeypatch):
-        built, rounds = [], []
+    def test_each_graph_built_once(self, e1, e2_eps, e4, budget, monkeypatch):
+        built, bases, rounds = [], [], []
         real, real_rounds = explore.build_reachability_graph, explore._graph_rounds
 
-        def counting(net, *args, **kwargs):
+        def counting(net, budget, base=None):
             built.append(net)
-            return real(net, *args, **kwargs)
+            bases.append(base)
+            return real(net, budget, base)
 
         monkeypatch.setattr(explore, "build_reachability_graph", counting)
         monkeypatch.setattr(analyze, "build_reachability_graph", counting)
@@ -850,6 +852,116 @@ class TestOneExploration:
         assert check_strong(e2_eps, budget).fails
         assert built[0] is e2_eps
         assert len(built) == 2 and len(built[1].places) == 4  # the twin
+        # The twin's graph is read off the gate's graph of e2_eps.
+        assert bases[-1] is not None and bases[-1].net is e2_eps
+        # Certificates prove both assumptions of this bounded net, and the
+        # two b moves change its places unequally: check_strong builds its
+        # graph once, and reads the twin's graph off it.
+        net = make_net(["s", "p", "q"], {
+            "tick": ("a", {"s": 1}, {"s": 1}),
+            "go": ("b", {"p": 1}, {"q": 1}),
+            "back": ("b", {"q": 1}, {"p": 1}),
+        }, {"s": 1, "p": 1})
+        built.clear()
+        rounds.clear()
+        v, tw, report = analyze._check_strong(net, budget)
+        assert "certificate" in report.deadlock_free.message and report.graph is None
+        assert not analyze._twin_invariant(tw)
+        assert v.holds and v.stats.states == 2
+        assert built == [net, tw.net] and rounds == [net] and bases[-1].net is net
+        # e4's growing transition keeps its twin on the rounds: no net graph.
+        built.clear()
+        rounds.clear()
+        v, tw, _ = analyze._check_strong(e4, budget)
+        assert v.fails and built == [] and rounds == [tw.net]
+
+
+def _graph_fields(graph):
+    return (graph.states, graph.succ, graph.parent, graph.depth, graph.cut, graph.complete)
+
+
+class TestTwinReadOffTheNetGraph:
+    """The twin's graph read off the net's closed graph (firing nothing)
+    against the fired twin graph."""
+
+    @staticmethod
+    def corpus(observer_seeds=(0, 1)):
+        """(net, budget) cases: benchmark instances, random nets and rings."""
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.remove(str(SRC.parent / "perfbench"))
+        for w, seeds in (("twin_bounded", (0, 1)), ("observer_bounded", observer_seeds)):
+            for seed in seeds:
+                yield from ((inst.net, WORKLOADS[w].budget) for inst in instances(w, seed))
+        rng = random.Random(11)
+        nets = [random_net(rng, eps_prob=0.3) for _ in range(120)]
+        for budget in (Budget(50, 3), Budget(300, 30), Budget(2000, 100)):
+            yield from ((net, budget) for net in nets)
+        # Rings under max_states from the net graph's size to just below the
+        # twin graph's, so that the twin graph is cut where the net's is not.
+        for k, n, eps in itertools.product(range(3, 8), range(1, 4), (False, True)):
+            net = ring(k, n, eps)
+            low = len(build_reachability_graph(net, Budget()).states)
+            high = len(build_reachability_graph(build_twin(net).net, Budget()).states)
+            for max_states in sorted({low, (low + high) // 2, high - 1}):
+                yield net, Budget(max_states, 1000)
+
+    def test_product_equals_fired_graph(self):
+        closed = cut = 0
+        for net, budget in self.corpus():
+            base = build_reachability_graph(net, budget)
+            if not base.complete:
+                continue
+            closed += 1
+            tw = build_twin(net).net
+            product = build_reachability_graph(tw, budget, base)
+            fired = build_reachability_graph(tw, budget)
+            assert _graph_fields(product) == _graph_fields(fired)
+            assert product.net is tw
+            cut += not fired.complete
+        print("closed", closed, "cut twins", cut)
+        assert closed >= 280 and cut >= 60
+
+    def test_check_strong_matches_the_fired_path(self, monkeypatch):
+        def records():
+            out = []
+            # One seed of the large observer_bounded twins keeps this fast.
+            for net, budget in self.corpus(observer_seeds=(0,)):
+                try:
+                    v = check_strong(net, budget)
+                except AssumptionError:
+                    continue
+                out.append((v.outcome, v.witness, v.stats.states, v.stats.depth, v.message))
+            return out
+
+        real, read_off_bases = explore.search_pattern, []
+
+        def read_off(net, pattern, budget, base=None):
+            read_off_bases.append(base is not None)
+            return real(net, pattern, budget, base)
+
+        monkeypatch.setattr(analyze, "search_pattern", read_off)
+        read_off_records = records()
+        # The fired path: the twin search gets no net graph.
+        monkeypatch.setattr(analyze, "search_pattern",
+                            lambda net, pattern, budget, base=None: real(net, pattern, budget))
+        assert read_off_records == records()
+        outcomes = Counter(r[0] for r in read_off_records)
+        print(outcomes, "read off", sum(read_off_bases))
+        assert outcomes[FAILS] >= 75 and outcomes[HOLDS] >= 50
+        assert sum(read_off_bases) >= 120
+
+    def test_fires_nothing_on_the_twin(self, e2_eps, budget, monkeypatch):
+        fired_at = []
+        real = explore.successors
+        monkeypatch.setattr(explore, "successors",
+                            lambda net, m: fired_at.append(m) or real(net, m))
+        v = check_strong(e2_eps, budget)
+        assert v.fails and explore.replay_witness(
+            build_twin(e2_eps).net, explore.STRONG, v.witness)
+        assert fired_at and {len(m) for m in fired_at} == {len(e2_eps.places)}
 
 
 class TestHardChecks:
