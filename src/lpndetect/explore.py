@@ -110,11 +110,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-# Expanded states at the first checkpoint of _explore_rounds; each further
-# checkpoint doubles the count.
-FIRST_CHECKPOINT = 64
-
-
 @dataclass
 class Exploration:
     """A budgeted breadth-first search from one root, node 0.
@@ -122,7 +117,7 @@ class Exploration:
     succ[v] is a tuple of (label, w) for every stored successor w of an
     expanded node v, in the order they were expanded; the first len(succ)
     stored nodes are expanded, all of them unless a goal stopped the search
-    or it is paused at a checkpoint (see _explore_rounds). edges is succ
+    or it is paused between rounds (see _explore_rounds). edges is succ
     flattened. parent[v] is (u, label), the BFS tree edge into v (None at
     the root), so path_to(v) is a shortest label path to v. cut holds the
     nodes that lost a successor; complete means a root was stored, every
@@ -168,7 +163,7 @@ def _explore_rounds(root, expand, budget: Budget, goal=None):
     given; stored last and in BFS order, it is the least deep to meet it.
 
     Yields the exploration each time its count of expanded states reaches
-    FIRST_CHECKPOINT, twice that, and so on, while a stored state is still
+    a power of two (1, 2, 4, ...), while a stored state is still
     unexpanded, and once more when the search ends. It is one object
     throughout, which grows when the search resumes.
     """
@@ -179,7 +174,7 @@ def _explore_rounds(root, expand, budget: Budget, goal=None):
     cut, max_states, max_depth = set(), budget.max_states, budget.max_depth
     exp = Exploration(states, succ, parent, depth, cut)
     found = goal is not None and goal(root)
-    v, checkpoint = 0, FIRST_CHECKPOINT
+    v, checkpoint = 0, 1
     while v < len(states) and not found:  # states are stored in BFS order: the queue
         if v == checkpoint:
             yield exp
@@ -643,15 +638,15 @@ def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget,
     proof. Everything else is INCONCLUSIVE.
 
     The graph is read off base if given (see build_reachability_graph), else
-    built in rounds (see _explore_rounds), and the answer is that of
-    search_graph on the whole graph; a round may give it early. A prefix in
-    which a growing transition has fired proves the net unbounded: the
-    whole graph never closes, and its walk runs under budget. If nothing in
-    the prefix was cut, its walk under depth cap D, the depth of its first
-    unexpanded node, expands only fully expanded nodes short of the cap, so
-    it stores the first states that the walk of the whole graph stores, in
-    the same order. A witness among them, or max_states of them, is
-    therefore that walk's answer.
+    built in rounds that double its expanded markings from the first (see
+    _explore_rounds), and the answer is that of search_graph on the whole
+    graph; a round may give it early. A prefix in which a growing transition
+    has fired proves the net unbounded: the whole graph never closes, and
+    its walk runs under budget. If nothing in the prefix was cut, its walk
+    under depth cap D, the depth of its first unexpanded node, expands only
+    fully expanded nodes short of the cap, so it stores the first states
+    that the walk of the whole graph stores, in the same order. A witness
+    among them, or max_states of them, is therefore that walk's answer.
     """
     t0 = time.perf_counter()
     if base is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from lpndetect import Budget, build_reachability_graph, build_twin, make_net
+from lpndetect import Budget, build_reachability_graph, build_twin, explore, make_net
 from lpndetect.analyze import check_assumptions
 from lpndetect.net import EPSILON, enabled, fire
 
@@ -74,7 +74,12 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
     budget = budget or Budget(max_states=graph_cap, max_depth=2000)
     while True:
         net = random_net(rng)
-        graph = build_reachability_graph(net, budget)
+        # A growing transition that fires proves the net unbounded: its graph
+        # can never close, so the net is dropped at that round.
+        grows = explore._growing(net)
+        for graph in explore._graph_rounds(net, budget):
+            if any(t in grows for out in graph.succ for t, _ in out):
+                break
         if not graph.complete:
             continue
         report = check_assumptions(net, budget)
@@ -82,7 +87,7 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
             continue
         tw = build_twin(net)
         tgraph = build_reachability_graph(
-            tw.net, Budget(max_states=twin_cap, max_depth=2000)
+            tw.net, Budget(max_states=twin_cap, max_depth=2000), graph
         )
         if not tgraph.complete:
             continue

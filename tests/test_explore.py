@@ -138,15 +138,14 @@ class TestRounds:
                     # One yield per doubling of the expanded states while a
                     # stored state is unexpanded, then the end; each a prefix.
                     *checkpoints, last = seen
-                    assert [n for n, _ in checkpoints] == [
-                        explore.FIRST_CHECKPOINT * 2**i for i in range(len(checkpoints))]
+                    assert [n for n, _ in checkpoints] == [2**i for i in range(len(checkpoints))]
                     for n, states in checkpoints:
                         assert n < len(states) and states == ref.states[:len(states)]
                     assert last == (len(ref.succ), ref.states)
                     rounds += len(checkpoints)
                     goals_met += g is not None and g(ref.states[-1])
         print("checkpoints", rounds, "goals met", goals_met)
-        assert rounds >= 150 and goals_met >= 50
+        assert rounds >= 950 and goals_met >= 50
 
     def test_search_pattern_matches_the_whole_graph_search(self, monkeypatch):
         # The reference builds the whole graph under the budget and searches
@@ -187,7 +186,7 @@ class TestRounds:
                     assert key(ours) == key(ref)
                     records += 1
         print("records", records, "decided early", dict(early))
-        assert records == 3600 and early[FAILS] >= 400 and early[INCONCLUSIVE] >= 50
+        assert records == 3600 and early[FAILS] >= 900 and early[INCONCLUSIVE] >= 110
         assert set(early) == {FAILS, INCONCLUSIVE}
 
     def test_bounded_twin_never_walks_a_prefix(self, monkeypatch):
@@ -203,9 +202,10 @@ class TestRounds:
             net = make_net([f"p{i}" for i in range(6)] + ["x"], transitions, {"p0": 3})
             tw = build_twin(net)
             walks.clear()
-            v = search_pattern(tw.net, STRONG, Budget(20000, 2000))
+            budget = Budget(20000, 2000)
+            v = search_pattern(tw.net, STRONG, budget)
             assert v.outcome == FAILS and len(walks) == 1 and walks[0].complete
-            assert len(walks[0].markings) > 4 * explore.FIRST_CHECKPOINT
+            assert walks[0].markings == build_reachability_graph(tw.net, budget).markings
 
     def test_e4_is_decided_in_the_first_round(self, e4, monkeypatch):
         walks = []
@@ -217,12 +217,41 @@ class TestRounds:
         tw = build_twin(e4)
         v = search_pattern(tw.net, STRONG, budget)
         assert v.witness.segments == ((), ("(t,u)",), ())
-        # One walk, on the first prefix: 64 expanded of 2000 twin markings.
+        # One walk, on the first prefix: the root expanded, of 2000 twin markings.
         assert len(walks) == 1 and walks[0] < 200
         ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
         assert walks[1:] == [2000]
         assert (v.outcome, v.witness, v.stats.states, v.stats.depth) == \
             (ref.outcome, ref.witness, ref.stats.states, ref.stats.depth)
+
+    def test_unbounded_twins_are_walked_from_their_first_expansion(self, e4, monkeypatch):
+        # Each net's witness is one pair step from the twin's root, so the
+        # prefix with only the root expanded holds it: check_strong expands
+        # at most two twin markings, and its witness is the whole graph's.
+        consumer = make_net(["p", "q", "r", "s"], {
+            "t": ("a", {"p": 1}, {"p": 1, "q": 2, "s": 1}),
+            "u": ("a", {"p": 1}, {"p": 1, "r": 2, "s": 1}),
+            "v": ("b", {"s": 1}, {}),
+        }, {"p": 1})
+
+        def producers(k):
+            return make_net(
+                [p for i in range(k) for p in (f"p{i}", f"q{i}")],
+                {f"t{i}": ("a", {f"p{i}": 1}, {f"p{i}": 1, f"q{i}": 1}) for i in range(k)},
+                {f"p{i}": 1 for i in range(k)})
+
+        budget = Budget(2000, 100)
+        real, fired_at = explore.successors, []
+        monkeypatch.setattr(explore, "successors",
+                            lambda n, m: fired_at.append(m) or real(n, m))
+        for net in (e4, consumer, producers(3), producers(4)):
+            fired_at.clear()
+            v = check_strong(net, budget)
+            expanded = [m for m in fired_at if len(m) == 2 * len(net.places)]
+            assert v.fails and 1 <= len(expanded) <= 2
+            tw = build_twin(net)
+            ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
+            assert v.witness == ref.witness
 
 
 class TestReachabilityGraph:
