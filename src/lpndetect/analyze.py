@@ -4,10 +4,13 @@ and current-state opacity.
 Strong detectability is checked on the twin net as a path question: reach
 a marking, pump a covering loop, then reach a marking whose halves
 disagree. Weak detectability and opacity work on the observer, the
-deterministic automaton over current-marking estimates. An integer
-certificate on the arc tables, where one applies, proves `holds` without a
-graph; otherwise bounded nets (whose state space closes within budget) get
-exact verdicts, and unbounded nets sound witnesses or an inconclusive report.
+deterministic automaton over current-marking estimates. A certificate,
+where one applies, decides without that search: an integer one on the arc
+tables proves `holds` without a graph, unobservable exits from the secret
+set prove opacity, and a closed graph whose singleton steps form no cycle
+refutes weak detectability. Otherwise bounded nets (whose state space
+closes within budget) get exact verdicts, and unbounded nets sound
+witnesses or an inconclusive report.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .net import (
     NetError,
     enabled,
     fire_sequence,
+    successors,
 )
 from .explore import (
     Budget,
@@ -96,9 +100,9 @@ def _twin_invariant(tw: TwinNet) -> bool:
     return all(e[:tw.half] == e[tw.half:] for _, e in tw.net.kernel)
 
 
-def _certified(t0: float, message: str) -> Verdict:
-    return Verdict(HOLDS, stats=SearchStats(0, 0, time.perf_counter() - t0),
-                   message="certificate: " + message)
+def _certified(t0: float, message: str, outcome: str = HOLDS) -> Verdict:
+    return Verdict(outcome, stats=SearchStats(0, 0, time.perf_counter() - t0),
+                   message="certificate: " + message, universal=outcome == FAILS)
 
 
 def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
@@ -278,30 +282,52 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     """Weak detectability.
 
     Exact on bounded nets: weakly detectable iff the observer has a
-    reachable cycle all of whose states are singleton estimates. The observer
-    stops at the first singleton estimate that reaches one (_singleton_cycle),
-    which the message of `holds` names. Unbounded nets are reported
-    inconclusive; the problem has no general algorithm.
+    reachable cycle all of whose states are singleton estimates. On a closed
+    graph whose singleton steps (_singleton_steps) form no cycle, `fails` is
+    certified without an observer. Otherwise the observer stops at the first
+    singleton estimate that reaches one (_singleton_cycle), which the message
+    of `holds` names. Unbounded nets are reported inconclusive; the problem
+    has no general algorithm.
     """
     return _check_weak(g, budget)[0]
 
 
-def _singleton_cycle(graph: ReachabilityGraph, found: list):
+def _singleton_steps(graph: ReachabilityGraph) -> list:
+    """Per node u the (symbol, w), in symbol order, such that {u} -symbol-> {w}
+    is an observer step: every step from u by the symbol leads to w, and w
+    has no ε-successor but itself, so {w} is ε-closed."""
+    eps, steps = _tables(graph)
+    closed = [out.count(v) == len(out) for v, out in enumerate(eps)]
+    singles = [[] for _ in eps]
+    for sym, step in steps.items():
+        for u, out in enumerate(step):
+            if out and closed[w := out[0]] and out.count(w) == len(out):
+                singles[u].append((sym, w))
+    return singles
+
+
+def _singletons_acyclic(singles: list) -> bool:
+    """Whether the singleton steps form no cycle. A cycle of singleton
+    estimates is a cycle of these steps, so then there is none: on a closed
+    graph the net is not weakly detectable."""
+    return not _fed_by_cycle(len(singles), [(u, w) for u, out in enumerate(singles)
+                                            for _, w in out])
+
+
+def _singleton_cycle(graph: ReachabilityGraph, singles: list, found: list):
     """check_weak's observer goal on a closed graph: whether the estimate is a
     singleton {v} from which singleton estimates reach a cycle. The estimate
     after {u} by a symbol depends on u alone, so this is a BFS from v over
-    graph nodes and the peel of its edges; found gets the word to a marking
-    on the cycle, the marking and the cycle's word. No later search enters
-    the nodes of one that found none, so together they are linear in the graph.
+    the graph's singleton steps singles and the peel of its edges; found
+    gets the word to a marking on the cycle, the marking and the cycle's
+    word. No later search enters the nodes of one that found none, so
+    together they are linear in the graph.
     """
-    (eps, steps), acyclic = _tables(graph), set()
+    acyclic = set()
     whole = Budget(len(graph.succ), len(graph.succ))
 
     def singletons(u):
-        for sym, step in steps.items():
-            ws = set(step[u])  # {w} is ε-closed iff w is its only ε-successor
-            if len(ws) == 1 and ws.issuperset(eps[w := min(ws)]) and w not in acyclic:
-                yield sym, w
+        return ((sym, w) for sym, w in singles[u] if w not in acyclic)
 
     def goal(nodes):
         if len(nodes) != 1 or nodes <= acyclic:
@@ -325,13 +351,20 @@ def _singleton_cycle(graph: ReachabilityGraph, found: list):
 
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
-    """check_weak's (verdict, assumption report); the observer reuses the gate's graph."""
+    """check_weak's (verdict, assumption report). The certificate and the
+    observer read the gate's graph; a certified `fails` builds no observer."""
     t0 = time.perf_counter()
     report = _gate_assumptions(g, budget)
     graph = report.graph if report.graph is not None else build_reachability_graph(g, budget)
-    cycle = []  # the singleton cycle the goal found, if any
-    obs = explore_observer(graph, budget,
-                           _singleton_cycle(graph, cycle) if graph.complete else None)
+    cycle, goal = [], None  # the singleton cycle the goal found, if any
+    if graph.complete:
+        singles = _singleton_steps(graph)
+        if _singletons_acyclic(singles):
+            return _certified(t0, "the graph's singleton steps form no cycle "
+                                  f"({sum(map(len, singles))} of them, over {len(singles)} "
+                                  "markings)", FAILS), report
+        goal = _singleton_cycle(graph, singles, cycle)
+    obs = explore_observer(graph, budget, goal)
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not (obs.complete or cycle):
         return Verdict(
@@ -385,8 +418,29 @@ def _normalize_secret(net: LabeledPetriNet, secret) -> frozenset:
                 f"secret marking has {len(m)} entries, net has "
                 f"{len(net.places)} places"
             )
+        if not all(isinstance(n, int) and n >= 0 for n in m):
+            raise InputError(f"secret marking {m!r} must hold non-negative integers")
         out.add(m)
     return frozenset(out)
+
+
+def _secret_escapes(net: LabeledPetriNet, secret_set: frozenset) -> bool:
+    """Whether every secret marking reaches a non-secret marking by
+    unobservable firing. Every estimate is closed under unobservable firing,
+    so none is then a nonempty subset of the secret set: the net is opaque,
+    bounded or not. Searches backward, within the set, from the markings
+    with an unobservable step out of it; linear in |secret_set| * |T|."""
+    into = {m: [] for m in secret_set}  # per secret marking its ε-predecessors in the set
+    exits = set()  # the secret markings with an ε-successor outside the set
+    for m in secret_set:
+        for ti, m2 in successors(net, m):
+            if net.labels[ti] is EPSILON:
+                if m2 in into:
+                    into[m2].append(m)
+                else:
+                    exits.add(m)
+    # The markings that reach an exit: exits closed under ε-predecessors.
+    return len(_eps_closure(into, (), exits)) == len(secret_set)
 
 
 def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
@@ -395,12 +449,17 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     Opaque (HOLDS) iff no observation's estimate is a nonempty subset of the
     secret set. FAILS carries the violating observation and estimate; the
     observer stops at the first such estimate, so its stats count the
-    observer states stored up to it. The check does not require the
-    standing assumptions.
+    observer states stored up to it. Where every secret marking reaches a
+    non-secret one by unobservable firing (_secret_escapes), `holds` is
+    certified without a graph or an observer, bounded or not. The check
+    does not require the standing assumptions. A secret marking must have
+    one non-negative integer per place; otherwise InputError is raised.
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
-
+    if _secret_escapes(g, secret_set):
+        return _certified(t0, "every secret marking reaches a non-secret marking "
+                              "by unobservable transitions")
     graph = build_reachability_graph(g, budget)
     obs = explore_observer(graph, budget, lambda nodes: all(
         graph.markings[v] in secret_set for v in nodes))

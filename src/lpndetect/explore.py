@@ -61,7 +61,8 @@ class SearchStats:
     """states counts what the deciding search stored: markings, observer
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
-    of a witness on a closed graph stored (see _lasso)."""
+    of a witness on a closed graph stored (see _lasso). A certified verdict
+    searched nothing: its states and depth are 0."""
 
     states: int = 0
     depth: int = 0

@@ -52,6 +52,18 @@ from netgen import (
 )
 
 
+def _certificates_off(mp):
+    """Send check_weak and check_opacity to the observer: neither observer
+    certificate applies."""
+    mp.setattr(analyze, "_secret_escapes", lambda net, secret_set: False)
+    mp.setattr(analyze, "_singletons_acyclic", lambda singles: False)
+
+
+@pytest.fixture
+def no_certificates(monkeypatch):
+    _certificates_off(monkeypatch)
+
+
 class TestAssumptions:
     def test_e1_both_hold(self, e1, budget):
         rep = check_assumptions(e1, budget)
@@ -271,7 +283,7 @@ class TestObserverOnGraph:
     """The observer is a subset construction over the stored reachability
     graph and fires nothing."""
 
-    def test_matches_firing_observer(self, monkeypatch):
+    def test_matches_firing_observer(self, monkeypatch, no_certificates):
         # Where the graph and the reference both close they must agree
         # exactly. A budget-cut graph may stop the observer elsewhere, so
         # there every stored state must still be an exact estimate, and
@@ -350,7 +362,7 @@ class TestObserverOnGraph:
             == (ref.states, ref.succ, ref.parent, ref.depth)
         assert peak < 10_000_000
 
-    def test_cut_nodes_keep_estimates_exact(self):
+    def test_cut_nodes_keep_estimates_exact(self, monkeypatch):
         # Under ε, t adds a token to c forever, so the graph is cut at its
         # deepest node; u never fires. The estimate of the empty word is
         # every (1, k), not a subset of the secret, so a stored estimate
@@ -362,8 +374,14 @@ class TestObserverOnGraph:
         )
         secret = [(1, k) for k in range(4)]
         for budget in (Budget(100, 3), Budget(4, 100)):
-            assert explore_observer(build_reachability_graph(net, budget), budget).states == []
-            assert check_opacity(net, secret, budget).outcome == INCONCLUSIVE
+            with monkeypatch.context() as mp:
+                _certificates_off(mp)
+                assert explore_observer(build_reachability_graph(net, budget),
+                                        budget).states == []
+                assert check_opacity(net, secret, budget).outcome == INCONCLUSIVE
+            # t keeps raising c, so every estimate holds (1, 4): certified.
+            v = check_opacity(net, secret, budget)
+            assert v.outcome == HOLDS and v.stats.states == 0
 
     def test_reads_the_gate_graph_and_fires_nothing(self, e2, budget, monkeypatch):
         graph = build_reachability_graph(e2, budget)
@@ -429,6 +447,11 @@ class TestCheckOpacity:
         with pytest.raises(InputError):
             check_opacity(e1, [(1, 0)], budget)
 
+    def test_secret_entries_are_non_negative_integers(self, e2, budget):
+        for bad in ([("x", 1)], [(-1, 0)], [(0, 1), (1, 0.5)]):
+            with pytest.raises(InputError, match="non-negative integers"):
+                check_opacity(e2, bad, budget)
+
     def test_exact_initial_estimate_of_a_truncated_observer(self):
         # After b the unobservable t1 pumps q forever, so the observer never
         # closes; the estimate of the empty word, {(0, 0)}, is still exact.
@@ -443,17 +466,23 @@ class TestCheckOpacity:
             assert v.witness.word == ()
             assert v.witness.estimate == estimate(net, (), budget)[0] == {(0, 0)}
 
-    def test_blown_initial_closure_stores_no_state(self):
+    def test_blown_initial_closure_stores_no_state(self, monkeypatch):
         net = make_net(
             ["p", "q"],
             {"t": (EPSILON, {"p": 1}, {"p": 1, "q": 1}), "u": ("a", {"p": 1}, {"p": 1})},
             {"p": 1},
         )
         budget = Budget(50, 5)
-        obs = explore_observer(build_reachability_graph(net, budget), budget)
-        assert obs.states == [] and obs.succ == [] and not obs.complete
+        with monkeypatch.context() as mp:
+            _certificates_off(mp)
+            obs = explore_observer(build_reachability_graph(net, budget), budget)
+            assert obs.states == [] and obs.succ == [] and not obs.complete
+            v = check_opacity(net, [(1, 0)], budget)
+            assert v.outcome == INCONCLUSIVE
+            assert (v.stats.states, v.stats.depth) == (0, 0)
+        # t leads (1, 0) to (1, 1) unobservably: certified.
         v = check_opacity(net, [(1, 0)], budget)
-        assert v.outcome == INCONCLUSIVE
+        assert v.outcome == HOLDS and v.message.startswith("certificate: ")
         assert (v.stats.states, v.stats.depth) == (0, 0)
 
     def test_complement_of_weak_on_gadget(self, budget):
@@ -481,7 +510,7 @@ def _scanned_opacity(net, secret, budget):
 class TestOpacityStopsEarly:
     """check_opacity's observer stops at the first secret estimate."""
 
-    def test_matches_the_whole_observer_scan(self):
+    def test_matches_the_whole_observer_scan(self, no_certificates):
         rng = random.Random(73)
         cases = []
         for k in (3, 4, 5, 6):
@@ -565,7 +594,7 @@ class TestWeakStopsEarly:
     """check_weak's observer stops at the first singleton estimate from which
     singleton estimates reach a cycle."""
 
-    def test_matches_the_whole_observer_peel(self):
+    def test_matches_the_whole_observer_peel(self, no_certificates):
         rng = random.Random(79)
         big = Budget(20000, 2000)
         cases = [(ring(k, n, eps), big) for k in range(3, 10) for n in range(1, 5)
@@ -629,7 +658,8 @@ class TestWeakStopsEarly:
         assert v.message == ("the estimate after the word a is {(0, 0, 0, 1)}, and "
                              "singleton estimates return to it under the word b")
 
-    def test_later_singleton_after_a_search_without_cycle(self, monkeypatch):
+    def test_later_singleton_after_a_search_without_cycle(self, monkeypatch,
+                                                          no_certificates):
         # The gadget's root estimate is a singleton whose search finds no
         # cycle: x makes three branches. The 47th stored estimate is the
         # first to reach one; the whole observer has 172 states.
@@ -644,7 +674,7 @@ class TestWeakStopsEarly:
         assert _peeled_weak(net, budget) == (HOLDS, 172, 18)
         _check_named_cycle(net, v.message)
 
-    def test_memo_skips_searched_nodes(self, budget, monkeypatch):
+    def test_memo_skips_searched_nodes(self, budget, monkeypatch, no_certificates):
         # Root {p}: d leads to {s}, a to {q1, q2}; {s} leads only to
         # {q1, q2}. The root's search covers p and s and finds no cycle, so
         # {s}, stored next, is not searched again; {r} after a b is, and
@@ -668,7 +698,7 @@ class TestWeakStopsEarly:
         assert v.message == ("the estimate after the word a b is {(0, 0, 0, 0, 1)}, and "
                              "singleton estimates return to it under the word c")
 
-    def test_a_step_with_an_eps_successor_is_no_singleton(self, budget):
+    def test_a_step_with_an_eps_successor_is_no_singleton(self, budget, no_certificates):
         # The step from {p} by a is {q}, whose ε-closure is {q, r}: no
         # singleton follows {p}, although q alone would keep itself by b.
         net = make_net(
@@ -818,6 +848,101 @@ class TestCertificates:
         print("certified", dict(certified))
         assert certified["live"] >= 200
         assert certified["ranked"] >= 50 and certified["twin"] >= 50
+
+
+class TestObserverCertificates:
+    """Weak `fails` from the graph's singleton steps and opacity `holds` from
+    unobservable exits out of the secret set, decided before any observer."""
+
+    def test_certified_verdicts_match_the_observer(self, monkeypatch):
+        # Each check runs with the certificates and without them. A certified
+        # verdict equals the observer's wherever the graph closes; on an open
+        # graph, words of stored paths replay to no secret estimate. Every
+        # other verdict is the observer's, stats and message included.
+        rng = random.Random(83)
+        big = Budget(20000, 2000)
+        cases = [(ring(k, n, eps), big) for k in range(3, 8) for n in range(1, 4)
+                 for eps in (False, True)]
+        for _ in range(12):
+            g1, g2 = (bounded_observable_net(rng, max_places=3, max_trans=3, max_weight=1,
+                                             symbols=("s", "c")) for _ in range(2))
+            cases.append((inclusion_to_weak(g1, g2).net, big))
+        cases += [(_eps_chain(50), big), (_eps_chain(50), Budget(300, 30))]
+        for _ in range(100):
+            net = random_net(rng, eps_prob=0.35)
+            cases += [(net, Budget(300, 30)), (net, Budget(50, 3))]
+
+        def both(check):
+            """check() with the certificates, then without; None where the
+            assumption gate raises."""
+            out = []
+            for off in (False, True):
+                with monkeypatch.context() as mp:
+                    if off:
+                        _certificates_off(mp)
+                    try:
+                        out.append(check())
+                    except AssumptionError:
+                        out.append(None)
+            return out
+
+        def fields(v):
+            return v and (v.outcome, v.witness, v.stats.states, v.stats.depth, v.message)
+
+        hits = Counter()
+        for net, budget in cases:
+            graph = build_reachability_graph(net, budget)
+            ours, observed = both(lambda: check_weak(net, budget))
+            if ours is not None and ours.message.startswith("certificate: "):
+                hits["weak"] += 1
+                assert graph.complete and ours.universal
+                assert (ours.outcome, ours.stats.states, ours.stats.depth) == (FAILS, 0, 0)
+                assert observed.outcome == FAILS
+            else:
+                assert fields(ours) == fields(observed)
+            for secret in ([net.initial_marking],
+                           *(rng.sample(graph.markings, min(len(graph.markings), k))
+                             for k in (1, 3))):
+                ours, observed = both(lambda: check_opacity(net, secret, budget))
+                if not ours.message.startswith("certificate: "):
+                    assert fields(ours) == fields(observed)
+                    continue
+                hits["opacity"] += 1
+                assert (ours.outcome, ours.stats.states, ours.stats.depth) == (HOLDS, 0, 0)
+                if graph.complete:
+                    hits["opacity, closed"] += 1
+                    assert observed.outcome == HOLDS
+                    continue
+                assert observed.outcome == INCONCLUSIVE
+                for v in rng.sample(range(len(graph.markings)), min(5, len(graph.markings))):
+                    est, complete = estimate(net, observation(net, graph.path_to(v)),
+                                             Budget(2000, 200))
+                    if complete:
+                        hits["replayed"] += 1
+                        assert not est or not est <= set(secret)
+        print("records", len(cases), dict(hits))
+        assert len(cases) == 244 and hits["weak"] >= 15
+        assert hits["opacity"] >= 120 and hits["opacity, closed"] >= 15
+        assert hits["replayed"] >= 90
+
+    def test_certified_checks_build_no_observer(self, monkeypatch):
+        # ring(6,2,eps): its 21 markings have 6 singleton steps and no cycle
+        # among them; t2 leads both tokens on p2 out of the secret unobservably.
+        net, budget = ring(6, 2, eps=True), Budget(20000, 2000)
+        built, observed = [], []
+        monkeypatch.setattr(analyze, "build_reachability_graph",
+                            lambda *args: built.append(args) or build_reachability_graph(*args))
+        monkeypatch.setattr(analyze, "explore_observer",
+                            lambda *args: observed.append(args) or explore_observer(*args))
+        v = check_opacity(net, [(0, 0, 2, 0, 0, 0)], budget)
+        assert v.outcome == HOLDS and built == [] and observed == []
+        assert v.message == ("certificate: every secret marking reaches a non-secret "
+                             "marking by unobservable transitions")
+        v = check_weak(net, budget)
+        assert v.outcome == FAILS and v.universal and observed == []
+        assert (v.stats.states, v.stats.depth) == (0, 0)
+        assert v.message == ("certificate: the graph's singleton steps form no cycle "
+                             "(6 of them, over 21 markings)")
 
 
 class TestOneExploration:

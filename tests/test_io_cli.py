@@ -370,6 +370,34 @@ class TestCli:
         assert rep["message"].startswith("certificate: twin invariant")
         assert (rep["stats"]["states"], rep["stats"]["depth"]) == (0, 0)
 
+    def test_observer_certificates_report(self, tmp_path, capsys):
+        # A ring p0 -b-> p1 -a-> p2 -ε-> p0 with one token: the ε step leads
+        # the secret p2=1 out of the secret, and the one singleton step, b
+        # from p0 to p1, lies on no cycle.
+        net = make_net(["p0", "p1", "p2"],
+                       {"t0": ("b", {"p0": 1}, {"p1": 1}), "t1": ("a", {"p1": 1}, {"p2": 1}),
+                        "t2": (EPSILON, {"p2": 1}, {"p0": 1})}, {"p0": 1})
+        path, secret = write_net(tmp_path, net), tmp_path / "secret.txt"
+        secret.write_text("p2=1\n")
+        note = ("  note: certificate: every secret marking reaches a non-secret "
+                "marking by unobservable transitions")
+        assert main(["check-opacity", path, "--secret", str(secret)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["current-state-opacity: HOLDS", note]
+        assert main(["check-opacity", path, "--secret", str(secret), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert rep["outcome"] == "holds" and "  note: " + rep["message"] == note
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (0, 0)
+        assert main(["check-weak", path]) == 1
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "weak-detectability: FAILS",
+            "  note: certificate: the graph's singleton steps form no cycle (1 of them, "
+            "over 3 markings)"]
+        assert main(["check-weak", path, "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert rep["witness"] is None and rep["stats"]["states"] == 0
+
     def test_check_assumptions_reports_each_message(self, tmp_path, e3, capsys):
         # Both assumptions of e3 are certified; each certificate is shown.
         path = write_net(tmp_path, e3)
