@@ -24,7 +24,6 @@ from .net import (
     FiringError,
     InputError,
     LabeledPetriNet,
-    Marking,
     NetError,
     enabled,
     fire_sequence,
@@ -283,11 +282,12 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
 
     Exact on bounded nets: weakly detectable iff the observer has a
     reachable cycle all of whose states are singleton estimates. On a closed
-    graph whose singleton steps (_singleton_steps) form no cycle, `fails` is
+    graph, one peel finds the nodes from which the graph's singleton steps
+    (_singleton_steps) reach a cycle; if there are none, `fails` is
     certified without an observer. Otherwise the observer stops at the first
-    singleton estimate that reaches one (_singleton_cycle), which the message
-    of `holds` names. Unbounded nets are reported inconclusive; the problem
-    has no general algorithm.
+    singleton estimate of such a node, and the message of `holds` names a
+    cycle it reaches (_singleton_cycle). Unbounded nets are reported
+    inconclusive; the problem has no general algorithm.
     """
     return _check_weak(g, budget)[0]
 
@@ -306,65 +306,46 @@ def _singleton_steps(graph: ReachabilityGraph) -> list:
     return singles
 
 
-def _singletons_acyclic(singles: list) -> bool:
-    """Whether the singleton steps form no cycle. A cycle of singleton
-    estimates is a cycle of these steps, so then there is none: on a closed
-    graph the net is not weakly detectable."""
-    return not _fed_by_cycle(len(singles), [(u, w) for u, out in enumerate(singles)
-                                            for _, w in out])
-
-
-def _singleton_cycle(graph: ReachabilityGraph, singles: list, found: list):
-    """check_weak's observer goal on a closed graph: whether the estimate is a
-    singleton {v} from which singleton estimates reach a cycle. The estimate
-    after {u} by a symbol depends on u alone, so this is a BFS from v over
-    the graph's singleton steps singles and the peel of its edges; found
-    gets the word to a marking on the cycle, the marking and the cycle's
-    word. No later search enters the nodes of one that found none, so
-    together they are linear in the graph.
-    """
-    acyclic = set()
-    whole = Budget(len(graph.succ), len(graph.succ))
-
-    def singletons(u):
-        return ((sym, w) for sym, w in singles[u] if w not in acyclic)
-
-    def goal(nodes):
-        if len(nodes) != 1 or nodes <= acyclic:
-            return False
-        tree = _explore(min(nodes), singletons, whole)
-        fed = _fed_by_cycle(len(tree.states), [(v, w) for v, _, w in tree.edges])
-        if not fed:
-            acyclic.update(tree.states)
-            return False
-        # Each fed node has an in-edge from a fed node: walk them back to a repeat.
-        into = {w: (v, sym) for v, sym, w in tree.edges if v in fed}
-        x, back = min(fed), []
-        while x not in back:
-            back.append(x)
-            x = into[x][0]
-        loop = [into[v][1] for v in back[back.index(x):][::-1]]
-        found.extend((tree.path_to(x), graph.markings[tree.states[x]], loop))
-        return True
-
-    return goal
+def _singleton_cycle(singles: list, live: set, v: int):
+    """A cycle of the singleton steps singles that node v reaches: the word
+    from v to a node on it, that node and the cycle's word. live holds the
+    nodes from which the steps reach a cycle, v among them; the search is a
+    BFS from v over the steps into live and the peel of its edges."""
+    tree = _explore(v, lambda u: ((sym, w) for sym, w in singles[u] if w in live),
+                    Budget(len(live), len(live)))
+    fed = _fed_by_cycle(len(tree.states), [(u, w) for u, _, w in tree.edges])
+    # Each fed node has an in-edge from a fed node: walk them back to a repeat.
+    into = {w: (u, sym) for u, sym, w in tree.edges if u in fed}
+    x, back = min(fed), []
+    while x not in back:
+        back.append(x)
+        x = into[x][0]
+    return tree.path_to(x), tree.states[x], [into[u][1] for u in back[back.index(x):][::-1]]
 
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
     """check_weak's (verdict, assumption report). The certificate and the
-    observer read the gate's graph; a certified `fails` builds no observer."""
-    t0 = time.perf_counter()
+    observer read the gate's graph; a certified `fails` builds no observer.
+    The clock starts after the assumption gate, as in _check_strong."""
     report = _gate_assumptions(g, budget)
+    t0 = time.perf_counter()
     graph = report.graph if report.graph is not None else build_reachability_graph(g, budget)
-    cycle, goal = [], None  # the singleton cycle the goal found, if any
+    live = set()  # the nodes from which singleton steps reach a cycle
     if graph.complete:
         singles = _singleton_steps(graph)
-        if _singletons_acyclic(singles):
+        # A node that a cycle reaches by reversed steps reaches it by the steps.
+        live = _fed_by_cycle(len(singles), [(w, u) for u, out in enumerate(singles)
+                                             for _, w in out])
+        if not live:
             return _certified(t0, "the graph's singleton steps form no cycle "
                                   f"({sum(map(len, singles))} of them, over {len(singles)} "
                                   "markings)", FAILS), report
-        goal = _singleton_cycle(graph, singles, cycle)
-    obs = explore_observer(graph, budget, goal)
+    obs = explore_observer(graph, budget, (lambda nodes: len(nodes) == 1
+                                           and min(nodes) in live) if live else None)
+    # The goal stopped the observer iff its last estimate meets it.
+    last = obs.states[-1] if live and obs.states else ()
+    stop = graph.markings.index(min(last)) if len(last) == 1 else None
+    cycle = _singleton_cycle(singles, live, stop) if stop in live else None
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not (obs.complete or cycle):
         return Verdict(
@@ -380,10 +361,10 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
             "internal error: the net is deadlock free, yet an estimate has no successor"
         )
     if cycle:
-        prefix, m, loop = cycle
+        prefix, x, loop = cycle
         word = " ".join(obs.path_to(len(obs.states) - 1) + prefix) or "(empty)"
         return Verdict(HOLDS, stats=stats, message=(
-            f"the estimate after the word {word} is {{{m}}}, and singleton "
+            f"the estimate after the word {word} is {{{graph.markings[x]}}}, and singleton "
             f"estimates return to it under the word {' '.join(loop)}")), report
     return Verdict(
         FAILS,

@@ -19,7 +19,7 @@ from .analyze import (
     check_opacity,
     explore_observer,
 )
-from .dot import graph_to_dot, km_to_dot, net_to_dot, observer_to_dot
+from .dot import _estimate_caption, graph_to_dot, net_to_dot, observer_to_dot
 from .explore import (
     Budget,
     FAILS,
@@ -27,7 +27,6 @@ from .explore import (
     INCONCLUSIVE,
     Verdict,
     Witness,
-    build_km_tree,
     build_reachability_graph,
     estimate,
 )
@@ -74,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
            budget=False, jsonout=False, dot=True)
     common(sub.add_parser("observer", help="estimate automaton"),
            jsonout=False, dot=True)
-    common(sub.add_parser("km", help="coverability tree"),
-           jsonout=False, dot=True)
     common(sub.add_parser("reach", help="reachability graph"),
            jsonout=False, dot=True)
     common(sub.add_parser("check-strong", help="strong detectability"))
@@ -103,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="markings consistent with a word")
     common(p, jsonout=False)
     p.add_argument("--word", required=True,
-                   help="observation: comma-separated symbols, or one char each")
+                   help="observation: symbols separated by commas or spaces, "
+                        "or one char each")
     return top
 
 
@@ -128,10 +126,8 @@ def _budget(args) -> Budget:
 
 
 def _parse_word(s: str):
-    if s == "":
-        return ()
-    if "," in s:
-        return tuple(x for x in s.split(",") if x)
+    if "," in s or " " in s:
+        return tuple(s.replace(",", " ").split())
     return tuple(s)
 
 
@@ -193,7 +189,7 @@ def _emit_verdict(args, prop, verdict, digest, assumptions=None, tw=None) -> int
             print(f"  segment {i}: {' '.join(seg) or '(empty)'}")
             print(f"  marking {i}: {m}")
         if "word" in w:
-            print(f"  word: {''.join(w['word']) or '(empty)'}")
+            print(f"  word: {' '.join(w['word']) or '(empty)'}")
             for m in w["estimate"]:
                 print(f"  estimate marking: {m}")
         assumed = rep["assumptions"] or {}
@@ -228,12 +224,6 @@ def _run(args) -> int:
         _write_dot(args, net_to_dot(tw.net))
         print(render_lpn(tw.net), end="")
         return EXIT_HOLDS
-    if cmd == "km":
-        tree = build_km_tree(net, _budget(args))
-        _write_dot(args, km_to_dot(tree))
-        print(f"coverability tree: {len(tree.states)} nodes"
-              + " (truncated)" * (not tree.complete))
-        return EXIT_HOLDS if tree.complete else EXIT_INCONCLUSIVE
     if cmd == "reach":
         graph = build_reachability_graph(net, _budget(args))
         _write_dot(args, graph_to_dot(graph))
@@ -252,10 +242,7 @@ def _run(args) -> int:
     if cmd == "estimate":
         word = _parse_word(args.word)
         markings, complete = estimate(net, word, _budget(args))
-        caption = ",".join(
-            "[" + ",".join(str(x) for x in m) + "]" for m in sorted(markings)
-        )
-        print("{" + caption + "}")
+        print(_estimate_caption(markings))
         if not complete:
             print("note: estimate truncated by budget", file=sys.stderr)
         return EXIT_HOLDS if complete else EXIT_INCONCLUSIVE

@@ -1,10 +1,10 @@
-"""DOT (graphviz) export for nets, state graphs, observers, and
-coverability trees. Output is deterministic under declared orders."""
+"""DOT (graphviz) export for nets, state graphs and observers. Output is
+deterministic under declared orders."""
 
 from __future__ import annotations
 
 from .analyze import Observer
-from .explore import OMEGA, Exploration, ReachabilityGraph
+from .explore import Exploration, ReachabilityGraph
 from .net import EPSILON, LabeledPetriNet
 
 
@@ -15,12 +15,8 @@ def _q(*lines) -> str:
     ) + '"'
 
 
-def _fmt_count(n) -> str:
-    return "ω" if n == OMEGA else str(n)
-
-
 def _marking_caption(m) -> str:
-    return "[" + ",".join(_fmt_count(x) for x in m) + "]"
+    return "[" + ",".join(map(str, m)) + "]"
 
 
 def net_to_dot(net: LabeledPetriNet) -> str:
@@ -66,9 +62,3 @@ def graph_to_dot(graph: ReachabilityGraph) -> str:
 
 def observer_to_dot(obs: Observer) -> str:
     return _exploration_to_dot("observer", obs, _estimate_caption, "octagon")
-
-
-def km_to_dot(tree: Exploration) -> str:
-    return _exploration_to_dot(
-        "coverability", tree, lambda node: _marking_caption(node.marking), "circle"
-    )

@@ -62,7 +62,8 @@ class SearchStats:
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
     of a witness on a closed graph stored (see _lasso). A certified verdict
-    searched nothing: its states and depth are 0."""
+    searched nothing: its states and depth are 0. wall_time leaves out the
+    assumption gate of check_strong and check_weak."""
 
     states: int = 0
     depth: int = 0

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -52,11 +53,20 @@ from netgen import (
 )
 
 
+class _Truthy(set):
+    """A set that reads as nonempty, so that check_weak's certificate
+    (no node from which singleton steps reach a cycle) never applies."""
+
+    def __bool__(self):
+        return True
+
+
 def _certificates_off(mp):
     """Send check_weak and check_opacity to the observer: neither observer
     certificate applies."""
     mp.setattr(analyze, "_secret_escapes", lambda net, secret_set: False)
-    mp.setattr(analyze, "_singletons_acyclic", lambda singles: False)
+    real = analyze._fed_by_cycle
+    mp.setattr(analyze, "_fed_by_cycle", lambda n, edges: _Truthy(real(n, edges)))
 
 
 @pytest.fixture
@@ -660,9 +670,11 @@ class TestWeakStopsEarly:
 
     def test_later_singleton_after_a_search_without_cycle(self, monkeypatch,
                                                           no_certificates):
-        # The gadget's root estimate is a singleton whose search finds no
-        # cycle: x makes three branches. The 47th stored estimate is the
-        # first to reach one; the whole observer has 172 states.
+        # The gadget's root estimate is a singleton from which singleton
+        # steps reach no cycle: x makes three branches. The 47th stored
+        # estimate is the first to reach one; the whole observer has 172
+        # states. One peel covers the graph's 101 nodes, one more the 3
+        # nodes of the cycle search at the stop.
         net, budget = _incl2weak_drop(), Budget(20000, 2000)
         searched = []
         real = analyze._fed_by_cycle
@@ -670,15 +682,16 @@ class TestWeakStopsEarly:
                             lambda n, edges: searched.append(n) or real(n, edges))
         v = check_weak(net, budget)
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (47, 7)
-        assert searched == [1, 3]
+        assert searched == [101, 3]
         assert _peeled_weak(net, budget) == (HOLDS, 172, 18)
         _check_named_cycle(net, v.message)
 
     def test_memo_skips_searched_nodes(self, budget, monkeypatch, no_certificates):
         # Root {p}: d leads to {s}, a to {q1, q2}; {s} leads only to
-        # {q1, q2}. The root's search covers p and s and finds no cycle, so
-        # {s}, stored next, is not searched again; {r} after a b is, and
-        # c keeps it. Its search does not enter s again by d.
+        # {q1, q2}. Singleton steps reach a cycle from r alone, so neither
+        # {p} nor {s} stops the observer; {r} after a b does, and c keeps
+        # it. The graph's 5 nodes are peeled once, and the search at {r}
+        # does not enter s by d.
         net = make_net(
             ["p", "s", "q1", "q2", "r"],
             {"pa1": ("a", {"p": 1}, {"q1": 1}), "pa2": ("a", {"p": 1}, {"q2": 1}),
@@ -693,7 +706,7 @@ class TestWeakStopsEarly:
         monkeypatch.setattr(analyze, "_fed_by_cycle",
                             lambda n, edges: searched.append(n) or real(n, edges))
         v = check_weak(net, budget)
-        assert searched == [2, 1]  # {p} (with s), then {r}; never {s}
+        assert searched == [5, 1]  # the graph, then the search at {r}
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (4, 2)
         assert v.message == ("the estimate after the word a b is {(0, 0, 0, 0, 1)}, and "
                              "singleton estimates return to it under the word c")
@@ -938,11 +951,24 @@ class TestObserverCertificates:
         assert v.outcome == HOLDS and built == [] and observed == []
         assert v.message == ("certificate: every secret marking reaches a non-secret "
                              "marking by unobservable transitions")
+        peeled, real = [], analyze._fed_by_cycle
+        monkeypatch.setattr(analyze, "_fed_by_cycle",
+                            lambda n, edges: peeled.append(n) or real(n, edges))
         v = check_weak(net, budget)
         assert v.outcome == FAILS and v.universal and observed == []
-        assert (v.stats.states, v.stats.depth) == (0, 0)
+        assert (v.stats.states, v.stats.depth) == (0, 0) and peeled == [21]
         assert v.message == ("certificate: the graph's singleton steps form no cycle "
                              "(6 of them, over 21 markings)")
+
+
+def test_wall_time_leaves_out_the_assumption_gate(monkeypatch):
+    # A gate made slow by a sleep: neither checker's wall time counts it.
+    real = analyze._gate_assumptions
+    monkeypatch.setattr(analyze, "_gate_assumptions",
+                        lambda net, budget: time.sleep(0.2) or real(net, budget))
+    net, budget = ring(5, 2), Budget(20000, 2000)
+    assert check_weak(net, budget).stats.wall_time < 0.2
+    assert check_strong(net, budget).stats.wall_time < 0.2
 
 
 class TestOneExploration:

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import subprocess
@@ -7,10 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lpndetect import analyze, build_observer, build_twin, cli, make_net
+from lpndetect import analyze, build_observer, build_twin, cli, dot, make_net
 from lpndetect.cli import main
-from lpndetect.dot import graph_to_dot, km_to_dot, net_to_dot, observer_to_dot
-from lpndetect.explore import Budget, build_km_tree, build_reachability_graph
+from lpndetect.dot import graph_to_dot, net_to_dot, observer_to_dot
+from lpndetect.explore import Budget, build_reachability_graph
 from lpndetect.gadgets import coverability_to_strong, inclusion_to_weak
 from lpndetect.net import EPSILON
 from lpndetect.schema import VERDICT_REPORT_SCHEMA
@@ -179,14 +180,13 @@ class TestDot:
         assert r'  "q\"" [shape=circle label="q\"\n0"];' in lines
         assert r'  "p\\" -> "t";' in lines and r'  "t" -> "q\"";' in lines
 
-    def test_graph_observer_km(self, e2, e3):
+    def test_graph_observer_km(self, e2):
         g = build_reachability_graph(e2, Budget(100, 100))
         assert "digraph" in graph_to_dot(g)
         obs = build_observer(e2)
         assert "digraph" in observer_to_dot(obs)
-        km = build_km_tree(e3, Budget())
-        text = km_to_dot(km)
-        assert "digraph" in text and "ω" in text
+        # The coverability tree has no DOT export.
+        assert not hasattr(dot, "km_to_dot")
 
 
 # The notes of the two assumption certificates; LIVE_T names transition t.
@@ -305,6 +305,28 @@ class TestCli:
             "check-opacity", write_net(tmp_path, e2), "--secret", str(secret2),
         ]) == 0
         capsys.readouterr()
+
+    def test_opacity_word_separates_its_symbols(self, tmp_path, capsys):
+        # The alphabet holds a, b and ab: the words (ab,) and (a, b) print
+        # apart. A word with a separator reads back as printed; one without
+        # reads one char each.
+        net = make_net(["p", "q", "r", "s"], {
+            "ta": ("a", {"p": 1}, {"q": 1}), "tb": ("b", {"q": 1}, {"r": 1}),
+            "tab": ("ab", {"p": 1}, {"s": 1}), "tr": ("c", {"r": 1}, {"r": 1}),
+            "ts": ("c", {"s": 1}, {"s": 1}),
+        }, {"p": 1})
+        path, secret = write_net(tmp_path, net), tmp_path / "secret.txt"
+        for place, word, json_word in (("s", "ab", ["ab"]), ("r", "a b", ["a", "b"])):
+            secret.write_text(f"{place}=1\n")
+            assert main(["check-opacity", path, "--secret", str(secret)]) == 1
+            assert f"  word: {word}" in capsys.readouterr().out.splitlines()
+            assert main(["check-opacity", path, "--secret", str(secret), "--json"]) == 1
+            assert json.loads(capsys.readouterr().out)["witness"]["word"] == json_word
+        for word, caption in (("a b", "{[0,0,1,0]}"), ("a,b", "{[0,0,1,0]}"),
+                              ("ab", "{[0,0,1,0]}"), ("ab,", "{[0,0,0,1]}"),
+                              ("ab c", "{[0,0,0,1]}")):
+            assert main(["estimate", path, "--word", word]) == 0
+            assert capsys.readouterr().out == caption + "\n"
 
     def test_observer_checks_report_depth(self, tmp_path, e2, capsys):
         # e2's observer: {(1,0)} -a-> {(1,0),(0,1)} -a-> itself
@@ -462,12 +484,12 @@ class TestCli:
 
     def test_km_reach_observer_estimate(self, tmp_path, e2, e3, capsys):
         p2 = write_net(tmp_path, e2)
-        assert main(["km", p2]) == 0
+        assert main(["km", p2]) == 3  # no such command
         assert main(["reach", p2]) == 0
         assert main(["observer", p2]) == 0
         assert main(["estimate", p2, "--word", "a,a"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[1:] == ["reachability graph: 2 nodes, 3 edges, complete",
+        assert out == ["reachability graph: 2 nodes, 3 edges, complete",
                            "observer: 2 states, 2 edges, complete",
                            "{[0,1],[1,0]}"]
         p3 = write_net(tmp_path, e3, "e3.lpn")
@@ -491,15 +513,16 @@ class TestCli:
         assert capsys.readouterr().out == "{[0,1],[1,0]}\n"
 
     def test_km_truncated_by_budget(self, tmp_path, e3, capsys):
+        # The km command is gone; reach shows a truncated graph.
         p3 = write_net(tmp_path, e3)
-        assert main(["km", p3]) == 0
-        assert capsys.readouterr().out == "coverability tree: 3 nodes\n"
-        dot = tmp_path / "km.dot"
-        assert main(["km", p3, "--max-states", "2", "--dot", str(dot)]) == 2
-        assert capsys.readouterr().out == "coverability tree: 2 nodes (truncated)\n"
+        assert main(["km", p3]) == 3
+        capsys.readouterr()
+        dot = tmp_path / "reach.dot"
+        assert main(["reach", p3, "--max-states", "2", "--dot", str(dot)]) == 2
+        assert capsys.readouterr().out == "reachability graph: 2 nodes, 1 edges, truncated\n"
         assert dot.read_text().count("->") == 1
-        assert main(["km", p3, "--max-depth", "1"]) == 2
-        assert capsys.readouterr().out == "coverability tree: 2 nodes (truncated)\n"
+        assert main(["reach", p3, "--max-depth", "1"]) == 2
+        assert capsys.readouterr().out == "reachability graph: 2 nodes, 1 edges, truncated\n"
 
     def test_dot_export(self, tmp_path, e2, capsys):
         dot = tmp_path / "twin.dot"
@@ -539,3 +562,20 @@ def test_import_needs_no_networkx():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.stdout.split() == ["False"], out.stderr
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py is left out: its imports are the package's exports.
+    src = Path(__file__).resolve().parent.parent / "src" / "lpndetect"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert unused == []
