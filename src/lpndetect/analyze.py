@@ -48,7 +48,7 @@ from .explore import (
     search_graph,
     search_pattern,
 )
-from .twin import TwinNet, build_twin
+from .twin import TwinNet, build_twin, half_moves, twin_steps
 
 
 class AssumptionError(NetError):
@@ -95,8 +95,12 @@ def _eps_ranked(net: LabeledPetriNet) -> bool:
 
 def _twin_invariant(tw: TwinNet) -> bool:
     """Whether every twin transition changes both halves equally, so that
-    every reachable twin marking has equal halves."""
-    return all(e[:tw.half] == e[tw.half:] for _, e in tw.net.kernel)
+    every reachable twin marking has equal halves; read off the base net's
+    kernel, a half that does not move changing nothing."""
+    g = tw.base
+    effects = half_moves(g.labels, ((ti, effect) for ti, (_, effect) in enumerate(g.kernel)))
+    zero = (0,) * tw.half
+    return all(e1 == e2 for _, e1, e2 in twin_steps(effects, effects, zero, zero))
 
 
 def _certified(t0: float, message: str, outcome: str = HOLDS) -> Verdict:
@@ -171,7 +175,8 @@ def check_strong(g: LabeledPetriNet, budget: Budget) -> Verdict:
 def _check_strong(g: LabeledPetriNet, budget: Budget):
     """check_strong's (verdict, twin, assumption report), so that a caller
     can decode the witness's twin transitions and report the assumptions
-    without building either again."""
+    without building either again. The clock starts after the assumption
+    gate."""
     report = _gate_assumptions(g, budget)
     graph, report = report.graph, replace(report, graph=None)
     t0 = time.perf_counter()
@@ -180,11 +185,13 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
         return _certified(t0, "twin invariant, as every twin transition "
                               "changes both halves equally"), tw, report
     # The twin's graph is read off a closed graph of g, kept from the gate or
-    # built here unless a growing transition could prove g unbounded.
+    # built here unless a growing transition could prove g unbounded; else
+    # the twin is fired on its halves, and its net is never built.
     if graph is None and not _growing(g):
         graph = build_reachability_graph(g, budget)
-    base = graph if graph is not None and graph.complete else None
-    return search_pattern(tw.net, STRONG, budget, base), tw, report
+    if graph is not None and graph.complete:
+        return search_pattern(tw.net, STRONG, budget, graph, t0), tw, report
+    return search_pattern(tw, STRONG, budget, t0=t0), tw, report
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, jsonout=False)
     p.add_argument("--word", required=True,
                    help="observation: symbols separated by commas or spaces, "
-                        "or one char each")
+                        "or one symbol, or one char each")
     return top
 
 
@@ -125,10 +125,12 @@ def _budget(args) -> Budget:
     return Budget(max_states=args.max_states, max_depth=args.max_depth)
 
 
-def _parse_word(s: str):
+def _parse_word(s: str, alphabet):
+    """Symbols separated by commas or spaces; else one symbol if alphabet
+    holds s, else one char each."""
     if "," in s or " " in s:
         return tuple(s.replace(",", " ").split())
-    return tuple(s)
+    return (s,) if s in alphabet else tuple(s)
 
 
 def _witness_json(verdict: Verdict, tw=None):
@@ -240,7 +242,7 @@ def _run(args) -> int:
               f"{sum(map(len, obs.succ))} edges, {status}")
         return EXIT_HOLDS if obs.complete else EXIT_INCONCLUSIVE
     if cmd == "estimate":
-        word = _parse_word(args.word)
+        word = _parse_word(args.word, net.alphabet)
         markings, complete = estimate(net, word, _budget(args))
         print(_estimate_caption(markings))
         if not complete:

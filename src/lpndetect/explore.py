@@ -9,9 +9,11 @@ net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
 graph; nothing is fired twice. The twin's graph is read off its net's
 closed graph where there is one, firing nothing; else search_pattern builds
-the graph in rounds. Once a round's prefix proves the net unbounded, a walk
-of the prefix's nodes runs, and a witness it finds there, or a walk that
-fills the budget, is the answer. Else the graph is built under the budget.
+the graph in rounds, a twin's by firing the net on each half of a twin
+marking (see twin.twin_steps), which builds no twin net. Once a round's
+prefix proves the net unbounded, a walk of the prefix's nodes runs, and a
+witness it finds there, or a walk that fills the budget, is the answer.
+Else the graph is built under the budget.
 When it closes the answer is decided, and a witness is read off three
 breadth-first distances (see _lasso); stats.states then counts the nodes
 those searches stored. Otherwise the walk, whose pumps close on covering,
@@ -32,11 +34,12 @@ from .net import (
     InputError,
     LabeledPetriNet,
     Marking,
-    fire_sequence,
+    fire,
     leq,
+    observation,
     successors,
 )
-from .twin import pair_id
+from .twin import TwinNet, half_moves, project, twin_steps
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -62,8 +65,9 @@ class SearchStats:
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
     of a witness on a closed graph stored (see _lasso). A certified verdict
-    searched nothing: its states and depth are 0. wall_time leaves out the
-    assumption gate of check_strong and check_weak."""
+    searched nothing: its states and depth are 0. wall_time runs from the
+    end of the assumption gate of check_strong and check_weak, so that of
+    check_strong counts its twin build and any net graph build."""
 
     states: int = 0
     depth: int = 0
@@ -211,59 +215,74 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
 
 @dataclass
 class ReachabilityGraph(Exploration):
-    """An exploration of the markings of net, labelled by transition ids."""
+    """An exploration of the markings of net, labelled by transition ids;
+    net is a LabeledPetriNet or a TwinNet, whose graph is its twin net's."""
 
-    net: LabeledPetriNet
+    net: object
 
     @property
     def markings(self) -> list:
         return self.states
 
 
-def _graph_rounds(net: LabeledPetriNet, budget: Budget):
+def _graph_rounds(net, budget: Budget):
     """The reachability graph at each round of its search (see
     _explore_rounds): BFS over the markings reachable from the initial
-    marking, in declared transition order."""
-    names = net.transitions
+    marking, in declared transition order.
 
-    def expand(m):
-        for ti, m2 in successors(net, m):
-            yield names[ti], m2
+    The graph of a TwinNet is that of its twin net, built without it: a
+    twin marking steps by the twin's step rule (twin.twin_steps) over the
+    moves that successors finds on each of its halves in the base net.
+    """
+    if isinstance(net, TwinNet):
+        g, ids, h = net.base, net.ids, net.half
+        labels, root = g.labels, tuple(g.initial_marking) * 2
 
-    for exp in _explore_rounds(net.initial_marking, expand, budget):
-        yield ReachabilityGraph(**vars(exp), net=net)
+        def expand(m):
+            m1, m2 = m[:h], m[h:]
+            left = half_moves(labels, successors(g, m1))
+            right = left if m1 == m2 else half_moves(labels, successors(g, m2))
+            for key, x1, x2 in twin_steps(left, right, m1, m2):
+                yield ids[key], x1 + x2
+    else:
+        names, root = net.transitions, net.initial_marking
+
+        def expand(m):
+            for ti, m2 in successors(net, m):
+                yield names[ti], m2
+
+    graph = None
+    for exp in _explore_rounds(root, expand, budget):
+        # One graph throughout, which grows with exp's lists.
+        graph = graph or ReachabilityGraph(**vars(exp), net=net)
+        yield graph
 
 
 def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
                              base: Optional[ReachabilityGraph] = None) -> ReachabilityGraph:
     """The reachability graph, built to the end of its search.
 
-    If base, the closed graph of the net whose twin (see twin.build_twin)
-    is net, is given, every reachable twin marking pairs two of its nodes:
-    the search runs over pairs (u, v), reading successors off base.succ in
-    the twin's transition order and firing nothing, and stores a pair as
-    the marking of u followed by that of v.
+    If base, the closed graph of the net whose twin net (see
+    twin.TwinNet.net) is net, is given, every reachable twin marking pairs
+    two of its nodes: the search runs over pairs (u, v), stepping by the
+    twin's step rule (twin.twin_steps) over the edges of u and v in
+    base.succ and firing nothing, and stores a pair as the marking of u
+    followed by that of v. The step rule lists the twin's transitions in
+    the order of net.transitions.
     """
     if base is None:
         *_, graph = _graph_rounds(net, budget)
         return graph
-    ts, mk = base.net.transitions, base.markings
-    label = dict(zip(ts, base.net.labels))
-    ids = {(a, b): pair_id(a, b) for a in (*ts, None) for b in (*ts, None)
-           if a is None or b is None or label[a] == label[b]}
-    eps = [[(t, w) for t, w in out if label[t] is EPSILON] for out in base.succ]
-    obs = [[(label[t], t, w) for t, w in out if label[t] is not EPSILON] for out in base.succ]
+    g, mk = base.net, base.markings
+    labels, index = g.labels, g.transition_index
+    every = half_moves(labels, ((ti, None) for ti in range(len(labels))))
+    ids = dict(zip((key for key, _, _ in twin_steps(every, every, None, None)), net.transitions))
+    moves = [half_moves(labels, ((index[t], w) for t, w in out)) for out in base.succ]
 
     def expand(pair):
         u, v = pair
-        for t, w in eps[u]:
-            yield ids[t, None], (w, v)
-        for t, w in eps[v]:
-            yield ids[None, t], (u, w)
-        for sym, t1, w1 in obs[u]:
-            for sym2, t2, w2 in obs[v]:
-                if sym == sym2:
-                    yield ids[t1, t2], (w1, w2)
+        for key, w1, w2 in twin_steps(moves[u], moves[v], u, v):
+            yield ids[key], (w1, w2)
 
     exp = _explore((0, 0), expand, budget)
     exp.states[:] = [mk[u] + mk[v] for u, v in exp.states]
@@ -603,37 +622,59 @@ def _first_cycle(graph: ReachabilityGraph, pattern: PathPattern, x: int, limit):
     return None, len(parent)
 
 
-def replay_witness(net: LabeledPetriNet, pattern: PathPattern, witness: Witness) -> bool:
+def replay_witness(net, pattern: PathPattern, witness: Witness) -> bool:
     """Re-fire a witness from the initial marking and check every pattern
-    constraint."""
+    constraint. Over a TwinNet, each twin transition fires its left and
+    right moves (see twin.project) on the halves of the marking, on the
+    base net, as the twin net fires it."""
     k = pattern.segments
     if len(witness.segments) != k or len(witness.markings) != k:
         return False
     pump = witness.segments[1]
     if not pump:
         return False
-    if pattern.eps_pump and any(net.label(t) is not EPSILON for t in pump):
+    twin = isinstance(net, TwinNet)
+    g = net.base if twin else net
+    try:
+        if pattern.eps_pump and any(observation(g, seq)
+                                    for seq in (project(net, pump) if twin else (pump,))):
+            return False
+        halves = [tuple(g.initial_marking)] * (1 + twin)
+        for seg, recorded in zip(witness.segments, witness.markings):
+            for t in seg:
+                halves = [m if x is None else fire(g, m, x)
+                          for m, x in zip(halves, net.pair_of[t] if twin else (t,))]
+            m = sum(halves, ())
+            if m != recorded:
+                return False
+    except (FiringError, InputError, KeyError):
         return False
-    m = tuple(net.initial_marking)
-    for seg, recorded in zip(witness.segments, witness.markings):
-        try:
-            m = fire_sequence(net, m, seg)
-        except FiringError:
-            return False
-        if m != recorded:
-            return False
     return leq(witness.markings[0], witness.markings[1]) and pattern.final_ok(m)
 
 
-def _growing(net: LabeledPetriNet) -> set:
-    """The transitions with a nonzero effect >= 0: the net is unbounded if one fires."""
-    return {t for t, (_, effect) in zip(net.transitions, net.kernel)
-            if any(effect) and min(effect) >= 0}
+def _growing(net) -> set:
+    """The transitions with a nonzero effect >= 0: the net is unbounded if
+    one fires. The effect of a TwinNet's transition is that of its left
+    move followed by that of its right move: it grows iff no move lowers
+    a place and some move changes one."""
+    if not isinstance(net, TwinNet):
+        return {t for t, (_, e) in zip(net.transitions, net.kernel) if any(e) and min(e) >= 0}
+    up, keep = set(), {None}  # the moves that grow, and those that lower nothing
+    for t, (_, e) in enumerate(net.base.kernel):
+        if min(e, default=0) >= 0:
+            keep.add(t)
+            if any(e):
+                up.add(t)
+    return {tid for (a, b), tid in net.ids.items()
+            if a in keep and b in keep and (a in up or b in up)}
 
 
-def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget,
-                   base: Optional[ReachabilityGraph] = None) -> Verdict:
-    """Search for a computation matching pattern from the initial marking.
+def search_pattern(net, pattern: PathPattern, budget: Budget,
+                   base: Optional[ReachabilityGraph] = None,
+                   t0: Optional[float] = None) -> Verdict:
+    """Search for a computation matching pattern from the initial marking
+    of net, a LabeledPetriNet or a TwinNet; t0 is when the question
+    started, for the wall time, now if not given.
 
     FAILS carries a minimal replay-checked witness. HOLDS is emitted only
     when the reachability graph closed within budget, so absence is a
@@ -641,16 +682,18 @@ def search_pattern(net: LabeledPetriNet, pattern: PathPattern, budget: Budget,
 
     The graph is read off base if given (see build_reachability_graph), else
     built in rounds that double its expanded markings from the first (see
-    _explore_rounds), and the answer is that of search_graph on the whole
-    graph; a round may give it early. A prefix in which a growing transition
-    has fired proves the net unbounded: the whole graph never closes, and
-    its walk runs under budget. If nothing in the prefix was cut, its walk
-    under depth cap D, the depth of its first unexpanded node, expands only
-    fully expanded nodes short of the cap, so it stores the first states
-    that the walk of the whole graph stores, in the same order. A witness
-    among them, or max_states of them, is therefore that walk's answer.
+    _graph_rounds and _explore_rounds), and the answer is that of
+    search_graph on the whole graph; a round may give it early. A prefix
+    in which a growing transition has fired proves the net unbounded: the
+    whole graph never closes, and its walk runs under budget. If nothing in
+    the prefix was cut, its walk under depth cap D, the depth of its first
+    unexpanded node, expands only fully expanded nodes short of the cap, so
+    it stores the first states that the walk of the whole graph stores, in
+    the same order. A witness among them, or max_states of them, is
+    therefore that walk's answer.
     """
-    t0 = time.perf_counter()
+    if t0 is None:
+        t0 = time.perf_counter()
     if base is not None:
         return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
     grows, unbounded = _growing(net), False

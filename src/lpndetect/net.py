@@ -207,15 +207,15 @@ def fire(net: LabeledPetriNet, m: Marking, t: str) -> Marking:
     net._check_marking(m)
     ti = net._tindex(t)
     pre_row, post_row = net.pre[ti], net.post[ti]
-    for i in range(len(m)):
-        if m[i] < pre_row[i]:
-            raise FiringError(
-                f"transition {t!r} disabled: place {net.places[i]!r} holds "
-                f"{m[i]} < {pre_row[i]}",
-                transition=t,
-                place=net.places[i],
-            )
-    return tuple(m[i] - pre_row[i] + post_row[i] for i in range(len(m)))
+    if not all(map(operator.ge, m, pre_row)):
+        i = next(i for i, (x, w) in enumerate(zip(m, pre_row)) if x < w)
+        raise FiringError(
+            f"transition {t!r} disabled: place {net.places[i]!r} holds "
+            f"{m[i]} < {pre_row[i]}",
+            transition=t,
+            place=net.places[i],
+        )
+    return tuple(map(operator.add, map(operator.sub, m, pre_row), post_row))
 
 
 def fire_sequence(net: LabeledPetriNet, m: Marking, seq: Sequence[str]) -> Marking:

@@ -971,6 +971,16 @@ def test_wall_time_leaves_out_the_assumption_gate(monkeypatch):
     assert check_strong(net, budget).stats.wall_time < 0.2
 
 
+def test_wall_time_counts_the_twin_build(monkeypatch, e2, e4):
+    # A twin build made slow by a sleep: check_strong's wall time counts it,
+    # on the twin read off the net's graph (e2) and on the fired one (e4).
+    real = analyze.build_twin
+    monkeypatch.setattr(analyze, "build_twin", lambda net: time.sleep(0.2) or real(net))
+    for net in (e2, e4):
+        v = check_strong(net, Budget(2000, 100))
+        assert v.fails and v.stats.wall_time >= 0.2
+
+
 class TestOneExploration:
     def test_each_graph_built_once(self, e1, e2_eps, e4, budget, monkeypatch):
         built, bases, rounds = [], [], []
@@ -1020,11 +1030,12 @@ class TestOneExploration:
         assert not analyze._twin_invariant(tw)
         assert v.holds and v.stats.states == 2
         assert built == [net, tw.net] and rounds == [net] and bases[-1].net is net
-        # e4's growing transition keeps its twin on the rounds: no net graph.
+        # e4's growing transition keeps its twin on the rounds, fired on its
+        # halves: no net graph, and no twin net.
         built.clear()
         rounds.clear()
         v, tw, _ = analyze._check_strong(e4, budget)
-        assert v.fails and built == [] and rounds == [tw.net]
+        assert v.fails and built == [] and rounds == [tw] and "net" not in vars(tw)
 
 
 def _graph_fields(graph):
@@ -1089,30 +1100,87 @@ class TestTwinReadOffTheNetGraph:
 
         real, read_off_bases = explore.search_pattern, []
 
-        def read_off(net, pattern, budget, base=None):
+        def read_off(net, pattern, budget, base=None, t0=None):
             read_off_bases.append(base is not None)
-            return real(net, pattern, budget, base)
+            return real(net, pattern, budget, base, t0)
 
         monkeypatch.setattr(analyze, "search_pattern", read_off)
         read_off_records = records()
-        # The fired path: the twin search gets no net graph.
-        monkeypatch.setattr(analyze, "search_pattern",
-                            lambda net, pattern, budget, base=None: real(net, pattern, budget))
+        # The fired path: the twin net, fired, without a net graph.
+        monkeypatch.setattr(analyze, "search_pattern", lambda net, pattern, budget, base=None,
+                            t0=None: real(getattr(net, "net", net), pattern, budget))
         assert read_off_records == records()
         outcomes = Counter(r[0] for r in read_off_records)
         print(outcomes, "read off", sum(read_off_bases))
         assert outcomes[FAILS] >= 75 and outcomes[HOLDS] >= 50
         assert sum(read_off_bases) >= 120
 
-    def test_fires_nothing_on_the_twin(self, e2_eps, budget, monkeypatch):
+    def test_fires_nothing_on_the_twin(self, e2_eps, e4, budget, monkeypatch):
+        # e2_eps's twin graph is read off its net's graph; e4's twin is
+        # fired on its halves. Neither fires a twin marking.
         fired_at = []
         real = explore.successors
         monkeypatch.setattr(explore, "successors",
                             lambda net, m: fired_at.append(m) or real(net, m))
-        v = check_strong(e2_eps, budget)
-        assert v.fails and explore.replay_witness(
-            build_twin(e2_eps).net, explore.STRONG, v.witness)
-        assert fired_at and {len(m) for m in fired_at} == {len(e2_eps.places)}
+        for net in (e2_eps, e4):
+            fired_at.clear()
+            v = check_strong(net, budget)
+            assert v.fails and explore.replay_witness(
+                build_twin(net).net, explore.STRONG, v.witness)
+            assert fired_at and {len(m) for m in fired_at} == {len(net.places)}
+
+
+class TestTwinFiredOnItsHalves:
+    """check_strong, which fires an unbounded twin on its halves and builds
+    no twin net, against the search of the twin net fired."""
+
+    def test_check_strong_matches_the_fired_twin_net(self):
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.remove(str(SRC.parent / "perfbench"))
+        cases = [(inst.net, WORKLOADS["twin_unbounded"].budget)
+                 for seed in range(6) for inst in instances("twin_unbounded", seed)]
+        rng = random.Random(11)
+        nets = [random_net(rng) for _ in range(300)] + [
+            random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)]
+        rng = random.Random(12)
+        nets += [random_net(rng, max_places=6, max_trans=7, eps_prob=0.2) for _ in range(300)]
+        cases += [(net, budget) for net in nets
+                  for budget in (Budget(50, 3), Budget(300, 30), Budget(2000, 100))]
+        outcomes, halves = Counter(), 0
+        for net, budget in cases:
+            try:
+                v, tw, _ = analyze._check_strong(net, budget)
+            except AssumptionError:
+                continue
+            if v.message.startswith("certificate"):
+                continue
+            halves += "net" not in vars(tw)
+            ref = explore.search_pattern(tw.net, explore.STRONG, budget)
+            assert (v.outcome, v.witness, v.stats.states, v.stats.depth, v.message) == \
+                (ref.outcome, ref.witness, ref.stats.states, ref.stats.depth, ref.message)
+            outcomes[v.outcome] += 1
+        print(dict(outcomes), "fired on halves", halves)
+        assert outcomes[FAILS] >= 420 and outcomes[INCONCLUSIVE] >= 90
+        assert halves >= 480
+
+
+def test_no_twin_net_is_built_on_the_unbounded_path(e2, e4, monkeypatch):
+    from lpndetect import twin
+
+    built, real = [], twin.LabeledPetriNet
+    monkeypatch.setattr(twin, "LabeledPetriNet", lambda **kw: built.append(kw) or real(**kw))
+    consumer = make_net(["p", "q", "r", "s"], {
+        "t": ("a", {"p": 1}, {"p": 1, "q": 2, "s": 1}),
+        "u": ("a", {"p": 1}, {"p": 1, "r": 2, "s": 1}),
+        "v": ("b", {"s": 1}, {}),
+    }, {"p": 1})
+    for net in (e4, consumer):
+        assert check_strong(net, Budget(2000, 100)).fails and built == []
+    # The twin read off a closed net graph is still built as a net.
+    assert check_strong(e2, Budget(2000, 100)).fails and len(built) == 1
 
 
 class TestHardChecks:
@@ -1142,6 +1210,36 @@ class TestHardChecks:
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True)
         assert out.stdout.split() == ["error", "error"], out.stderr
+
+    def test_halves_replay_rejects_tampering_under_optimize(self):
+        # A net whose q is produced by t and consumed by v: the pump (v,v)
+        # fires but does not cover its start. Each tampered witness is
+        # rejected over the TwinNet and over its twin net alike.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from lpndetect import Witness, build_twin, make_net\n"
+            "from lpndetect.explore import STRONG, replay_witness\n"
+            "net = make_net(['p', 'q', 'r'], {'t': ('a', {'p': 1}, {'p': 1, 'q': 1}),\n"
+            "    'u': ('a', {'p': 1}, {'p': 1, 'r': 1}), 'v': ('b', {'q': 1}, {})}, {'p': 1})\n"
+            "tw = build_twin(net)\n"
+            "ok = Witness(((), ('(t,u)',), ()), ((1, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 1),\n"
+            "    (1, 1, 0, 1, 0, 1)))\n"
+            "cases = [ok, Witness(ok.segments[:2], ok.markings[:2]),\n"
+            "    Witness(((), (), ('(t,u)',)), ok.markings),\n"
+            "    Witness(ok.segments, ok.markings[:2] + ((1, 1, 0, 1, 1, 0),)),\n"
+            "    Witness((('(t,t)',), ('(v,v)',), ('(t,u)',)), ((1, 1, 0, 1, 1, 0),\n"
+            "        (1, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 1))),\n"
+            "    Witness(((), ('(t,t)',), ()), ((1, 0, 0, 1, 0, 0), (1, 1, 0, 1, 1, 0),\n"
+            "        (1, 1, 0, 1, 1, 0))),\n"
+            "    Witness(((), ('(t,x)',), ()), ok.markings)]\n"
+            "print(*[replay_witness(tw, STRONG, w) for w in cases])\n"
+            "print(*[replay_witness(tw.net, STRONG, w) for w in cases])\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        expected = " ".join(["True"] + ["False"] * 6)
+        assert out.stdout.splitlines() == [expected, expected], out.stderr
 
     @pytest.mark.parametrize("moved", [False, True])
     def test_false_deadlock_raises(self, e2, budget, monkeypatch, moved):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter, deque
 
@@ -19,7 +20,7 @@ from lpndetect import (
     mismatch,
     search_pattern,
 )
-from lpndetect import explore
+from lpndetect import analyze, explore
 from lpndetect.analyze import check_assumptions, check_strong
 from lpndetect.explore import (
     EPS_PUMP,
@@ -228,6 +229,8 @@ class TestRounds:
         # Each net's witness is one pair step from the twin's root, so the
         # prefix with only the root expanded holds it: check_strong expands
         # at most two twin markings, and its witness is the whole graph's.
+        # A twin marking is expanded by one call of the step rule on the
+        # moves of its halves, whose markings it gets as the no-move values.
         consumer = make_net(["p", "q", "r", "s"], {
             "t": ("a", {"p": 1}, {"p": 1, "q": 2, "s": 1}),
             "u": ("a", {"p": 1}, {"p": 1, "r": 2, "s": 1}),
@@ -241,17 +244,53 @@ class TestRounds:
                 {f"p{i}": 1 for i in range(k)})
 
         budget = Budget(2000, 100)
-        real, fired_at = explore.successors, []
-        monkeypatch.setattr(explore, "successors",
-                            lambda n, m: fired_at.append(m) or real(n, m))
+        real, expanded = explore.twin_steps, []
+        monkeypatch.setattr(explore, "twin_steps", lambda left, right, m1, m2:
+                            expanded.append(m1 + m2) or real(left, right, m1, m2))
         for net in (e4, consumer, producers(3), producers(4)):
-            fired_at.clear()
+            expanded.clear()
             v = check_strong(net, budget)
-            expanded = [m for m in fired_at if len(m) == 2 * len(net.places)]
+            assert {len(m) for m in expanded} == {2 * len(net.places)}
             assert v.fails and 1 <= len(expanded) <= 2
             tw = build_twin(net)
             ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
             assert v.witness == ref.witness
+
+
+class TestTwinFiredOnItsHalves:
+    """An unbounded twin's graph, built by firing the net on each half of a
+    twin marking (see explore._graph_rounds), against the twin net fired."""
+
+    FIELDS = ("states", "succ", "parent", "depth", "cut")
+
+    def test_rounds_equal_the_fired_twin_net_at_every_round(self):
+        rng = random.Random(23)
+        nets = [random_net(rng) for _ in range(100)] + [
+            random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(100)]
+        rounds = cut = closed = grows = invariant = 0
+        for net in nets:
+            tw = build_twin(net)
+            # The growing set and the twin invariant, read off the net's
+            # kernel, against their reading off the twin net's kernel.
+            assert explore._growing(tw) == explore._growing(tw.net)
+            grows += bool(explore._growing(tw))
+            h, kernel = tw.half, tw.net.kernel
+            assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, e in kernel)
+            invariant += analyze._twin_invariant(tw)
+            for budget in (Budget(50, 3), Budget(300, 30)):
+                halves = explore._graph_rounds(tw, budget)
+                fired = explore._graph_rounds(tw.net, budget)
+                for ours, ref in itertools.zip_longest(halves, fired):
+                    assert [getattr(ours, f) for f in self.FIELDS] == \
+                        [getattr(ref, f) for f in self.FIELDS]
+                    assert ours.net is tw and ref.net is tw.net
+                    rounds += 1
+                cut += bool(ref.cut)
+                closed += ref.complete
+        print("rounds", rounds, "cut", cut, "closed", closed, "growing", grows,
+              "invariant", invariant)
+        assert rounds >= 1500 and cut >= 150 and closed >= 100
+        assert grows >= 100 and invariant >= 40
 
 
 class TestReachabilityGraph:

@@ -309,7 +309,7 @@ class TestCli:
     def test_opacity_word_separates_its_symbols(self, tmp_path, capsys):
         # The alphabet holds a, b and ab: the words (ab,) and (a, b) print
         # apart. A word with a separator reads back as printed; one without
-        # reads one char each.
+        # reads as one symbol if the alphabet holds it, else one char each.
         net = make_net(["p", "q", "r", "s"], {
             "ta": ("a", {"p": 1}, {"q": 1}), "tb": ("b", {"q": 1}, {"r": 1}),
             "tab": ("ab", {"p": 1}, {"s": 1}), "tr": ("c", {"r": 1}, {"r": 1}),
@@ -319,12 +319,20 @@ class TestCli:
         for place, word, json_word in (("s", "ab", ["ab"]), ("r", "a b", ["a", "b"])):
             secret.write_text(f"{place}=1\n")
             assert main(["check-opacity", path, "--secret", str(secret)]) == 1
-            assert f"  word: {word}" in capsys.readouterr().out.splitlines()
+            out = capsys.readouterr().out.splitlines()
+            assert f"  word: {word}" in out
             assert main(["check-opacity", path, "--secret", str(secret), "--json"]) == 1
-            assert json.loads(capsys.readouterr().out)["witness"]["word"] == json_word
+            witness = json.loads(capsys.readouterr().out)["witness"]
+            assert witness["word"] == json_word
+            # The printed word reads back to the witness's estimate.
+            assert main(["estimate", path, "--word", word]) == 0
+            caption = "{" + ",".join("[" + ",".join(map(str, m)) + "]"
+                                     for m in witness["estimate"]) + "}"
+            assert capsys.readouterr().out == caption + "\n"
         for word, caption in (("a b", "{[0,0,1,0]}"), ("a,b", "{[0,0,1,0]}"),
-                              ("ab", "{[0,0,1,0]}"), ("ab,", "{[0,0,0,1]}"),
-                              ("ab c", "{[0,0,0,1]}")):
+                              ("ab", "{[0,0,0,1]}"), ("ab,", "{[0,0,0,1]}"),
+                              ("ab c", "{[0,0,0,1]}"), ("abc", "{[0,0,1,0]}"),
+                              ("ac", "{}")):
             assert main(["estimate", path, "--word", word]) == 0
             assert capsys.readouterr().out == caption + "\n"
 

@@ -97,3 +97,70 @@ def test_completeness_exhaustive():
         for group in by_obs.values():
             for s1, s2 in itertools.product(group, repeat=2):
                 assert twin_pair_realizable(tw, s1, s2)
+
+
+def _collision_nets():
+    """(case, bounded net, unbounded net) whose default twin ids collide: a
+    place and its mirror, a place and a pair id, two pair ids of
+    comma-named transitions, and the two moves of an ε transition named ~."""
+    def shapes(places, ts, eps=None):
+        # e2's shape (bounded) and e4's (unbounded), both not strongly
+        # detectable: four a-moves, from p onto p or q or among q, or
+        # growing q or r. eps, if given, names an ε move from p to q.
+        p, q, r = places
+        t1, t2, t3, t4 = ts
+        bounded = {t1: ("a", {p: 1}, {p: 1}), t2: ("a", {p: 1}, {q: 1}),
+                   t3: ("a", {q: 1}, {q: 1}), t4: ("a", {q: 1}, {q: 1})}
+        unbounded = {t1: ("a", {p: 1}, {p: 1, q: 1}), t2: ("a", {p: 1}, {p: 1, r: 1}),
+                     t3: ("a", {p: 1}, {p: 1}), t4: ("a", {p: 1}, {p: 1, q: 1, r: 1})}
+        if eps is not None:
+            bounded = {t1: ("a", {p: 1}, {p: 1}), eps: (None, {p: 1}, {q: 1}),
+                       t3: ("a", {q: 1}, {q: 1})}
+            unbounded = {t1: ("a", {p: 1}, {p: 1, r: 1}), eps: (None, {p: 1}, {q: 1}),
+                         t3: ("a", {q: 1}, {q: 1, r: 1})}
+        return (make_net([p, q], bounded, {p: 1}),
+                make_net([p, q, r], unbounded, {p: 1}))
+
+    return [
+        ("mirror", *shapes(("p", "p'", "r"), ("t", "u", "v", "w"))),
+        ("place", *shapes(("p", "(t,t)", "r"), ("t", "u", "v", "w"))),
+        ("commas", *shapes(("p", "q", "r"), ("x,y", "z", "x", "y,z"))),
+        ("tilde", *shapes(("p", "q", "r"), ("t", None, "v", None), eps="~")),
+    ]
+
+
+def test_twin_ids_are_unique_on_every_valid_net():
+    from lpndetect import Budget, check_strong, explore
+    from lpndetect.textio import parse_lpn, render_lpn
+
+    budget = Budget(2000, 100)
+    for case, *nets in _collision_nets():
+        for net in nets:
+            tw = build_twin(net)
+            ids = tw.net.places + tw.net.transitions
+            assert len(set(ids)) == len(ids), case
+            assert parse_lpn(render_lpn(tw.net)).net == tw.net
+            assert set(tw.pair_of) == set(tw.net.transitions)
+            v = check_strong(net, budget)
+            assert v.fails, case
+            ref = explore.search_pattern(tw.net, explore.STRONG, budget)
+            assert (v.witness, v.stats.states, v.stats.depth) == \
+                (ref.witness, ref.stats.states, ref.stats.depth)
+            assert explore.replay_witness(tw.net, explore.STRONG, v.witness)
+            assert explore.replay_witness(tw, explore.STRONG, v.witness)
+    # Ids stay as they were wherever nothing collides, and only the
+    # colliding ones are primed.
+    _, bounded, _ = _collision_nets()[0]
+    assert build_twin(bounded).places == ("p", "p'", "p''", "p'''")
+    _, bounded, _ = _collision_nets()[1]
+    tw = build_twin(bounded)
+    assert tw.places == ("p", "(t,t)", "p'", "(t,t)'")
+    assert tw.net.transitions[0] == "(t,t)''" and tw.pair_of["(t,t)''"] == ("t", "t")
+    assert tw.net.transitions[1:] == tuple(f"({a},{b})" for a in "tuvw" for b in "tuvw")[1:]
+    _, _, unbounded = _collision_nets()[2]
+    tw = build_twin(unbounded)
+    assert tw.pair_of["(x,y,z)"] == ("x,y", "z") and tw.pair_of["(x,y,z)'"] == ("x", "y,z")
+    _, bounded, _ = _collision_nets()[3]
+    tw = build_twin(bounded)
+    assert tw.net.transitions == ("(~,~)", "(~,~)'", "(t,t)", "(t,v)", "(v,t)", "(v,v)")
+    assert tw.pair_of["(~,~)"] == ("~", None) and tw.pair_of["(~,~)'"] == (None, "~")
