@@ -4,7 +4,10 @@ and current-state opacity.
 Strong detectability is checked on the twin net as a path question: reach
 a marking, pump a covering loop, then reach a marking whose halves
 disagree. Weak detectability and opacity work on the observer, the
-deterministic automaton over current-marking estimates. A certificate,
+deterministic automaton over current-marking estimates, which reads a net
+graph (NetGraph): weak detectability's is the reachability graph built by
+its assumption check, opacity's is expanded on demand, a marking fired
+only when an estimate needs it. A certificate,
 where one applies, decides without that search: an integer one on the arc
 tables proves `holds` without a graph, unobservable exits from the secret
 set prove opacity, and a closed graph whose singleton steps form no cycle
@@ -16,7 +19,7 @@ witnesses or an inconclusive report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .net import (
@@ -45,6 +48,7 @@ from .explore import (
     _fed_by_cycle,
     _growing,
     build_reachability_graph,
+    estimate,
     search_graph,
     search_pattern,
 )
@@ -178,7 +182,8 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     without building either again. The clock starts after the assumption
     gate."""
     report = _gate_assumptions(g, budget)
-    graph, report = report.graph, replace(report, graph=None)
+    graph = report.graph
+    report = AssumptionReport(report.deadlock_free, report.no_infinite_unobservable, None)
     t0 = time.perf_counter()
     tw = build_twin(g)
     if _twin_invariant(tw):
@@ -204,67 +209,116 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
 Observer = Exploration
 
 
-def _eps_closure(eps: list, cut: set, nodes) -> Optional[frozenset]:
-    """nodes closed under the ε-successor lists eps; None if it meets a cut node."""
-    seen, stack = set(nodes), list(nodes)
-    while stack:
-        v = stack.pop()
-        if v in cut:
-            return None
-        for w in eps[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+class NetGraph(dict):
+    """A net's reachability graph as the observer reads it: maps a node id v
+    to the tuple of its ε-successors, None if the budget cut v; rows[v]
+    holds per symbol of symbols (sorted) the tuple of v's successors by it.
+    markings[v] is v's marking, node 0 the initial one. A built graph is
+    derived at once (read); otherwise a node's row is derived when it is
+    first read, from edges(v), its (transition, successor id) pairs or None
+    (fired)."""
 
+    def __init__(self, net: LabeledPetriNet, markings: list, edges=None):
+        super().__init__()
+        self.markings, self.edges, self.rows = markings, edges, {}
+        self.symbols = sorted(net.alphabet)
+        column = {sym: i for i, sym in enumerate(self.symbols)}  # ε last
+        self.column = {t: column.get(lab, len(column))
+                       for t, lab in zip(net.transitions, net.labels)}
 
-def _tables(graph: ReachabilityGraph):
-    """Per node its ε-successors and per symbol, per node its successors by
-    it; built once per graph and kept on it, for the observer and check_weak."""
-    if "_tables" not in vars(graph):
-        net, n = graph.net, len(graph.succ)
-        label = dict(zip(net.transitions, net.labels))
-        eps = [[] for _ in range(n)]
-        steps = {sym: [()] * n for sym in sorted(net.alphabet)}
-        for v, out in enumerate(graph.succ):
+    def __missing__(self, v):
+        out = self.edges(v)
+        self._derive(() if out is None else [(v, out)])
+        return self.setdefault(v, None)
+
+    def _derive(self, nodes):
+        """Store the row of each (v, edges of v) pair in nodes."""
+        column, rows, blank = self.column, self.rows, ((),) * (len(self.symbols) + 1)
+        for v, out in nodes:
+            row = list(blank)
             for t, w in out:
-                if label[t] is EPSILON:
-                    eps[v].append(w)
-                else:
-                    steps[label[t]][v] += (w,)
-        graph._tables = eps, steps
-    return graph._tables
+                row[column[t]] += (w,)
+            self[v] = row.pop()
+            rows[v] = row
+
+    @classmethod
+    def read(cls, graph: ReachabilityGraph) -> "NetGraph":
+        """Every row of a built graph, derived from graph.succ; nothing is fired."""
+        rows = cls(graph.net, graph.markings)
+        rows._derive(enumerate(graph.succ))
+        rows.update(dict.fromkeys(graph.cut))
+        return rows
+
+    @classmethod
+    def fired(cls, net: LabeledPetriNet, budget: Budget) -> "NetGraph":
+        """The graph expanded on demand: a node is fired when first read, and
+        a new successor becomes the next node if fewer than budget.max_states
+        are stored and the run that first reached it fired at most
+        budget.max_depth transitions; otherwise the node is cut."""
+        markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
+
+        def edges(v):
+            out, d = [], depth[v] + 1
+            for ti, m in successors(net, markings[v]):
+                w = index.get(m)
+                if w is None:
+                    if len(markings) >= budget.max_states or d > budget.max_depth:
+                        return None
+                    w = index[m] = len(markings)
+                    markings.append(m)
+                    depth.append(d)
+                out.append((net.transitions[ti], w))
+            return out
+
+        return cls(net, markings, edges)
 
 
-def explore_observer(graph: ReachabilityGraph, budget: Budget, goal=None) -> Observer:
-    """Budgeted subset construction over the nodes of a reachability graph.
+def _eps_closure(eps, nodes: set) -> Optional[frozenset]:
+    """The set nodes closed in place under the ε-successors eps[v], a level
+    at a time; None if it meets a node v whose eps[v] is None."""
+    new = nodes
+    while new:
+        out = list(map(eps.__getitem__, new))
+        if None in out:
+            return None
+        new = set().union(*out)
+        new -= nodes
+        nodes |= new
+    return frozenset(nodes)
 
-    Nothing is fired: symbol steps and ε-closures are read off graph.succ.
-    A set holding a node the graph's budget cut may be partial, so it is
+
+def explore_observer(graph: NetGraph, budget: Budget, goal=None) -> Observer:
+    """Budgeted subset construction over the node ids of a net graph,
+    reading only the rows of the nodes its estimates hold or try.
+
+    A set meeting a node the graph's budget cut may be partial, so it is
     never stored: it counts as a dropped successor, or leaves no state when
-    it is the initial closure. Every stored state is thus an exact estimate,
-    mapped to its markings at the end; the observer closes only if the graph
-    closed, within budget.max_depth firings. goal, if given, stops the
-    search as in _explore; it is tested on each stored estimate as a set of
-    graph node ids.
+    it is the initial closure. Every stored state is thus an exact
+    estimate. goal, if given, stops the search as in _explore.
     """
-    (eps, steps), cut = _tables(graph), graph.cut
+    rows = graph.rows
 
     def expand(state):
-        for sym, step in steps.items():
-            targets = set().union(*map(step.__getitem__, state))
+        for sym, targets in zip(graph.symbols, zip(*map(rows.__getitem__, state))):
+            targets = set().union(*targets)
             if targets:
-                yield sym, _eps_closure(eps, cut, targets)
+                yield sym, _eps_closure(graph, targets)
 
-    obs = _explore(_eps_closure(eps, cut, [graph.initial]), expand, budget, goal)
-    return replace(obs, states=[frozenset(map(graph.markings.__getitem__, nodes))
-                                for nodes in obs.states])
+    return _explore(_eps_closure(graph, {0}), expand, budget, goal)
+
+
+def marking_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
+    """The observer over a built graph, its states mapped to markings."""
+    obs = explore_observer(NetGraph.read(graph), budget)
+    obs.states[:] = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
+    return obs
 
 
 def build_observer(net: LabeledPetriNet, budget: Optional[Budget] = None) -> Observer:
-    """Complete observer of a bounded net; raises on budget exhaustion."""
+    """Complete observer of a bounded net, over markings; raises on budget
+    exhaustion."""
     budget = budget or Budget()
-    obs = explore_observer(build_reachability_graph(net, budget), budget)
+    obs = marking_observer(build_reachability_graph(net, budget), budget)
     if not obs.complete:
         raise InputError(
             "observer did not close within budget (net unbounded or budget too small)"
@@ -299,14 +353,14 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     return _check_weak(g, budget)[0]
 
 
-def _singleton_steps(graph: ReachabilityGraph) -> list:
-    """Per node u the (symbol, w), in symbol order, such that {u} -symbol-> {w}
-    is an observer step: every step from u by the symbol leads to w, and w
-    has no ε-successor but itself, so {w} is ε-closed."""
-    eps, steps = _tables(graph)
-    closed = [out.count(v) == len(out) for v, out in enumerate(eps)]
-    singles = [[] for _ in eps]
-    for sym, step in steps.items():
+def _singleton_steps(graph: NetGraph) -> list:
+    """Per node u of a closed built graph, read (NetGraph.read) and so
+    stored in node order, the (symbol, w), in symbol order, such that
+    {u} -symbol-> {w} is an observer step: every step from u by the symbol
+    leads to w, and w has no ε-successor but itself, so {w} is ε-closed."""
+    closed = [eps.count(v) == len(eps) for v, eps in enumerate(graph.values())]
+    singles = [[] for _ in closed]
+    for sym, step in zip(graph.symbols, zip(*graph.rows.values())):
         for u, out in enumerate(step):
             if out and closed[w := out[0]] and out.count(w) == len(out):
                 singles[u].append((sym, w))
@@ -336,9 +390,10 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     The clock starts after the assumption gate, as in _check_strong."""
     report = _gate_assumptions(g, budget)
     t0 = time.perf_counter()
-    graph = report.graph if report.graph is not None else build_reachability_graph(g, budget)
+    built = report.graph if report.graph is not None else build_reachability_graph(g, budget)
+    graph = NetGraph.read(built)
     live = set()  # the nodes from which singleton steps reach a cycle
-    if graph.complete:
+    if built.complete:
         singles = _singleton_steps(graph)
         # A node that a cycle reaches by reversed steps reaches it by the steps.
         live = _fed_by_cycle(len(singles), [(w, u) for u, out in enumerate(singles)
@@ -351,7 +406,7 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
                                            and min(nodes) in live) if live else None)
     # The goal stopped the observer iff its last estimate meets it.
     last = obs.states[-1] if live and obs.states else ()
-    stop = graph.markings.index(min(last)) if len(last) == 1 else None
+    stop = min(last) if len(last) == 1 else None
     cycle = _singleton_cycle(singles, live, stop) if stop in live else None
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     if not (obs.complete or cycle):
@@ -428,7 +483,7 @@ def _secret_escapes(net: LabeledPetriNet, secret_set: frozenset) -> bool:
                 else:
                     exits.add(m)
     # The markings that reach an exit: exits closed under ε-predecessors.
-    return len(_eps_closure(into, (), exits)) == len(secret_set)
+    return len(_eps_closure(into, exits)) == len(secret_set)
 
 
 def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
@@ -437,28 +492,39 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     Opaque (HOLDS) iff no observation's estimate is a nonempty subset of the
     secret set. FAILS carries the violating observation and estimate; the
     observer stops at the first such estimate, so its stats count the
-    observer states stored up to it. Where every secret marking reaches a
-    non-secret one by unobservable firing (_secret_escapes), `holds` is
-    certified without a graph or an observer, bounded or not. The check
-    does not require the standing assumptions. A secret marking must have
-    one non-negative integer per place; otherwise InputError is raised.
+    observer states stored up to it, and its estimate is recomputed by
+    `estimate` (a mismatch raises RuntimeError). The observer reads a net
+    graph expanded on demand (NetGraph.fired), which fires only the
+    markings of the estimates it stores or tries. Where that graph cuts
+    nothing the verdict and stats are those of the observer over the
+    whole reachability graph. Where every secret marking reaches a
+    non-secret one by unobservable
+    firing (_secret_escapes), `holds` is certified without a graph or an
+    observer, bounded or not. The check does not require the standing
+    assumptions. A secret marking must have one non-negative integer per
+    place; otherwise InputError is raised.
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
     if _secret_escapes(g, secret_set):
         return _certified(t0, "every secret marking reaches a non-secret marking "
                               "by unobservable transitions")
-    graph = build_reachability_graph(g, budget)
+    graph = NetGraph.fired(g, budget)
+    markings = graph.markings
     obs = explore_observer(graph, budget, lambda nodes: all(
-        graph.markings[v] in secret_set for v in nodes))
+        markings[v] in secret_set for v in nodes))
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
     v = len(obs.states) - 1
-    if obs.states and obs.states[v] <= secret_set:  # the goal stopped the search
-        return Verdict(
-            FAILS,
-            OpacityWitness(word=obs.path_to(v), estimate=obs.states[v]),
-            stats,
-        )
+    last = frozenset(map(markings.__getitem__, obs.states[v])) if obs.states else frozenset()
+    if last and last <= secret_set:  # the goal stopped the search
+        word = obs.path_to(v)
+        # Replay on the independent reference. Every (marking, position)
+        # state it stores has its marking in a stored estimate along word.
+        bound = (len(word) + 1) * len(markings)
+        est, complete = estimate(g, word, Budget(bound, bound))
+        if not (complete and est == last and est <= secret_set):
+            raise RuntimeError("internal error: opacity witness failed its replay check")
+        return Verdict(FAILS, OpacityWitness(word=word, estimate=last), stats)
     if obs.complete:
         return Verdict(HOLDS, stats=stats)
     return Verdict(

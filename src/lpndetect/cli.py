@@ -17,7 +17,7 @@ from .analyze import (
     _check_weak,
     check_assumptions,
     check_opacity,
-    explore_observer,
+    marking_observer,
 )
 from .dot import _estimate_caption, graph_to_dot, net_to_dot, observer_to_dot
 from .explore import (
@@ -235,7 +235,7 @@ def _run(args) -> int:
         return EXIT_HOLDS if graph.complete else EXIT_INCONCLUSIVE
     if cmd == "observer":
         budget = _budget(args)
-        obs = explore_observer(build_reachability_graph(net, budget), budget)
+        obs = marking_observer(build_reachability_graph(net, budget), budget)
         _write_dot(args, observer_to_dot(obs))
         status = "complete" if obs.complete else "truncated"
         print(f"observer: {len(obs.states)} states, "

@@ -32,7 +32,7 @@ from lpndetect import (
     make_net,
 )
 from lpndetect import analyze, explore
-from lpndetect.analyze import AssumptionError, Observer, explore_observer
+from lpndetect.analyze import AssumptionError, Observer, explore_observer, marking_observer
 from lpndetect.gadgets import inclusion_to_weak, secret_marking, selfloop_unobservable
 from lpndetect.net import (
     EPSILON,
@@ -310,12 +310,20 @@ class TestObserverOnGraph:
         exact = Budget(300, 200)  # a complete estimate is exact under any budget
 
         def fired(graph, budget, goal=None):
-            # goal reads graph node ids; an estimate holding a marking the
-            # graph did not store (an open graph's) meets neither goal here.
+            # The checks read states and goals as node ids of graph: a
+            # marking it has not stored is appended as a new node.
             node = {m: v for v, m in enumerate(graph.markings)}
-            found = goal and (lambda est: est <= node.keys()
-                              and goal(frozenset(map(node.__getitem__, est))))
-            return _fired_observer(graph.net, budget, found)
+
+            def ids(est):
+                for m in est:
+                    if m not in node:
+                        node[m] = len(graph.markings)
+                        graph.markings.append(m)
+                return frozenset(map(node.__getitem__, est))
+
+            obs = _fired_observer(net, budget, goal and (lambda est: goal(ids(est))))
+            obs.states[:] = map(ids, obs.states)
+            return obs
 
         compared = checked = 0
         differ = Counter()
@@ -325,7 +333,7 @@ class TestObserverOnGraph:
                 graph = build_reachability_graph(net, budget)
                 if not (graph.complete or open_too):
                     continue
-                obs = explore_observer(graph, budget)
+                obs = marking_observer(graph, budget)
                 ref = _fired_observer(net, budget)
                 if ref.complete and graph.complete:
                     compared += 1
@@ -362,7 +370,7 @@ class TestObserverOnGraph:
         graph = build_reachability_graph(net, budget)
         tracemalloc.start()
         try:
-            obs = explore_observer(graph, budget)
+            obs = marking_observer(graph, budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,7 +394,7 @@ class TestObserverOnGraph:
         for budget in (Budget(100, 3), Budget(4, 100)):
             with monkeypatch.context() as mp:
                 _certificates_off(mp)
-                assert explore_observer(build_reachability_graph(net, budget),
+                assert marking_observer(build_reachability_graph(net, budget),
                                         budget).states == []
                 assert check_opacity(net, secret, budget).outcome == INCONCLUSIVE
             # t keeps raising c, so every estimate holds (1, 4): certified.
@@ -402,7 +410,7 @@ class TestObserverOnGraph:
             return successors(*args)
 
         monkeypatch.setattr(explore, "successors", counting)  # analyze fires nothing
-        assert explore_observer(graph, budget).complete
+        assert marking_observer(graph, budget).complete
         assert fired == []
         built = []
 
@@ -485,7 +493,7 @@ class TestCheckOpacity:
         budget = Budget(50, 5)
         with monkeypatch.context() as mp:
             _certificates_off(mp)
-            obs = explore_observer(build_reachability_graph(net, budget), budget)
+            obs = marking_observer(build_reachability_graph(net, budget), budget)
             assert obs.states == [] and obs.succ == [] and not obs.complete
             v = check_opacity(net, [(1, 0)], budget)
             assert v.outcome == INCONCLUSIVE
@@ -509,7 +517,7 @@ def _scanned_opacity(net, secret, budget):
     """check_opacity as it stood before its observer stopped at the first
     secret estimate: the whole observer, scanned in BFS order. Kept as the
     reference. Returns (outcome, witness, states, depth)."""
-    obs = explore_observer(build_reachability_graph(net, budget), budget)
+    obs = marking_observer(build_reachability_graph(net, budget), budget)
     size = (len(obs.states), max(obs.depth, default=0))
     for v, state in enumerate(obs.states):
         if state and state <= secret:
@@ -520,37 +528,90 @@ def _scanned_opacity(net, secret, budget):
 class TestOpacityStopsEarly:
     """check_opacity's observer stops at the first secret estimate."""
 
-    def test_matches_the_whole_observer_scan(self, no_certificates):
-        rng = random.Random(73)
+    def test_matches_the_whole_observer_scan(self, monkeypatch, no_certificates):
+        # check_opacity's observer reads a graph expanded on demand, the
+        # reference the whole built graph. Where that closes, the graph
+        # expanded on demand cuts nothing in this corpus either (it could
+        # only by a run that first reaches a marking beyond max_depth), and
+        # the stats agree: the observer stops early only at a failure. On an
+        # open graph the two cut different nodes, so the stats may differ;
+        # outcome and witness must not, and every estimate stored on demand
+        # must be exact: the closure of its parent's step fired on the net,
+        # and on a sample, the estimate of its word.
+        rng, pick = random.Random(73), random.Random(1)
         cases = []
         for k in (3, 4, 5, 6):
             for n in (1, 2, 3):
                 for eps in (False, True):
                     cases += [(ring(k, n, eps), Budget(5000, 1000))] * 6
-        for _ in range(300):
+        for i in range(300):
             net = random_net(rng, eps_prob=0.3)
             cases += [(net, Budget(300, 30)), (net, Budget(50, 3))]
-        outcomes, fewer = Counter(), 0
+            if i < 40:
+                cases.append((net, Budget(2000, 100)))
+        real, seen = explore_observer, []
+
+        def spy(graph, budget, goal=None):
+            seen[:] = [graph, real(graph, budget, goal)]
+            return seen[1]
+
+        monkeypatch.setattr(analyze, "explore_observer", spy)
+        outcomes, fewer, stepped, exact = Counter(), 0, 0, 0
         for net, budget in cases:
-            markings = build_reachability_graph(net, budget).markings
-            secret = set(rng.sample(markings, min(len(markings), rng.randint(1, 3))))
-            ours = check_opacity(net, secret, budget)
+            whole = build_reachability_graph(net, budget)
+            secret = set(rng.sample(whole.markings, min(len(whole.markings),
+                                                        rng.randint(1, 3))))
             outcome, witness, states, depth = _scanned_opacity(net, frozenset(secret), budget)
+            ours = check_opacity(net, secret, budget)  # observed last
             assert (ours.outcome, ours.witness) == (outcome, witness)
+            outcomes[outcome, whole.complete] += 1
             if outcome == FAILS:
-                assert ours.stats.states <= states and ours.stats.depth <= depth
                 assert ours.stats.depth == len(witness.word)
-                fewer += ours.stats.states < states
-            else:
-                assert (ours.stats.states, ours.stats.depth) == (states, depth)
-            outcomes[outcome] += 1
-        print("records", len(cases), dict(outcomes), "fewer states", fewer)
-        assert len(cases) == 744 and outcomes[FAILS] >= 400 and fewer >= 150
+            if whole.complete:
+                if outcome == FAILS:
+                    assert ours.stats.states <= states and ours.stats.depth <= depth
+                    fewer += ours.stats.states < states
+                else:
+                    assert (ours.stats.states, ours.stats.depth) == (states, depth)
+                continue
+            graph, obs = seen
+            ests = [{graph.markings[u] for u in nodes} for nodes in obs.states]
+            for v, est in enumerate(ests):  # the parent's step, fired and closed
+                u, sym = obs.parent[v] or (None, None)
+                step = {m2 for m in ests[u] for ti, m2 in successors(net, m)
+                        if net.labels[ti] == sym} if v else {net.initial_marking}
+                assert est == _eps_closure(net, step, _BudgetTracker(Budget()))
+                stepped += 1
+            # estimate, the independent reference, on a sample, the last among it
+            for v in {len(ests) - 1, *pick.sample(range(len(ests)), min(4, len(ests)))} - {-1}:
+                est, complete = estimate(net, obs.path_to(v), Budget(300, 200))
+                if complete:
+                    exact += 1
+                    assert est == ests[v]
+        print("records", len(cases), dict(outcomes), "fewer states", fewer,
+              "estimates on open graphs stepped", stepped, "and estimated", exact)
+        assert len(cases) == 784 and fewer >= 120 and stepped >= 4000 and exact >= 500
+        assert outcomes[FAILS, True] >= 400 and outcomes[HOLDS, True] >= 35
+        assert outcomes[FAILS, False] >= 80 and outcomes[INCONCLUSIVE, False] >= 180
+
+    def test_fires_only_what_its_estimates_need(self, monkeypatch, no_certificates):
+        # The observer reads a graph it expands on demand: of ring(8, 4)'s 330
+        # markings it fires those in the estimates up to b b b b, each once,
+        # and no whole graph is built.
+        net, budget = ring(8, 4), Budget(20000, 2000)
+        fired, built, real = [], [], analyze.successors
+        monkeypatch.setattr(analyze, "successors", lambda g, m: fired.append(m) or real(g, m))
+        for module in (analyze, explore):
+            monkeypatch.setattr(module, "build_reachability_graph",
+                                lambda *args: built.append(args))
+        v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
+        assert v.outcome == FAILS and v.witness.word == ("b",) * 4 and built == []
+        assert len(fired) == len(set(fired)) < 330
 
     def test_ring_stops_at_its_first_secret_estimate(self):
         # ring(8, 4) with all four tokens on p1: seen after b b b b.
         net, budget = ring(8, 4), Budget(20000, 2000)
-        full = explore_observer(build_reachability_graph(net, budget), budget)
+        full = marking_observer(build_reachability_graph(net, budget), budget)
         assert len(full.states) == 1740
         v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
         assert v.outcome == FAILS and v.witness.word == ("b",) * 4
@@ -566,7 +627,7 @@ def _peeled_weak(net, budget):
     if report.any_fails:
         return None
     graph = report.graph if report.graph is not None else build_reachability_graph(net, budget)
-    obs = explore_observer(graph, budget)
+    obs = marking_observer(graph, budget)
     size = (len(obs.states), max(obs.depth, default=0))
     if not obs.complete:
         return (INCONCLUSIVE,) + size
@@ -645,7 +706,7 @@ class TestWeakStopsEarly:
     def test_ring_stops_at_its_root(self):
         # ring(8, 4): {4 tokens on p0} is singleton and returns to itself.
         net, budget = ring(8, 4), Budget(20000, 2000)
-        full = explore_observer(build_reachability_graph(net, budget), budget)
+        full = marking_observer(build_reachability_graph(net, budget), budget)
         assert len(full.states) == 1740
         v = check_weak(net, budget)
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
@@ -754,7 +815,7 @@ class TestOneExplorer:
         budget = Budget(100, 1)
         graph = build_reachability_graph(net, budget)
         assert graph.complete and graph.depth == [0, 1]
-        obs = explore_observer(graph, budget)
+        obs = marking_observer(graph, budget)
         assert obs.complete and obs.depth == [0, 1]
         assert obs.succ == [(("a", 1),), (("b", 0),)]
         # check_weak stops at the root: {p} -a-> {q} -b-> {p} is its cycle.
@@ -781,7 +842,7 @@ class TestOneExplorer:
                 g = nx.DiGraph([(v, w) for v, _, w in graph.edges])
                 g.add_nodes_from(range(len(graph.markings)))
                 assert len(path) == nx.shortest_path_length(g, 0, graph.markings.index(dead))
-            obs = explore_observer(build_reachability_graph(net, budget), budget)
+            obs = marking_observer(build_reachability_graph(net, budget), budget)
             if not obs.complete:
                 continue
             observers += 1
@@ -1282,9 +1343,38 @@ class TestHardChecks:
                              capture_output=True, text=True)
         assert out.stdout.split() == ["error"], out.stderr
 
+    def test_opacity_replay_rejects_tampering_under_optimize(self):
+        # e moves p's token to q unobservably, so the estimate of the empty
+        # word is {(1, 0), (0, 1)}: secret in full when the secret holds
+        # both, and not when it holds (1, 0) alone. A closure that adds
+        # nothing, or an estimate reported incomplete, must be caught.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from lpndetect import Budget, analyze, check_opacity, make_net\n"
+            "net = make_net(['p', 'q'], {'e': (None, {'p': 1}, {'q': 1}),\n"
+            "    'a': ('a', {'q': 1}, {'q': 1}), 'b': ('b', {'p': 1}, {'p': 1})}, {'p': 1})\n"
+            "analyze._secret_escapes = lambda net, secret: False\n"
+            "def run(secret):\n"
+            "    try:\n"
+            "        print(check_opacity(net, secret, Budget(200, 20)).outcome)\n"
+            "    except RuntimeError:\n"
+            "        print('error')\n"
+            "run([(1, 0)])\n"
+            "run([(1, 0), (0, 1)])\n"
+            "real = analyze.estimate\n"
+            "analyze.estimate = lambda *args: (real(*args)[0], False)\n"
+            "run([(1, 0), (0, 1)])\n"
+            "analyze.estimate = real\n"
+            "analyze._eps_closure = lambda eps, nodes: frozenset(nodes)\n"
+            "run([(1, 0)])\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["holds", "fails", "error", "error"], out.stderr
+
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
-        init = frozenset({(1,)})
-        lonely = Observer([init], succ=[()], parent=[None], depth=[0], cut=set())
+        lonely = Observer([frozenset({0})], succ=[()], parent=[None], depth=[0], cut=set())
         monkeypatch.setattr(analyze, "explore_observer",
                             lambda graph, budget, goal=None: lonely)
         with pytest.raises(RuntimeError):

@@ -587,3 +587,21 @@ def test_modules_use_every_name_they_import():
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_benchmark_finds_every_layer_it_traces():
+    # perfbench/spans.py wraps each layer function by its name; a function
+    # renamed or removed here would read as null in the benchmark instead of
+    # failing a test.
+    import importlib.util
+
+    import lpndetect.textio  # noqa: F401  every module spans.LAYERS names
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        pass
+    assert tracer.absent == set()
