@@ -254,15 +254,22 @@ class NetGraph(dict):
         """The graph expanded on demand: a node is fired when first read, and
         a new successor becomes the next node if fewer than budget.max_states
         are stored and the run that first reached it fired at most
-        budget.max_depth transitions; otherwise the node is cut."""
+        budget.max_depth transitions; otherwise the node is cut. That run
+        can be longer than the shortest, so at the first successor past
+        max_depth the whole graph is built once: if it closes, no node is
+        cut, as none is in the whole graph."""
         markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
+        closes = []  # whether the whole graph closes, once asked
 
         def edges(v):
             out, d = [], depth[v] + 1
             for ti, m in successors(net, markings[v]):
                 w = index.get(m)
                 if w is None:
-                    if len(markings) >= budget.max_states or d > budget.max_depth:
+                    if d > budget.max_depth and not closes:
+                        closes.append(build_reachability_graph(net, budget).complete)
+                    if len(markings) >= budget.max_states or (
+                            d > budget.max_depth and not closes[0]):
                         return None
                     w = index[m] = len(markings)
                     markings.append(m)
@@ -495,14 +502,15 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     observer states stored up to it, and its estimate is recomputed by
     `estimate` (a mismatch raises RuntimeError). The observer reads a net
     graph expanded on demand (NetGraph.fired), which fires only the
-    markings of the estimates it stores or tries. Where that graph cuts
-    nothing the verdict and stats are those of the observer over the
-    whole reachability graph. Where every secret marking reaches a
-    non-secret one by unobservable
-    firing (_secret_escapes), `holds` is certified without a graph or an
-    observer, bounded or not. The check does not require the standing
-    assumptions. A secret marking must have one non-negative integer per
-    place; otherwise InputError is raised.
+    markings of the estimates it stores or tries. Where the whole
+    reachability graph closes within the budget, that graph cuts nothing,
+    and the verdict and stats are those of the observer over the whole
+    graph; where it is open, the two cut different nodes and the stats
+    may differ. Where every secret marking reaches a non-secret one by
+    unobservable firing (_secret_escapes), `holds` is certified without a
+    graph or an observer, bounded or not. The check does not require the
+    standing assumptions. A secret marking must have one non-negative
+    integer per place; otherwise InputError is raised.
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)

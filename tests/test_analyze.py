@@ -531,9 +531,8 @@ class TestOpacityStopsEarly:
     def test_matches_the_whole_observer_scan(self, monkeypatch, no_certificates):
         # check_opacity's observer reads a graph expanded on demand, the
         # reference the whole built graph. Where that closes, the graph
-        # expanded on demand cuts nothing in this corpus either (it could
-        # only by a run that first reaches a marking beyond max_depth), and
-        # the stats agree: the observer stops early only at a failure. On an
+        # expanded on demand cuts nothing either, and the stats agree: the
+        # observer stops early only at a failure. On an
         # open graph the two cut different nodes, so the stats may differ;
         # outcome and witness must not, and every estimate stored on demand
         # must be exact: the closure of its parent's step fired on the net,
@@ -607,6 +606,26 @@ class TestOpacityStopsEarly:
         v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
         assert v.outcome == FAILS and v.witness.word == ("b",) * 4 and built == []
         assert len(fired) == len(set(fired)) < 330
+
+    def test_a_long_first_run_cuts_no_closed_graph(self, monkeypatch):
+        # One token; e1, e2 are unobservable. The initial closure fires y,
+        # two firings deep, which first reaches x three deep, though b2
+        # reaches it two deep: past max_depth 2 the whole graph is built
+        # once, closes, and nothing is cut. At max_depth 1 it is open.
+        net = make_net(["p", "q", "y", "u", "x"], {
+            "e1": (EPSILON, {"p": 1}, {"q": 1}), "e2": (EPSILON, {"q": 1}, {"y": 1}),
+            "a": ("a", {"p": 1}, {"u": 1}), "b1": ("b", {"y": 1}, {"x": 1}),
+            "b2": ("b", {"u": 1}, {"x": 1}), "c": ("c", {"x": 1}, {"p": 1})}, {"p": 1})
+        secret, built, real = {(0, 0, 0, 0, 1)}, [], analyze.build_reachability_graph
+        monkeypatch.setattr(analyze, "build_reachability_graph",
+                            lambda *args: built.append(args) or real(*args))
+        for budget, outcome in ((Budget(100, 2), FAILS), (Budget(100, 1), INCONCLUSIVE)):
+            built.clear()
+            v = check_opacity(net, secret, budget)
+            ref = _scanned_opacity(net, secret, budget)
+            assert (v.outcome, v.witness, v.stats.states, v.stats.depth) == ref
+            assert v.outcome == outcome and len(built) == 1
+        assert v.witness is None and check_opacity(net, secret, Budget(100, 3)).fails
 
     def test_ring_stops_at_its_first_secret_estimate(self):
         # ring(8, 4) with all four tokens on p1: seen after b b b b.
