@@ -259,17 +259,17 @@ class NetGraph(dict):
         max_depth the whole graph is built once: if it closes, no node is
         cut, as none is in the whole graph."""
         markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
-        closes = []  # whether the whole graph closes, once asked
+        closes = None  # whether the whole graph closes, once asked
 
         def edges(v):
+            nonlocal closes
             out, d = [], depth[v] + 1
             for ti, m in successors(net, markings[v]):
                 w = index.get(m)
                 if w is None:
-                    if d > budget.max_depth and not closes:
-                        closes.append(build_reachability_graph(net, budget).complete)
-                    if len(markings) >= budget.max_states or (
-                            d > budget.max_depth and not closes[0]):
+                    if d > budget.max_depth and closes is None:
+                        closes = build_reachability_graph(net, budget).complete
+                    if len(markings) >= budget.max_states or d > budget.max_depth and not closes:
                         return None
                     w = index[m] = len(markings)
                     markings.append(m)
