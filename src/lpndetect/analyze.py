@@ -49,6 +49,7 @@ from .explore import (
     _growing,
     build_reachability_graph,
     estimate,
+    estimates,
     search_graph,
     search_pattern,
 )
@@ -431,16 +432,34 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
         )
     if cycle:
         prefix, x, loop = cycle
-        word = " ".join(obs.path_to(len(obs.states) - 1) + prefix) or "(empty)"
+        word = obs.path_to(len(obs.states) - 1) + prefix
+        _replay_singleton_cycle(g, word, graph.markings[x], loop, len(graph.markings))
         return Verdict(HOLDS, stats=stats, message=(
-            f"the estimate after the word {word} is {{{graph.markings[x]}}}, and singleton "
-            f"estimates return to it under the word {' '.join(loop)}")), report
+            f"the estimate after the word {' '.join(word) or '(empty)'} is "
+            f"{{{graph.markings[x]}}}, and singleton estimates return to it under the "
+            f"word {' '.join(loop)}")), report
     return Verdict(
         FAILS,
         stats=stats,
         message="no reachable cycle of singleton estimates",
         universal=True,
     ), report
+
+
+def _replay_singleton_cycle(net: LabeledPetriNet, word: tuple, m, loop: list,
+                            reachable: int) -> None:
+    """Check, on the independent reference (explore.estimates), what weak
+    `holds` names: the estimate after word is {m}, that after each longer
+    prefix of word followed by loop is a singleton, and that after all of
+    it is {m}. Raises RuntimeError otherwise. A budget of (length + 1) *
+    reachable states, reachable bounding the count of reachable markings,
+    holds every (marking, position) state of the search."""
+    run = word + tuple(loop)
+    bound = (len(run) + 1) * reachable
+    ests, complete = estimates(net, run, Budget(bound, bound))
+    along = ests[len(word):]
+    if not (complete and along[0] == along[-1] == {m} and all(len(e) == 1 for e in along)):
+        raise RuntimeError("internal error: weak detectability witness failed its replay check")
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,17 @@ prefix proves the net unbounded, a walk of the prefix's nodes runs, and a
 witness it finds there, or a walk that fills the budget, is the answer.
 Else the graph is built under the budget.
 When it closes the answer is decided, and a witness is read off three
-breadth-first distances (see _lasso); stats.states then counts the nodes
-those searches stored. Otherwise the walk, whose pumps close on covering,
+breadth-first distances (see _lasso); on a twin graph read off the net's,
+a lower bound from the net's graph skips the pump searches that would find
+nothing. stats.states then counts the nodes the distance searches stored,
+not those of the bound's. Otherwise the walk, whose pumps close on covering,
 runs under the same budget and finds a sound witness or reports the
 question inconclusive.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,7 +67,9 @@ class SearchStats:
     """states counts what the deciding search stored: markings, observer
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
-    of a witness on a closed graph stored (see _lasso). A certified verdict
+    of a witness on a closed graph stored (see _lasso), without those of
+    its cycle bound's searches on a net graph: a twin graph read off the
+    net's thus counts at most as many as the fired one. A certified verdict
     searched nothing: its states and depth are 0. wall_time runs from the
     end of the assumption gate of check_strong and check_weak, so that of
     check_strong counts its twin build and any net graph build."""
@@ -216,9 +221,15 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
 @dataclass
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids;
-    net is a LabeledPetriNet or a TwinNet, whose graph is its twin net's."""
+    net is a LabeledPetriNet or a TwinNet, whose graph is its twin net's.
+    A twin net's graph read off the closed graph base of its net (see
+    build_reachability_graph) keeps base, and in pairs[v] the two base
+    nodes whose markings make up that of v; a graph built by firing has
+    neither."""
 
     net: object
+    base: Optional["ReachabilityGraph"] = field(default=None, compare=False, repr=False)
+    pairs: Optional[list] = field(default=None, compare=False, repr=False)
 
     @property
     def markings(self) -> list:
@@ -267,8 +278,8 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
     two of its nodes: the search runs over pairs (u, v), stepping by the
     twin's step rule (twin.twin_steps) over the edges of u and v in
     base.succ and firing nothing, and stores a pair as the marking of u
-    followed by that of v. The step rule lists the twin's transitions in
-    the order of net.transitions.
+    followed by that of v, keeping the pairs and base on the graph. The
+    step rule lists the twin's transitions in the order of net.transitions.
     """
     if base is None:
         *_, graph = _graph_rounds(net, budget)
@@ -285,8 +296,8 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
             yield ids[key], (w1, w2)
 
     exp = _explore((0, 0), expand, budget)
-    exp.states[:] = [mk[u] + mk[v] for u, v in exp.states]
-    return ReachabilityGraph(**vars(exp), net=net)
+    pairs, exp.states = exp.states, [mk[u] + mk[v] for u, v in exp.states]
+    return ReachabilityGraph(**vars(exp), net=net, base=base, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +488,16 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
         if not pattern.eps_pump or not net.is_observable(t)
     ]
     fed = _fed_by_cycle(len(graph.markings), allowed)
-    return fed if any(pattern.final_ok(graph.markings[v]) for v in fed) else set()
+    return fed if any(_final(graph, pattern, fed)) else set()
+
+
+def _final(graph: ReachabilityGraph, pattern: PathPattern, nodes):
+    """Whether the marking of each of nodes passes the pattern's final test.
+    On a graph read off pairs, a marking's halves are those of its pair's
+    nodes, which differ iff the nodes do, so no marking is sliced."""
+    if graph.pairs is None or pattern.eps_pump:
+        return map(pattern.final_ok, map(graph.markings.__getitem__, nodes))
+    return (u != v for u, v in map(graph.pairs.__getitem__, nodes))
 
 
 def _witness_search(
@@ -502,9 +522,11 @@ def _witness_search(
 
     Returns (witness-or-None, exhausted, states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
-    The states are walk states, or the nodes _lasso's searches stored. Depth
-    counts fired transitions, so the witness has minimal total length; ties
-    break on the own segment's steps first, then on transition order.
+    The states are walk states, or the nodes _lasso's distance and pump
+    searches stored, which skip hopeless anchors on a twin graph read off
+    its net's. Depth counts fired transitions, so the witness has minimal
+    total length; ties break on the own segment's steps first, then on
+    transition order.
     """
     if graph.complete:
         return _lasso(graph, pattern, _exact_exists(graph, pattern) if fed is None else fed)
@@ -561,9 +583,21 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     transition order, the tied anchor taken is the one whose BFS tree path
     comes first, a path before its prefixes; beta is the first shortest
     cycle, and gamma the first shortest descent of dF.
+
+    On a twin graph read off pairs (see build_reachability_graph), an
+    anchor x = (u, v) whose bound min(c_net(u), c_net(v)) exceeds best - s
+    is skipped, c_net being the length of the shortest nonempty cycle
+    through a node of the net's graph (_girth, asked once best is finite).
+    The bound is sound: each twin step moves each half along at most one
+    edge of the net's graph, and one half at least, so a twin cycle of
+    length L through x projects to closed walks of at most L steps through
+    u and through v, one of them nonempty: L >= min(c_net(u), c_net(v)).
+    The skipped search would thus have found no cycle within best - s, and
+    best, the ties and the witness are those without the bound. The states
+    counted leave out the bound's searches on the net's graph.
     """
     markings, succ, n = graph.markings, graph.succ, len(graph.markings)
-    to_final = [0 if pattern.eps_pump or pattern.final_ok(m) else None for m in markings]
+    to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
     queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
     pred = [[] for _ in range(n)]
     for v, out in enumerate(succ if queue else ()):
@@ -574,12 +608,16 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
             if to_final[u] is None:
                 to_final[u] = to_final[v] + 1
                 queue.append(u)
-    stored, best, tied = len(queue), float("inf"), []
+    stored, best, tied = len(queue), math.inf, []
+    girth = _girth(graph.base.succ) if graph.pairs else None
     for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
                        if to_final[x] is not None):
         if s >= best:
             break
-        pump, seen = _first_cycle(graph, pattern, x, best - s)
+        limit = best - s
+        if girth and limit < math.inf and all(girth(y, limit) > limit for y in graph.pairs[x]):
+            continue
+        pump, seen = _first_cycle(graph, pattern, x, limit)
         stored += seen
         if pump is not None:
             if s + len(pump) < best:
@@ -596,6 +634,36 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     witness = Witness((graph.path_to(x), pump, tuple(gamma))[:k],
                       (markings[x], markings[x], markings[v])[:k])
     return witness, False, stored, best
+
+
+def _girth(succ: list):
+    """c_net of the graph with successor lists succ, asked lazily:
+    girth(u, limit) is the length of the shortest nonempty cycle through u
+    if it is at most limit, else a lower bound above limit. A BFS from u
+    bounded by limit answers, and its answer, exact or "more than limit",
+    is kept for u: it answers every later ask it settles."""
+    known = {}  # u -> (length or lower bound, exact)
+
+    def girth(u, limit):
+        bound, exact = known.get(u, (0, False))
+        if exact or bound > limit:
+            return bound
+        seen, level, d = {u}, [u], 0
+        while level and d < limit:
+            d, nxt = d + 1, []
+            for y in level:
+                for _, w in succ[y]:
+                    if w == u:
+                        known[u] = d, True
+                        return d
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            level = nxt
+        known[u] = (limit + 1, False) if level else (math.inf, True)
+        return known[u][0]
+
+    return girth
 
 
 def _first_cycle(graph: ReachabilityGraph, pattern: PathPattern, x: int, limit):
@@ -754,21 +822,31 @@ def estimate(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
     set is a sound under-approximation. The budget bounds the explored
     (marking, position) states. Sharing only the firing kernel and the
     search loop with the observer, it is the independent reference for the
-    observer in the witness replay and tests.
+    observer in the witness replays and tests.
     """
+    ests, complete = estimates(net, word, budget)
+    return ests[-1], complete
+
+
+def estimates(net: LabeledPetriNet, word: Sequence[str], budget: Budget):
+    """estimate after each prefix of word, shortest first, from one search:
+    (list of len(word) + 1 frozensets of markings, complete)."""
     for sym in word:
         if sym not in net.alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet")
-    word = tuple(word)
+    word, labels, n = tuple(word), net.labels, len(word)
 
     def expand(state):
         m, pos = state
         for ti, m2 in successors(net, m):
-            lab = net.labels[ti]
+            lab = labels[ti]
             if lab is EPSILON:
                 yield lab, (m2, pos)
-            elif pos < len(word) and lab == word[pos]:
+            elif pos < n and lab == word[pos]:
                 yield lab, (m2, pos + 1)
 
     exp = _explore((net.initial_marking, 0), expand, budget)
-    return frozenset(m for m, pos in exp.states if pos == len(word)), exp.complete
+    ests = [set() for _ in range(n + 1)]
+    for m, pos in exp.states:
+        ests[pos].add(m)
+    return list(map(frozenset, ests)), exp.complete

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 import re
 import subprocess
@@ -1175,7 +1176,7 @@ class TestTwinReadOffTheNetGraph:
                     v = check_strong(net, budget)
                 except AssumptionError:
                     continue
-                out.append((v.outcome, v.witness, v.stats.states, v.stats.depth, v.message))
+                out.append(((v.outcome, v.witness, v.stats.depth, v.message), v.stats.states))
             return out
 
         real, read_off_bases = explore.search_pattern, []
@@ -1189,11 +1190,58 @@ class TestTwinReadOffTheNetGraph:
         # The fired path: the twin net, fired, without a net graph.
         monkeypatch.setattr(analyze, "search_pattern", lambda net, pattern, budget, base=None,
                             t0=None: real(getattr(net, "net", net), pattern, budget))
-        assert read_off_records == records()
-        outcomes = Counter(r[0] for r in read_off_records)
-        print(outcomes, "read off", sum(read_off_bases))
+        fired_records = records()
+        # Verdicts, witnesses and depths agree; a read-off graph's cycle
+        # bound skips searches, so its witness search stores no more.
+        assert [r[0] for r in read_off_records] == [r[0] for r in fired_records]
+        assert all(r[1] <= f[1] for r, f in zip(read_off_records, fired_records))
+        fewer = sum(r[1] < f[1] for r, f in zip(read_off_records, fired_records))
+        outcomes = Counter(r[0][0] for r in read_off_records)
+        print(outcomes, "read off", sum(read_off_bases), "fewer states", fewer,
+              "of", len(read_off_records))
         assert outcomes[FAILS] >= 75 and outcomes[HOLDS] >= 50
-        assert sum(read_off_bases) >= 120
+        assert sum(read_off_bases) >= 120 and fewer >= 20
+
+    def test_girth_on_rings(self):
+        # Each step moves a token one place on: every cycle of ring(k, n)'s
+        # graph is a multiple of k long, and one token's round trip is k.
+        for k, n in itertools.product(range(2, 6), range(1, 4)):
+            succ = build_reachability_graph(ring(k, n), Budget()).succ
+            girth = explore._girth(succ)
+            for u in range(len(succ)):
+                assert girth(u, k - 2) > k - 2 and girth(u, k - 1) > k - 1  # more than the bound
+                assert girth(u, k + 2) == k == girth(u, 1)  # then exact, and kept
+        # p -a-> q and a loop on q: no cycle passes the root.
+        net = make_net(["p", "q"], {"s": ("a", {"p": 1}, {"q": 1}),
+                                    "t": ("b", {"q": 1}, {"q": 1})}, {"p": 1})
+        girth = explore._girth(build_reachability_graph(net, Budget()).succ)
+        assert girth(0, 5) == math.inf and girth(1, 5) == 1
+
+    def test_girth_bound_skips_cycle_searches(self, monkeypatch):
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.remove(str(SRC.parent / "perfbench"))
+        real, calls, key = explore._first_cycle, Counter(), [None]
+        monkeypatch.setattr(explore, "_first_cycle",
+                            lambda *args: calls.update([key[0]]) or real(*args))
+        budget = WORKLOADS["twin_bounded"].budget
+        for inst in instances("twin_bounded", 0):
+            key[0] = inst.name, "read off"
+            try:
+                v = check_strong(inst.net, budget)
+            except AssumptionError:
+                continue
+            key[0] = inst.name, "fired"
+            ref = explore.search_pattern(build_twin(inst.net).net, explore.STRONG, budget)
+            assert (v.outcome, v.witness, v.stats.depth) == \
+                (ref.outcome, ref.witness, ref.stats.depth)
+            assert v.stats.states <= ref.stats.states
+            assert calls[inst.name, "read off"] <= calls[inst.name, "fired"]
+        print(sorted(calls.items()))
+        assert calls["ring(6,3,eps)", "fired"] == 170
+        assert calls["ring(6,3,eps)", "read off"] == 18
 
     def test_fires_nothing_on_the_twin(self, e2_eps, e4, budget, monkeypatch):
         # e2_eps's twin graph is read off its net's graph; e4's twin is
@@ -1391,6 +1439,45 @@ class TestHardChecks:
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True)
         assert out.stdout.split() == ["holds", "fails", "error", "error"], out.stderr
+
+    def test_weak_replay_rejects_tampering_under_optimize(self):
+        # t moves p's token to q by b, u moves it back by a: the estimate of
+        # the empty word is {(1, 0)}, and b a returns to it through {(0, 1)}.
+        # A word that ends elsewhere (with a loop from there back to (1, 0)
+        # or not), a loop through an empty estimate or short of its start,
+        # an estimate reported incomplete, and a middle estimate of two
+        # markings must be caught.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from lpndetect import Budget, analyze, check_weak, make_net\n"
+            "net = make_net(['p', 'q'], {'t': ('b', {'p': 1}, {'q': 1}),\n"
+            "    'u': ('a', {'q': 1}, {'p': 1})}, {'p': 1})\n"
+            "def run():\n"
+            "    try:\n"
+            "        print(check_weak(net, Budget(200, 20)).outcome)\n"
+            "    except RuntimeError:\n"
+            "        print('error')\n"
+            "run()\n"
+            "cycle = analyze._singleton_cycle\n"
+            "for tamper in (lambda w, m, u: (w + ('b',), m, u[1:]),\n"
+            "               lambda w, m, u: (w + ('b',), m, u), lambda w, m, u: (w, m, u[::-1]),\n"
+            "               lambda w, m, u: (w, m, u[:-1])):\n"
+            "    analyze._singleton_cycle = lambda *args: tamper(*cycle(*args))\n"
+            "    run()\n"
+            "analyze._singleton_cycle = cycle\n"
+            "real = analyze.estimates\n"
+            "analyze.estimates = lambda *args: (real(*args)[0], False)\n"
+            "run()\n"
+            "def wider(*args):\n"
+            "    ests, complete = real(*args)\n"
+            "    return ests[:1] + [ests[1] | {(1, 1)}] + ests[2:], complete\n"
+            "analyze.estimates = wider\n"
+            "run()\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["holds"] + ["error"] * 6, out.stderr
 
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
         lonely = Observer([frozenset({0})], succ=[()], parent=[None], depth=[0], cut=set())
