@@ -5,15 +5,21 @@ Strong detectability is checked on the twin net as a path question: reach
 a marking, pump a covering loop, then reach a marking whose halves
 disagree. Weak detectability and opacity work on the observer, the
 deterministic automaton over current-marking estimates, which reads a net
-graph (NetGraph): weak detectability's is the reachability graph built by
-its assumption check, opacity's is expanded on demand, a marking fired
-only when an estimate needs it. A certificate,
-where one applies, decides without that search: an integer one on the arc
-tables proves `holds` without a graph, unobservable exits from the secret
-set prove opacity, and a closed graph whose singleton steps form no cycle
-refutes weak detectability. Otherwise bounded nets (whose state space
-closes within budget) get exact verdicts, and unbounded nets sound
-witnesses or an inconclusive report.
+graph (NetGraph): opacity's is expanded on demand, a marking fired only
+when an estimate needs it; weak detectability's is the reachability graph
+built by its assumption check, and where certificates proved both
+assumptions, the observer's first goal test, on the initial estimate,
+runs on a graph expanded on demand before any whole graph is built. A
+certificate, where one applies, decides without that search. Integer ones
+on the arc tables prove `holds` without a graph: deadlock freedom from a
+transition no step disables or from a token count no step lowers over
+places that each enable a transition alone, the finiteness of unobservable
+runs from a token count each of them lowers, and strong detectability
+from the twin invariant. Unobservable exits from the secret set prove
+opacity, and a closed graph whose singleton steps form no cycle refutes
+weak detectability. Otherwise bounded nets (whose state space closes
+within budget) get exact verdicts, and unbounded nets sound witnesses or
+an inconclusive report.
 """
 
 from __future__ import annotations
@@ -91,6 +97,17 @@ def _forever_enabled(net: LabeledPetriNet) -> Optional[str]:
                  if all(p not in lowered and m0[p] >= w for p, w in pre)), None)
 
 
+def _token_live(net: LabeledPetriNet) -> bool:
+    """Whether every reachable marking enables a transition: no transition
+    lowers the token count, the initial marking holds a token, and every
+    place is the only input place, with weight 1, of some transition. Every
+    reachable marking then marks a place, and that place's transition is
+    enabled."""
+    alone = {pre[0][0] for pre, _ in net.kernel if len(pre) == 1 and pre[0][1] == 1}
+    return (len(alone) == len(net.places) and any(net.initial_marking)
+            and all(sum(effect) >= 0 for _, effect in net.kernel))
+
+
 def _eps_ranked(net: LabeledPetriNet) -> bool:
     """Whether every unobservable transition removes a token, so that the
     token count ranks unobservable runs and each is finite."""
@@ -117,22 +134,27 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     """Check deadlock-freedom and absence of infinite unobservable runs.
 
     A question its certificate proves (a transition enabled at every
-    reachable marking; a token count every unobservable step lowers) is
-    answered without a graph. The rest are answered from one reachability
-    graph, exactly when it closes within budget; otherwise a found
-    violation is sound and the rest is inconclusive.
+    reachable marking, or a token count no step lowers over places that
+    each enable a transition alone; a token count every unobservable step
+    lowers) is answered without a graph. The rest are answered from one
+    reachability graph, exactly when it closes within budget; otherwise a
+    found violation is sound and the rest is inconclusive.
     """
     t0 = time.perf_counter()
     live, ranked = _forever_enabled(net), _eps_ranked(net)
+    # live becomes the message of the deadlock certificate that applies.
+    if live:
+        live = f"{live} stays enabled, as no transition lowers its input places"
+    elif _token_live(net):
+        live = ("every reachable marking marks a place that alone enables a "
+                "transition, as no transition lowers the token count")
     graph = None if live and ranked else build_reachability_graph(net, budget)
     if ranked:
         no_inf = _certified(t0, "every unobservable transition removes a token")
     else:
         no_inf = search_graph(graph, EPS_PUMP, budget, t0)
     if live:
-        deadlock_free = _certified(
-            t0, f"{live} stays enabled, as no transition lowers its input places")
-        return AssumptionReport(deadlock_free, no_inf, graph)
+        return AssumptionReport(_certified(t0, live), no_inf, graph)
     # Every stored node was expanded: one without a stored successor is dead
     # unless the budget cut its successors.
     dead = next(
@@ -216,19 +238,20 @@ class NetGraph(dict):
     holds per symbol of symbols (sorted) the tuple of v's successors by it.
     markings[v] is v's marking, node 0 the initial one. A built graph is
     derived at once (read); otherwise a node's row is derived when it is
-    first read, from edges(v), its (transition, successor id) pairs or None
-    (fired)."""
+    first read, from edges(graph, v), its (transition, successor id) pairs
+    or None (fired). whole is the whole reachability graph where fired
+    built it, else None."""
 
     def __init__(self, net: LabeledPetriNet, markings: list, edges=None):
         super().__init__()
-        self.markings, self.edges, self.rows = markings, edges, {}
+        self.markings, self.edges, self.rows, self.whole = markings, edges, {}, None
         self.symbols = sorted(net.alphabet)
         column = {sym: i for i, sym in enumerate(self.symbols)}  # ε last
         self.column = {t: column.get(lab, len(column))
                        for t, lab in zip(net.transitions, net.labels)}
 
     def __missing__(self, v):
-        out = self.edges(v)
+        out = self.edges(self, v)
         self._derive(() if out is None else [(v, out)])
         return self.setdefault(v, None)
 
@@ -257,20 +280,19 @@ class NetGraph(dict):
         are stored and the run that first reached it fired at most
         budget.max_depth transitions; otherwise the node is cut. That run
         can be longer than the shortest, so at the first successor past
-        max_depth the whole graph is built once: if it closes, no node is
-        cut, as none is in the whole graph."""
+        max_depth the whole graph is built once, and kept as whole: if it
+        closes, no node is cut, as none is in the whole graph."""
         markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
-        closes = None  # whether the whole graph closes, once asked
 
-        def edges(v):
-            nonlocal closes
+        def edges(graph, v):
             out, d = [], depth[v] + 1
             for ti, m in successors(net, markings[v]):
                 w = index.get(m)
                 if w is None:
-                    if d > budget.max_depth and closes is None:
-                        closes = build_reachability_graph(net, budget).complete
-                    if len(markings) >= budget.max_states or d > budget.max_depth and not closes:
+                    if d > budget.max_depth and graph.whole is None:
+                        graph.whole = build_reachability_graph(net, budget)
+                    if (len(markings) >= budget.max_states
+                            or d > budget.max_depth and not graph.whole.complete):
                         return None
                     w = index[m] = len(markings)
                     markings.append(m)
@@ -350,32 +372,66 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     """Weak detectability.
 
     Exact on bounded nets: weakly detectable iff the observer has a
-    reachable cycle all of whose states are singleton estimates. On a closed
+    reachable cycle all of whose states are singleton estimates. Where
+    certificates proved both assumptions, so that the gate built no graph,
+    the observer's first goal test runs on a graph expanded on demand
+    (NetGraph.fired): if the initial estimate is a singleton whose
+    singleton steps (_singleton_steps) reach a cycle (_root_cycle), that is
+    `holds`, with stats (1, 0), bounded or not, firing only the markings
+    those steps reach. Otherwise the whole graph is read: the gate's, the
+    one the graph expanded on demand built, or one built here. On a closed
     graph, one peel finds the nodes from which the graph's singleton steps
-    (_singleton_steps) reach a cycle; if there are none, `fails` is
-    certified without an observer. Otherwise the observer stops at the first
-    singleton estimate of such a node, and the message of `holds` names a
-    cycle it reaches (_singleton_cycle). Unbounded nets are reported
-    inconclusive; the problem has no general algorithm.
+    reach a cycle; if there are none, `fails` is certified without an
+    observer. Otherwise the observer stops at the first singleton estimate
+    of such a node. The message of `holds` names a cycle it reaches
+    (_singleton_cycle). Other unbounded nets are reported inconclusive;
+    the problem has no general algorithm.
     """
     return _check_weak(g, budget)[0]
 
 
-def _singleton_steps(graph: NetGraph) -> list:
-    """Per node u of a closed built graph, read (NetGraph.read) and so
-    stored in node order, the (symbol, w), in symbol order, such that
-    {u} -symbol-> {w} is an observer step: every step from u by the symbol
-    leads to w, and w has no ε-successor but itself, so {w} is ε-closed."""
-    closed = [eps.count(v) == len(eps) for v, eps in enumerate(graph.values())]
-    singles = [[] for _ in closed]
-    for sym, step in zip(graph.symbols, zip(*graph.rows.values())):
-        for u, out in enumerate(step):
-            if out and closed[w := out[0]] and out.count(w) == len(out):
-                singles[u].append((sym, w))
+def _singleton_steps(graph: NetGraph, nodes) -> dict:
+    """Per node u of nodes, the (symbol, w), in symbol order, such that
+    {u} -symbol-> {w} is an observer step: u is not cut, every step from u
+    by the symbol leads to w, and w is not cut and has no ε-successor but
+    itself, so {w} is ε-closed. On a graph expanded on demand this fires u
+    and each such w."""
+    singles = {u: [] for u in nodes}
+    fired = [u for u in singles if graph[u] is not None]
+    for sym, step in zip(graph.symbols, zip(*map(graph.rows.__getitem__, fired))):
+        for u, out in zip(fired, step):
+            if out and out.count(w := out[0]) == len(out):
+                eps = graph[w]
+                if eps is not None and eps.count(w) == len(eps):
+                    singles[u].append((sym, w))
     return singles
 
 
-def _singleton_cycle(singles: list, live: set, v: int):
+def _live(graph: NetGraph, singles: dict) -> set:
+    """The nodes from which the singleton steps singles[u] of each node u
+    reach a cycle, every node a step leads to being a key: one peel of the
+    reversed steps, as a node that a cycle reaches by reversed steps
+    reaches it by the steps."""
+    return _fed_by_cycle(len(graph.markings),
+                         [(w, u) for u, out in singles.items() for _, w in out])
+
+
+def _root_cycle(graph: NetGraph):
+    """_singleton_cycle's cycle from node 0 if the initial estimate is the
+    singleton {0} and its singleton steps reach a cycle, else None. A BFS
+    from 0 lists the steps of the nodes they reach, and only those: the
+    cycle is thus the one the whole graph's steps give."""
+    if _eps_closure(graph, {0}) != {0}:
+        return None
+    singles, level = {}, {0}
+    while level:
+        singles.update(_singleton_steps(graph, level))
+        level = {w for u in level for _, w in singles[u]} - singles.keys()
+    live = _live(graph, singles)
+    return _singleton_cycle(singles, live, 0) if 0 in live else None
+
+
+def _singleton_cycle(singles: dict, live: set, v: int):
     """A cycle of the singleton steps singles that node v reaches: the word
     from v to a node on it, that node and the cycle's word. live holds the
     nodes from which the steps reach a cycle, v among them; the search is a
@@ -393,23 +449,30 @@ def _singleton_cycle(singles: list, live: set, v: int):
 
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
-    """check_weak's (verdict, assumption report). The certificate and the
-    observer read the gate's graph; a certified `fails` builds no observer.
-    The clock starts after the assumption gate, as in _check_strong."""
+    """check_weak's (verdict, assumption report). The root test reads a
+    graph expanded on demand where the gate built none; the certificate
+    and the observer read the gate's graph, or else the whole graph, built
+    once; a certified `fails` builds no observer. The clock starts after
+    the assumption gate, as in _check_strong."""
     report = _gate_assumptions(g, budget)
     t0 = time.perf_counter()
-    built = report.graph if report.graph is not None else build_reachability_graph(g, budget)
+    built = report.graph
+    if built is None:
+        graph = NetGraph.fired(g, budget)
+        cycle = _root_cycle(graph)
+        if cycle:
+            stats = SearchStats(1, 0, time.perf_counter() - t0)
+            return _cycle_holds(g, graph, (), cycle, stats), report
+        built = graph.whole if graph.whole is not None else build_reachability_graph(g, budget)
     graph = NetGraph.read(built)
     live = set()  # the nodes from which singleton steps reach a cycle
     if built.complete:
-        singles = _singleton_steps(graph)
-        # A node that a cycle reaches by reversed steps reaches it by the steps.
-        live = _fed_by_cycle(len(singles), [(w, u) for u, out in enumerate(singles)
-                                             for _, w in out])
+        singles = _singleton_steps(graph, range(len(built.markings)))
+        live = _live(graph, singles)
         if not live:
             return _certified(t0, "the graph's singleton steps form no cycle "
-                                  f"({sum(map(len, singles))} of them, over {len(singles)} "
-                                  "markings)", FAILS), report
+                                  f"({sum(map(len, singles.values()))} of them, over "
+                                  f"{len(singles)} markings)", FAILS), report
     obs = explore_observer(graph, budget, (lambda nodes: len(nodes) == 1
                                            and min(nodes) in live) if live else None)
     # The goal stopped the observer iff its last estimate meets it.
@@ -431,13 +494,7 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
             "internal error: the net is deadlock free, yet an estimate has no successor"
         )
     if cycle:
-        prefix, x, loop = cycle
-        word = obs.path_to(len(obs.states) - 1) + prefix
-        _replay_singleton_cycle(g, word, graph.markings[x], loop, len(graph.markings))
-        return Verdict(HOLDS, stats=stats, message=(
-            f"the estimate after the word {' '.join(word) or '(empty)'} is "
-            f"{{{graph.markings[x]}}}, and singleton estimates return to it under the "
-            f"word {' '.join(loop)}")), report
+        return _cycle_holds(g, graph, obs.path_to(len(obs.states) - 1), cycle, stats), report
     return Verdict(
         FAILS,
         stats=stats,
@@ -446,16 +503,36 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     ), report
 
 
+def _cycle_holds(net: LabeledPetriNet, graph: NetGraph, word: tuple, cycle,
+                 stats: SearchStats) -> Verdict:
+    """Weak `holds` on the cycle (prefix, x, loop) of _singleton_cycle,
+    reached from the estimate after word, replayed first."""
+    prefix, x, loop = cycle
+    word += prefix
+    _replay_singleton_cycle(net, word, graph.markings[x], loop, len(graph.markings))
+    return Verdict(HOLDS, stats=stats, message=(
+        f"the estimate after the word {' '.join(word) or '(empty)'} is "
+        f"{{{graph.markings[x]}}}, and singleton estimates return to it under the "
+        f"word {' '.join(loop)}"))
+
+
 def _replay_singleton_cycle(net: LabeledPetriNet, word: tuple, m, loop: list,
-                            reachable: int) -> None:
+                            stored: int) -> None:
     """Check, on the independent reference (explore.estimates), what weak
     `holds` names: the estimate after word is {m}, that after each longer
     prefix of word followed by loop is a singleton, and that after all of
-    it is {m}. Raises RuntimeError otherwise. A budget of (length + 1) *
-    reachable states, reachable bounding the count of reachable markings,
-    holds every (marking, position) state of the search."""
+    it is {m}. Raises RuntimeError otherwise, and where the search is cut.
+
+    The budget is (length + 1) * stored states, for states and depth,
+    stored being the count of markings the graph stored. Each state of
+    the search is a (marking, position) whose marking lies in the estimate
+    after that position, so the budget holds every state if each estimate
+    along the run has at most stored markings: on a closed graph every
+    reachable marking is stored; on a graph expanded on demand the word
+    is the root test's, whose estimates, like the loop's, are singletons,
+    and stored is at least 1."""
     run = word + tuple(loop)
-    bound = (len(run) + 1) * reachable
+    bound = (len(run) + 1) * stored
     ests, complete = estimates(net, run, Budget(bound, bound))
     along = ests[len(word):]
     if not (complete and along[0] == along[-1] == {m} and all(len(e) == 1 for e in along)):

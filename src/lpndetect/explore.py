@@ -467,6 +467,14 @@ def _fed_by_cycle(n_nodes: int, edge_list) -> set:
     return {v for v, d in enumerate(indegree) if d}
 
 
+def _barred(net, pattern: PathPattern) -> frozenset:
+    """The transition ids a pump of pattern may not fire: the observable
+    ones of net for the ε pump, else none."""
+    if not pattern.eps_pump:
+        return frozenset()
+    return frozenset(t for t, lab in zip(net.transitions, net.labels) if lab is not EPSILON)
+
+
 def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     """Decide the pattern on a complete (hence bounded) reachability graph.
 
@@ -480,13 +488,8 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     Returns the nodes the peel keeps if the pattern holds, else the empty
     set; they hold every pump anchor (see _lasso).
     """
-    net = graph.net
-    allowed = [
-        (v, w)
-        for v, out in enumerate(graph.succ)
-        for t, w in out
-        if not pattern.eps_pump or not net.is_observable(t)
-    ]
+    barred = _barred(graph.net, pattern)
+    allowed = [(v, w) for v, out in enumerate(graph.succ) for t, w in out if t not in barred]
     fed = _fed_by_cycle(len(graph.markings), allowed)
     return fed if any(_final(graph, pattern, fed)) else set()
 
@@ -530,8 +533,8 @@ def _witness_search(
     """
     if graph.complete:
         return _lasso(graph, pattern, _exact_exists(graph, pattern) if fed is None else fed)
-    net, markings, succ, k = graph.net, graph.markings, graph.succ, pattern.segments
-    eps_pump, final_ok = pattern.eps_pump, pattern.final_ok
+    markings, succ, k = graph.markings, graph.succ, pattern.segments
+    barred, final_ok = _barred(graph.net, pattern), pattern.final_ok
     covers = lambda a, x: leq(markings[a], markings[x])  # noqa: E731
 
     def expand(state):
@@ -541,11 +544,11 @@ def _witness_search(
         except IndexError:  # unexpanded in a prefix: state is at the depth cap
             return
         for t, y in out:
-            if not (j == 2 and eps_pump and net.is_observable(t)):
+            if not (j == 2 and t in barred):
                 yield t, (j, y, a)
         if j == 1:
             for t, y in out:
-                if not (eps_pump and net.is_observable(t)):
+                if t not in barred:
                     yield t, (2, y, x)
         elif j == 2 and k == 3 and covers(a, x):
             for t, y in out:
@@ -599,10 +602,12 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     markings, succ, n = graph.markings, graph.succ, len(graph.markings)
     to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
     queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
+    # Only an edge out of a node that fails the final test sets a distance.
     pred = [[] for _ in range(n)]
     for v, out in enumerate(succ if queue else ()):
-        for _, w in out:
-            pred[w].append(v)
+        if to_final[v] is None:
+            for _, w in out:
+                pred[w].append(v)
     for v in queue:
         for u in pred[v]:
             if to_final[u] is None:
@@ -670,12 +675,12 @@ def _first_cycle(graph: ReachabilityGraph, pattern: PathPattern, x: int, limit):
     """The labels of the first shortest nonempty cycle of allowed edges
     through x, or None if it is longer than limit; and the count of nodes
     its BFS stored."""
-    parent, level, d = {x: None}, [x], 0
+    parent, level, d, barred = {x: None}, [x], 0, _barred(graph.net, pattern)
     while level and d < limit:
         d, nxt = d + 1, []
         for u in level:
             for t, w in graph.succ[u]:
-                if pattern.eps_pump and graph.net.is_observable(t):
+                if t in barred:
                     continue
                 if w == x:
                     labels = [t]

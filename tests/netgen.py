@@ -51,6 +51,32 @@ def ring(k, n, eps=False, labels=("b", "a")):
     return make_net([f"p{i}" for i in range(k)], trans, {"p0": n})
 
 
+def token_net(rng):
+    """A random net in which each of its one to four places is the only
+    input place, with weight 1, of a transition, and no transition lowers
+    the token count: the token-count deadlock certificate holds iff a token
+    starts somewhere. Up to two more transitions take up to three tokens,
+    and zero to two tokens start on random places."""
+    places = [f"p{i}" for i in range(rng.randint(1, 4))]
+
+    def label():
+        return EPSILON if rng.random() < 0.2 else rng.choice(("a", "b"))
+
+    def tokens(n):
+        out = {}
+        for _ in range(n):
+            p = rng.choice(places)
+            out[p] = out.get(p, 0) + 1
+        return out
+
+    transitions = {f"s{i}": (label(), {p: 1}, tokens(rng.randint(1, 2)))
+                   for i, p in enumerate(places)}
+    for j in range(rng.randint(0, 2)):
+        pre = tokens(rng.randint(0, 3))
+        transitions[f"t{j}"] = (label(), pre, tokens(sum(pre.values()) + rng.randint(0, 1)))
+    return make_net(places, transitions, tokens(rng.randint(0, 2)), alphabet=("a", "b"))
+
+
 def random_observable_net(rng, **kw):
     kw.setdefault("eps_prob", 0.0)
     kw.setdefault("max_tokens", 2)

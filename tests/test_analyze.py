@@ -51,6 +51,7 @@ from netgen import (
     language_inclusion,
     random_net,
     ring,
+    token_net,
 )
 
 
@@ -64,8 +65,12 @@ class _Truthy(set):
 
 def _certificates_off(mp):
     """Send check_weak and check_opacity to the observer: neither observer
-    certificate applies."""
+    certificate applies, and check_weak tests no root estimate first. The
+    token-count deadlock certificate is off too, so that the gate builds
+    the graph of a net only it covers."""
     mp.setattr(analyze, "_secret_escapes", lambda net, secret_set: False)
+    mp.setattr(analyze, "_token_live", lambda net: False)
+    mp.setattr(analyze, "_root_cycle", lambda graph: None)
     real = analyze._fed_by_cycle
     mp.setattr(analyze, "_fed_by_cycle", lambda n, edges: _Truthy(real(n, edges)))
 
@@ -95,14 +100,19 @@ class TestAssumptions:
         assert rep.deadlock_free.witness.markings == ((0,),)
         assert rep.deadlock_free.witness.segments == (("t",),)
 
-    def test_deadlock_scan_reads_stored_successors(self, e2, e5, budget, monkeypatch):
+    def test_deadlock_scan_reads_stored_successors(self, e5, budget, monkeypatch):
         # The graph fires once per stored node and the scan fires nothing.
+        # p is no transition's only input place, so no certificate covers
+        # the bounded shuttle.
         calls = []
         real = explore.successors
         monkeypatch.setattr(explore, "successors",
                             lambda *args: calls.append(args) or real(*args))
         dead_end = make_net(["p"], {"t": ("a", {"p": 1}, {})}, {"p": 1})
-        for net, outcome in ((e2, HOLDS), (dead_end, FAILS)):
+        shuttle = make_net(["p", "q", "s"], {"t": ("a", {"p": 1, "s": 1}, {"q": 1, "s": 1}),
+                                             "u": ("b", {"q": 1}, {"p": 1})},
+                           {"p": 1, "s": 1})
+        for net, outcome in ((shuttle, HOLDS), (dead_end, FAILS)):
             calls.clear()
             rep = check_assumptions(net, budget)
             assert rep.deadlock_free.outcome == outcome
@@ -820,6 +830,135 @@ class TestWeakStopsEarly:
             check_weak(_incl2weak_drop(), Budget(20000, 2000))
 
 
+class TestWeakRootTest:
+    """Where certificates proved both assumptions, check_weak first asks
+    whether the initial estimate is a singleton whose singleton steps reach
+    a cycle, on a graph expanded on demand."""
+
+    def test_matches_the_whole_graph_path(self, monkeypatch):
+        # Against check_weak with the root test and the token-count
+        # certificate off: every `holds` and `fails` keeps its outcome,
+        # message and stats, and an `inconclusive` stays as it is or
+        # becomes `holds`, on an open graph.
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.remove(str(SRC.parent / "perfbench"))
+        cases = [(inst.net, WORKLOADS["observer_bounded"].budget) for seed in range(3)
+                 for inst in instances("observer_bounded", seed) if inst.check == "weak"]
+        rng = random.Random(7)
+        nets = [random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(200)]
+        cases += [(net, budget) for budget in (Budget(50, 5), Budget(300, 30), Budget(2000, 100))
+                  for net in nets]
+
+        def fields(net, budget):
+            try:
+                v = check_weak(net, budget)
+            except AssumptionError:
+                return None
+            return v.outcome, v.message, v.stats.states, v.stats.depth
+
+        ours = [fields(net, budget) for net, budget in cases]
+        with monkeypatch.context() as mp:
+            mp.setattr(analyze, "_token_live", lambda net: False)
+            mp.setattr(analyze, "_root_cycle", lambda graph: None)
+            whole = [fields(net, budget) for net, budget in cases]
+        hits = Counter()
+        for (net, budget), v, ref in zip(cases, ours, whole):
+            if ref is not None and ref[0] == INCONCLUSIVE and v[0] == HOLDS:
+                hits["inconclusive to holds"] += 1
+                assert not build_reachability_graph(net, budget).complete
+                assert (v[2], v[3]) == (1, 0)
+                _check_named_cycle(net, v[1])
+                continue
+            assert v == ref
+            hits[ref and ref[0]] += 1
+            hits["root holds"] += v is not None and v[:1] + v[2:] == (HOLDS, 1, 0)
+        print("records", len(cases), dict(hits))
+        assert len(cases) == 621 and hits["inconclusive to holds"] >= 10
+        assert hits[HOLDS] >= 30 and hits[FAILS] >= 10 and hits[INCONCLUSIVE] >= 90
+        assert hits["root holds"] >= 25
+
+    def test_fires_only_what_its_steps_need(self, monkeypatch):
+        # ring(8, 4): the gate certifies both assumptions, and the root
+        # test fires the markings its singleton steps reach, each once,
+        # not the graph's 330; no whole graph is built.
+        net, budget = ring(8, 4), Budget(20000, 2000)
+        fired, built, real = [], [], analyze.successors
+        monkeypatch.setattr(analyze, "successors", lambda g, m: fired.append(m) or real(g, m))
+        for module in (analyze, explore):
+            monkeypatch.setattr(module, "build_reachability_graph",
+                                lambda *args: built.append(args))
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+        assert built == [] and len(fired) == len(set(fired)) < 330
+        print("fired", len(fired))
+
+    def test_unbounded_net_holds(self):
+        # t grows q by a; b keeps p's token where it is. {(1, 0)} is the
+        # initial estimate, and b returns it to itself: `holds`, though
+        # the graph never closes and the observer would be inconclusive
+        # (e3, without b, stays inconclusive: TestCheckWeak).
+        net = make_net(["p", "q"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1}),
+                                    "u": ("b", {"p": 1}, {"p": 1})}, {"p": 1})
+        for budget in (Budget(50, 5), Budget(2000, 100)):
+            v = check_weak(net, budget)
+            assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+            assert v.message == ("the estimate after the word (empty) is {(1, 0)}, and "
+                                 "singleton estimates return to it under the word b")
+
+    def test_names_the_whole_graphs_cycle(self, monkeypatch):
+        # One token. From r, p leads to a and q to b; s moves it between b
+        # and c, and t from c to a. a's two u steps lead to d1 and d2, so
+        # no singleton step leaves a: the steps reach a cycle from r, b and
+        # c, not from a, though the cycle reaches a. The root test lists
+        # a's steps too, and must still name the cycle the whole graph's
+        # peel names, through b.
+        net = make_net(["r", "a", "b", "c", "d1", "d2"], {
+            "rp": ("p", {"r": 1}, {"a": 1}), "rq": ("q", {"r": 1}, {"b": 1}),
+            "bs": ("s", {"b": 1}, {"c": 1}), "cs": ("s", {"c": 1}, {"b": 1}),
+            "ct": ("t", {"c": 1}, {"a": 1}),
+            "u1": ("u", {"a": 1}, {"d1": 1}), "u2": ("u", {"a": 1}, {"d2": 1}),
+            "v1": ("v", {"d1": 1}, {"d1": 1}), "v2": ("v", {"d2": 1}, {"d2": 1})},
+            {"r": 1})
+        budget = Budget(100, 10)
+        v = check_weak(net, budget)
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+        assert v.message == ("the estimate after the word q is {(0, 0, 1, 0, 0, 0)}, and "
+                             "singleton estimates return to it under the word s s")
+        with monkeypatch.context() as mp:
+            mp.setattr(analyze, "_root_cycle", lambda graph: None)
+            whole = check_weak(net, budget)
+        assert (whole.message, whole.stats.states, whole.stats.depth) == (v.message, 1, 0)
+
+    def test_root_with_an_eps_successor_is_no_singleton(self):
+        # b never lowers s, and e removes q's token unobservably: both
+        # assumptions are certified, but the initial estimate holds (1, 1, 1)
+        # and (1, 0, 1). c then leaves {(1, 0, 1)}, which b keeps: the
+        # observer, not the root test, stops there.
+        net = make_net(["p", "q", "s"], {
+            "b": ("b", {"s": 1}, {"s": 1}), "e": (EPSILON, {"q": 1}, {}),
+            "x": ("c", {"q": 1}, {})}, {"p": 1, "q": 1, "s": 1})
+        assert check_assumptions(net, Budget(100, 10)).graph is None
+        v = check_weak(net, Budget(100, 10))
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (2, 1)
+        assert v.message == ("the estimate after the word c is {(1, 0, 1)}, and "
+                             "singleton estimates return to it under the word b")
+
+    def test_replay_budget_counts_the_fired_markings(self, monkeypatch):
+        # The replay's budget is the word's length plus one, times the
+        # markings the graph expanded on demand stored.
+        net, seen = ring(6, 3), []
+        real = analyze._replay_singleton_cycle
+        monkeypatch.setattr(analyze, "_replay_singleton_cycle",
+                            lambda *args: seen.append(args[-1]) or real(*args))
+        graph = analyze.NetGraph.fired(net, Budget(20000, 2000))
+        assert analyze._root_cycle(graph) is not None
+        assert check_weak(net, Budget(20000, 2000)).holds
+        assert seen == [len(graph.markings)] and len(graph.markings) < 56
+
+
 class TestOneExplorer:
     """The reachability graph and the observer share one breadth-first
     search, and so one budget rule."""
@@ -922,12 +1061,16 @@ class TestCertificates:
         for _ in range(600):
             net = random_net(rng, max_places=5, max_trans=6, eps_prob=0.3)
             live, ranked = analyze._forever_enabled(net), analyze._eps_ranked(net)
+            token = analyze._token_live(net)
             has_eps = EPSILON in net.labels
-            if live or (ranked and has_eps):
+            if live or token or (ranked and has_eps):
                 graph = build_reachability_graph(net, budget)
             if live:
                 certified["live"] += 1
                 assert all(enabled(net, m, live) for m in graph.markings)
+                assert all(out or v in graph.cut for v, out in enumerate(graph.succ))
+            if token:
+                certified["token"] += 1
                 assert all(out or v in graph.cut for v, out in enumerate(graph.succ))
             if ranked and has_eps:
                 certified["ranked"] += 1
@@ -940,8 +1083,33 @@ class TestCertificates:
                 if build_reachability_graph(tw.net, budget).complete:
                     assert v.holds
         print("certified", dict(certified))
-        assert certified["live"] >= 200
+        assert certified["live"] >= 200 and certified["token"] >= 5
         assert certified["ranked"] >= 50 and certified["twin"] >= 50
+
+    def test_token_count_certificate_leaves_no_dead_node(self, e5):
+        # Where the token-count certificate holds, no graph has a dead node:
+        # on random nets (those at max_weight 1 meet its weight-1 arcs more
+        # often) and on nets built to meet its arc conditions, where it
+        # holds iff a token starts somewhere. e5's q is no transition's
+        # input, so it stays uncertified, as its fixture says.
+        assert not analyze._token_live(e5) and analyze._forever_enabled(e5) is None
+        rng = random.Random(7)
+        nets = [random_net(rng, max_weight=1) for _ in range(600)]
+        rng = random.Random(5)
+        built = [token_net(rng) for _ in range(300)]
+        assert all(analyze._token_live(net) == any(net.initial_marking) for net in built)
+        hits = Counter()
+        for tag, net in [("random", net) for net in nets] + [("built", net) for net in built]:
+            if not analyze._token_live(net):
+                continue
+            hits[tag] += 1
+            hits["only this certificate"] += analyze._forever_enabled(net) is None
+            graph = build_reachability_graph(net, Budget(300, 30))
+            hits["closed"] += graph.complete
+            assert all(out or v in graph.cut for v, out in enumerate(graph.succ))
+        print(dict(hits))
+        assert hits["random"] >= 20 and hits["built"] >= 180
+        assert hits["only this certificate"] >= 50 and hits["closed"] >= 60
 
 
 class TestObserverCertificates:
@@ -951,8 +1119,10 @@ class TestObserverCertificates:
     def test_certified_verdicts_match_the_observer(self, monkeypatch):
         # Each check runs with the certificates and without them. A certified
         # verdict equals the observer's wherever the graph closes; on an open
-        # graph, words of stored paths replay to no secret estimate. Every
-        # other verdict is the observer's, stats and message included.
+        # graph, words of stored paths replay to no secret estimate. A weak
+        # `holds` of the root test, where the observer's is inconclusive,
+        # is on an open graph and names a cycle that replays. Every other
+        # verdict is the observer's, stats and message included.
         rng = random.Random(83)
         big = Budget(20000, 2000)
         cases = [(ring(k, n, eps), big) for k in range(3, 8) for n in range(1, 4)
@@ -992,6 +1162,10 @@ class TestObserverCertificates:
                 assert graph.complete and ours.universal
                 assert (ours.outcome, ours.stats.states, ours.stats.depth) == (FAILS, 0, 0)
                 assert observed.outcome == FAILS
+            elif ours is not None and ours.holds and observed.outcome == INCONCLUSIVE:
+                hits["weak, root"] += 1
+                assert not graph.complete and (ours.stats.states, ours.stats.depth) == (1, 0)
+                _check_named_cycle(net, ours.message)
             else:
                 assert fields(ours) == fields(observed)
             for secret in ([net.initial_marking],
@@ -1015,7 +1189,7 @@ class TestObserverCertificates:
                         hits["replayed"] += 1
                         assert not est or not est <= set(secret)
         print("records", len(cases), dict(hits))
-        assert len(cases) == 244 and hits["weak"] >= 15
+        assert len(cases) == 244 and hits["weak"] >= 15 and hits["weak, root"] >= 3
         assert hits["opacity"] >= 120 and hits["opacity, closed"] >= 15
         assert hits["replayed"] >= 90
 
@@ -1063,7 +1237,7 @@ def test_wall_time_counts_the_twin_build(monkeypatch, e2, e4):
 
 
 class TestOneExploration:
-    def test_each_graph_built_once(self, e1, e2_eps, e4, budget, monkeypatch):
+    def test_each_graph_built_once(self, e1, e2, e2_eps, e4, budget, monkeypatch):
         built, bases, rounds = [], [], []
         real, real_rounds = explore.build_reachability_graph, explore._graph_rounds
 
@@ -1077,12 +1251,22 @@ class TestOneExploration:
         monkeypatch.setattr(explore, "_graph_rounds",
                             lambda net, b: rounds.append(net) or real_rounds(net, b))
         # Certificates prove both of e1's assumptions and its strong
-        # detectability: the gate builds no graph, and the observer its own.
+        # detectability: the gate builds no graph, and check_weak's root
+        # test, which fires e1's one marking, none either.
         rep = check_assumptions(e1, budget)
         assert rep.deadlock_free.holds and rep.no_infinite_unobservable.holds
         assert rep.graph is None and built == []
         assert check_weak(e1, budget).holds
-        assert built == [e1]
+        assert built == []
+        # e2's assumptions are certified too, but its root estimate has no
+        # singleton step: check_weak builds its graph, once.
+        assert check_weak(e2, budget).fails and built == [e2]
+        # ring(8, 4)'s root test passes max_depth 5, where the graph
+        # expanded on demand builds the whole graph, open, and finds no
+        # cycle: the observer reads that graph, not a second one.
+        built.clear()
+        net = ring(8, 4)
+        assert check_weak(net, Budget(20000, 5)).outcome == INCONCLUSIVE and built == [net]
         built.clear()
         rounds.clear()
         assert check_strong(e1, budget).holds
@@ -1373,7 +1557,8 @@ class TestHardChecks:
     def test_false_deadlock_raises(self, e2, budget, monkeypatch, moved):
         # e2's second node, (0, 1), is made to look dead, though t3 is
         # enabled there; moved also records (0, 0) there, where t2 does not
-        # lead.
+        # lead. The token-count certificate, which covers e2, is off.
+        _certificates_off(monkeypatch)
         real = explore.build_reachability_graph
 
         def fake(net, budget):
@@ -1398,6 +1583,7 @@ class TestHardChecks:
             "    graph.succ[1] = ()\n"
             "    return graph\n"
             "analyze.build_reachability_graph = fake\n"
+            "analyze._token_live = lambda net: False\n"
             "e2 = make_net(['p', 'q'], {'t1': ('a', {'p': 1}, {'p': 1}),\n"
             "    't2': ('a', {'p': 1}, {'q': 1}), 't3': ('a', {'q': 1}, {'q': 1})},\n"
             "    {'p': 1})\n"
@@ -1480,6 +1666,7 @@ class TestHardChecks:
         assert out.stdout.split() == ["holds"] + ["error"] * 6, out.stderr
 
     def test_estimate_without_successor_raises(self, e1, budget, monkeypatch):
+        _certificates_off(monkeypatch)  # e1's root test would decide first
         lonely = Observer([frozenset({0})], succ=[()], parent=[None], depth=[0], cut=set())
         monkeypatch.setattr(analyze, "explore_observer",
                             lambda graph, budget, goal=None: lonely)

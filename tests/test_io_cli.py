@@ -189,9 +189,11 @@ class TestDot:
         assert not hasattr(dot, "km_to_dot")
 
 
-# The notes of the two assumption certificates; LIVE_T names transition t.
+# The notes of the assumption certificates; LIVE_T names transition t.
 EPS_CERTIFICATE = "certificate: every unobservable transition removes a token"
 LIVE_T = "certificate: t stays enabled, as no transition lowers its input places"
+TOKEN_LIVE = ("certificate: every reachable marking marks a place that alone enables a "
+              "transition, as no transition lowers the token count")
 
 
 def write_net(tmp_path, net, name="net.lpn"):
@@ -372,7 +374,7 @@ class TestCli:
             assert rep["assumptions"] == {
                 "deadlock_free": "holds",
                 "no_infinite_unobservable": "holds",
-                "deadlock_free_message": "",
+                "deadlock_free_message": TOKEN_LIVE,
                 "no_infinite_unobservable_message": EPS_CERTIFICATE,
             }
             assert main([prop, path]) == 1
@@ -443,6 +445,25 @@ class TestCli:
         old = dict(rep, assumptions={k: v for k, v in rep["assumptions"].items()
                                      if not k.endswith("_message")})
         jsonschema.validate(old, VERDICT_REPORT_SCHEMA)  # the fields are optional
+
+    def test_token_count_certifies_an_unbounded_net(self, tmp_path, capsys):
+        # t doubles p's token onto q and u returns one: the net is unbounded,
+        # both places lose tokens, and each is the only input of one
+        # transition. Without the token-count certificate deadlock freedom
+        # is inconclusive (exit 2); with it, both assumptions hold.
+        net = make_net(["p", "q"], {"t": ("a", {"p": 1}, {"q": 2}),
+                                    "u": ("b", {"q": 1}, {"p": 1})}, {"p": 1})
+        path = write_net(tmp_path, net)
+        assert main(["check-assumptions", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "standing-assumptions: HOLDS", "  note: " + TOKEN_LIVE,
+            "  deadlock-free: holds", "    note: " + TOKEN_LIVE,
+            "  no-infinite-unobservable: holds", "    note: " + EPS_CERTIFICATE]
+        assert main(["check-assumptions", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, VERDICT_REPORT_SCHEMA)
+        assert (rep["stats"]["states"], rep["stats"]["depth"]) == (0, 0)
+        assert rep["assumptions"]["deadlock_free_message"] == TOKEN_LIVE
 
     def test_check_assumptions_reports_the_worse_verdict(self, tmp_path, e5, capsys):
         # FAILS < INCONCLUSIVE < HOLDS; a tie goes to deadlock freedom.
