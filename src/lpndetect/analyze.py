@@ -24,6 +24,7 @@ an inconclusive report.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -89,12 +90,12 @@ class AssumptionReport:
 
 
 def _forever_enabled(net: LabeledPetriNet) -> Optional[str]:
-    """A transition enabled at every reachable marking, or None: no transition
-    lowers its input places, which start with at least their arc weights."""
-    lowered = {p for _, effect in net.kernel for p, d in enumerate(effect) if d < 0}
+    """A transition enabled at every reachable marking, or None: one enabled
+    at the initial marking whose input places no transition lowers."""
+    lowered = {p for _, _, _, _, effect in net.kernel for p, d in enumerate(effect) if d < 0}
     m0 = net.initial_marking
-    return next((t for t, (pre, _) in zip(net.transitions, net.kernel)
-                 if all(p not in lowered and m0[p] >= w for p, w in pre)), None)
+    return next((t for t, pre in zip(net.transitions, net.pre)
+                 if all(map(operator.ge, m0, pre)) and not any(pre[p] for p in lowered)), None)
 
 
 def _token_live(net: LabeledPetriNet) -> bool:
@@ -103,16 +104,16 @@ def _token_live(net: LabeledPetriNet) -> bool:
     place is the only input place, with weight 1, of some transition. Every
     reachable marking then marks a place, and that place's transition is
     enabled."""
-    alone = {pre[0][0] for pre, _ in net.kernel if len(pre) == 1 and pre[0][1] == 1}
+    alone = {i for _, i, w, rest, _ in net.kernel if w == 1 and not rest}
     return (len(alone) == len(net.places) and any(net.initial_marking)
-            and all(sum(effect) >= 0 for _, effect in net.kernel))
+            and all(sum(effect) >= 0 for _, _, _, _, effect in net.kernel))
 
 
 def _eps_ranked(net: LabeledPetriNet) -> bool:
     """Whether every unobservable transition removes a token, so that the
     token count ranks unobservable runs and each is finite."""
     return all(sum(effect) <= -1
-               for lab, (_, effect) in zip(net.labels, net.kernel) if lab is EPSILON)
+               for lab, (_, _, _, _, effect) in zip(net.labels, net.kernel) if lab is EPSILON)
 
 
 def _twin_invariant(tw: TwinNet) -> bool:
@@ -120,7 +121,7 @@ def _twin_invariant(tw: TwinNet) -> bool:
     every reachable twin marking has equal halves; read off the base net's
     kernel, a half that does not move changing nothing."""
     g = tw.base
-    effects = half_moves(g.labels, ((ti, effect) for ti, (_, effect) in enumerate(g.kernel)))
+    effects = half_moves(g.labels, ((ti, effect) for ti, _, _, _, effect in g.kernel))
     zero = (0,) * tw.half
     return all(e1 == e2 for _, e1, e2 in twin_steps(effects, effects, zero, zero))
 
@@ -283,6 +284,7 @@ class NetGraph(dict):
         max_depth the whole graph is built once, and kept as whole: if it
         closes, no node is cut, as none is in the whole graph."""
         markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
+        names = net.transitions
 
         def edges(graph, v):
             out, d = [], depth[v] + 1
@@ -297,7 +299,7 @@ class NetGraph(dict):
                     w = index[m] = len(markings)
                     markings.append(m)
                     depth.append(d)
-                out.append((net.transitions[ti], w))
+                out.append((names[ti], w))
             return out
 
         return cls(net, markings, edges)
@@ -578,9 +580,10 @@ def _secret_escapes(net: LabeledPetriNet, secret_set: frozenset) -> bool:
     with an unobservable step out of it; linear in |secret_set| * |T|."""
     into = {m: [] for m in secret_set}  # per secret marking its ε-predecessors in the set
     exits = set()  # the secret markings with an ε-successor outside the set
+    labels = net.labels
     for m in secret_set:
         for ti, m2 in successors(net, m):
-            if net.labels[ti] is EPSILON:
+            if labels[ti] is EPSILON:
                 if m2 in into:
                     into[m2].append(m)
                 else:

@@ -731,9 +731,9 @@ def _growing(net) -> set:
     move followed by that of its right move: it grows iff no move lowers
     a place and some move changes one."""
     if not isinstance(net, TwinNet):
-        return {t for t, (_, e) in zip(net.transitions, net.kernel) if any(e) and min(e) >= 0}
+        return {net.transitions[t] for t, _, _, _, e in net.kernel if any(e) and min(e) >= 0}
     up, keep = set(), {None}  # the moves that grow, and those that lower nothing
-    for t, (_, e) in enumerate(net.base.kernel):
+    for t, _, _, _, e in net.base.kernel:
         if min(e, default=0) >= 0:
             keep.add(t)
             if any(e):

@@ -69,9 +69,11 @@ class LabeledPetriNet:
     # index maps, filled in __post_init__
     place_index: dict = field(init=False, compare=False, repr=False)
     transition_index: dict = field(init=False, compare=False, repr=False)
-    # The firing kernel, filled in __post_init__: per transition its pre arcs
-    # ((place, weight), ...) of positive weight and its effect post - pre
-    # (see successors).
+    # The firing kernel, filled in __post_init__: per transition, in declared
+    # order, the entry (ti, i, w, rest, effect): its index ti, its first pre
+    # arc of positive weight w on place i (i None and w 0 if it has none),
+    # its other such arcs rest ((place, weight), ...), and its effect
+    # post - pre (see successors).
     kernel: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -114,11 +116,12 @@ class LabeledPetriNet:
         object.__setattr__(
             self, "transition_index", {t: i for i, t in enumerate(self.transitions)}
         )
-        object.__setattr__(self, "kernel", tuple(
-            (tuple((i, w) for i, w in enumerate(pre) if w),
-             tuple(map(operator.sub, post, pre)))
-            for pre, post in zip(self.pre, self.post)
-        ))
+        kernel = []
+        for ti, (pre, post) in enumerate(zip(self.pre, self.post)):
+            arcs = [(i, w) for i, w in enumerate(pre) if w]
+            i, w = arcs.pop(0) if arcs else (None, 0)
+            kernel.append((ti, i, w, tuple(arcs), tuple(map(operator.sub, post, pre))))
+        object.__setattr__(self, "kernel", tuple(kernel))
 
     def label(self, t: str):
         return self.labels[self._tindex(t)]
@@ -183,16 +186,22 @@ def successors(net: LabeledPetriNet, m: Marking):
     """Yield (ti, m2) for each transition index ti, in declared order, that
     is enabled at m, where m2 is the marking ti leads to.
 
-    The one firing rule of every explorer. m is not checked; OMEGA entries
-    of coverability markings stay OMEGA. enabled and fire are the checked
-    reference it agrees with.
+    The one firing rule of every explorer. Each kernel entry tests its first
+    pre arc, and only a transition that passes it tests the rest, so a
+    transition with one input place takes one comparison and no inner
+    loop. m is not checked; OMEGA entries of coverability markings stay
+    OMEGA. enabled and fire are the checked reference it agrees with.
     """
-    for ti, (arcs, effect) in enumerate(net.kernel):
-        for i, w in arcs:
-            if m[i] < w:
-                break
-        else:
-            yield ti, tuple(map(operator.add, m, effect))
+    for ti, i, w, rest, effect in net.kernel:
+        if i is None or m[i] >= w:
+            if rest:
+                for j, v in rest:
+                    if m[j] < v:
+                        break
+                else:
+                    yield ti, tuple(map(operator.add, m, effect))
+            else:
+                yield ti, tuple(map(operator.add, m, effect))
 
 
 def enabled(net: LabeledPetriNet, m: Marking, t: str) -> bool:

@@ -275,7 +275,7 @@ class TestTwinFiredOnItsHalves:
             assert explore._growing(tw) == explore._growing(tw.net)
             grows += bool(explore._growing(tw))
             h, kernel = tw.half, tw.net.kernel
-            assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, e in kernel)
+            assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, _, _, _, e in kernel)
             invariant += analyze._twin_invariant(tw)
             for budget in (Budget(50, 3), Budget(300, 30)):
                 halves = explore._graph_rounds(tw, budget)

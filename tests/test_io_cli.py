@@ -610,6 +610,52 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def _adds_effect(node) -> bool:
+    """Whether node adds two markings place by place: map(operator.add, ...),
+    map(add, ...), or x + d over zip(...) in a comprehension."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map" and node.args:
+        f = node.args[0]
+        return getattr(f, "attr", getattr(f, "id", None)) == "add"
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp)) and len(node.generators) == 1:
+        gen, elt = node.generators[0], node.elt
+        return (getattr(gen.iter, "func", None) is not None
+                and getattr(gen.iter.func, "id", None) == "zip"
+                and isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Add)
+                and isinstance(elt.left, ast.Name) and isinstance(elt.right, ast.Name))
+    return False
+
+
+def _tests_kernel_arcs(node) -> bool:
+    """Whether node is a loop over a .kernel that compares a subscript, as
+    an enabledness test m[i] >= w does."""
+    if isinstance(node, ast.For):
+        iters = [node.iter]
+    elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+        iters = [gen.iter for gen in node.generators]
+    else:
+        return False
+    return (any(getattr(x, "attr", None) == "kernel" for i in iters for x in ast.walk(i))
+            and any(isinstance(n, ast.Compare)
+                    and any(isinstance(x, ast.Subscript) for x in (n.left, *n.comparators))
+                    for n in ast.walk(node)))
+
+
+def test_one_firing_kernel():
+    # Every explorer fires through net.successors; net.fire is the checked
+    # reference. No other function adds an effect to a marking or tests a
+    # transition's arcs off net.kernel, so no inline copy of the kernel
+    # comes back.
+    src = Path(__file__).resolve().parent.parent / "src" / "lpndetect"
+    firing = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    any(_adds_effect(n) or _tests_kernel_arcs(n) for n in ast.walk(fn))):
+                firing.add(f"{path.stem}.{fn.name}")
+    assert firing == {"net.successors", "net.fire"}
+
+
 def test_benchmark_finds_every_layer_it_traces():
     # perfbench/spans.py wraps each layer function by its name; a function
     # renamed or removed here would read as null in the benchmark instead of

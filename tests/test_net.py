@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lpndetect import make_net
+from lpndetect import analyze, explore, make_net
 from lpndetect.explore import Budget, build_km_tree, build_reachability_graph
 from lpndetect.net import (
     EPSILON,
@@ -243,11 +243,79 @@ def test_kernel_matches_reference_random():
 def test_kernel_recomputed_on_replace(e2):
     # t2 now needs two tokens on p and returns one to q.
     net = dataclasses.replace(e2, pre=((1, 0), (2, 0), (0, 1)))
-    assert net.kernel[1] == (((0, 2),), (-2, 1))
+    assert net.kernel[1] == (1, 0, 2, (), (-2, 1))
     assert net.kernel[1] != e2.kernel[1]
     assert list(successors(net, (1, 0))) == [(0, (1, 0))]
     for m in ((1, 0), (2, 0), (2, 1), (0, 1)):
         assert_kernel_agrees(net, m)
+
+
+def test_kernel_transition_without_input_arc():
+    # An arc-less transition is enabled everywhere, with or without places.
+    net = make_net(["p"], {"t": ("a", {}, {"p": 1}), "u": ("b", {"p": 1}, {})}, {})
+    assert net.kernel[0] == (0, None, 0, (), (1,))
+    assert list(successors(net, (0,))) == [(0, (1,))]
+    assert list(successors(net, (1,))) == [(0, (2,)), (1, (0,))]
+    bare = make_net([], {"t": ("a", {}, {})}, {})
+    assert bare.kernel == ((0, None, 0, (), ()),)
+    assert list(successors(bare, ())) == [(0, ())]
+    for m in ((0,), (1,), (3,)):
+        assert_kernel_agrees(net, m)
+    assert_kernel_agrees(bare, ())
+
+
+def test_kernel_later_arc_fails_after_first_passes():
+    net = make_net(["p", "q", "r"], {"t": ("a", {"p": 1, "q": 1, "r": 2}, {"p": 1})},
+                   {"p": 1, "q": 1, "r": 1})
+    assert net.kernel[0] == (0, 0, 1, ((1, 1), (2, 2)), (0, -1, -2))
+    assert list(successors(net, (1, 1, 1))) == []
+    assert list(successors(net, (1, 0, 2))) == []
+    assert list(successors(net, (1, 1, 2))) == [(0, (1, 0, 0))]
+    for m in ((1, 1, 1), (1, 0, 2), (1, 1, 2), (0, 1, 2)):
+        assert_kernel_agrees(net, m)
+
+
+def test_kernel_first_arc_of_weight_above_one():
+    net = make_net(["p", "q"], {"t": ("a", {"p": 3}, {"q": 1}), "u": ("a", {"q": 1}, {})}, {})
+    assert net.kernel[0] == (0, 0, 3, (), (-3, 1))
+    assert list(successors(net, (2, 0))) == []
+    assert list(successors(net, (3, 1))) == [(0, (0, 2)), (1, (3, 0))]
+    for m in ((2, 0), (3, 0), (4, 1)):
+        assert_kernel_agrees(net, m)
+
+
+def test_kernel_omega_on_first_arc():
+    omega = float("inf")
+    net = make_net(["p", "q"], {"t": ("a", {"p": 2, "q": 1}, {"q": 2})}, {})
+    assert list(successors(net, (omega, 0))) == []
+    assert list(successors(net, (omega, 1))) == [(0, (omega, 2))]
+    assert list(successors(net, (omega, omega))) == [(0, (omega, omega))]
+    for m in ((omega, 0), (omega, 1), (1, omega), (omega, omega)):
+        assert_kernel_agrees(net, m)
+
+
+def test_explorers_fire_each_expanded_marking_once(monkeypatch):
+    # build_reachability_graph and a NetGraph.fired read to the end each call
+    # successors once per expanded marking, on the markings in BFS order.
+    net = make_net(["p", "q", "r"], {
+        "t": ("a", {"p": 1}, {"q": 1}),
+        "u": (None, {"q": 1}, {"r": 1}),
+        "v": ("b", {"r": 1, "q": 1}, {"p": 2}),
+        "w": ("a", {"r": 1}, {"p": 1}),
+    }, {"p": 2})
+    calls = {explore: [], analyze: []}
+    for module, seen in calls.items():
+        monkeypatch.setattr(module, "successors",
+                            lambda g, m, seen=seen: seen.append(m) or successors(g, m))
+    graph = explore.build_reachability_graph(net, Budget())
+    assert graph.complete and len(graph.markings) > 5
+    fired = analyze.NetGraph.fired(net, Budget())
+    v = 0
+    while v < len(fired.markings):
+        assert fired[v] is not None
+        v += 1
+    assert calls[explore] == graph.markings
+    assert calls[analyze] == fired.markings == graph.markings
 
 
 def test_index_maps_are_not_parameters(e2):
