@@ -5,11 +5,11 @@ Strong detectability is checked on the twin net as a path question: reach
 a marking, pump a covering loop, then reach a marking whose halves
 disagree. Weak detectability and opacity work on the observer, the
 deterministic automaton over current-marking estimates, which reads a net
-graph (NetGraph): opacity's is expanded on demand, a marking fired only
-when an estimate needs it; weak detectability's is the reachability graph
-built by its assumption check, and where certificates proved both
+graph (NetGraph): opacity's is the reachability graph grown as the
+observer asks for its nodes; weak detectability's is the reachability
+graph built by its assumption check, and where certificates proved both
 assumptions, the observer's first goal test, on the initial estimate,
-runs on a graph expanded on demand before any whole graph is built. A
+runs on a graph fired on demand before any whole graph is built. A
 certificate, where one applies, decides without that search. Integer ones
 on the arc tables prove `holds` without a graph: deadlock freedom from a
 transition no step disables or from a token count no step lowers over
@@ -53,6 +53,7 @@ from .explore import (
     Witness,
     _explore,
     _fed_by_cycle,
+    _graph_on_demand,
     _growing,
     build_reachability_graph,
     estimate,
@@ -237,70 +238,68 @@ class NetGraph(dict):
     """A net's reachability graph as the observer reads it: maps a node id v
     to the tuple of its ε-successors, None if the budget cut v; rows[v]
     holds per symbol of symbols (sorted) the tuple of v's successors by it.
-    markings[v] is v's marking, node 0 the initial one. A built graph is
-    derived at once (read); otherwise a node's row is derived when it is
-    first read, from edges(graph, v), its (transition, successor id) pairs
-    or None (fired). whole is the whole reachability graph where fired
-    built it, else None."""
+    markings[v] is v's marking, node 0 the initial one. A node first read
+    is derived from edges(v): (node, its (transition, successor id) pairs or
+    None) for v and any other node that call made known."""
 
-    def __init__(self, net: LabeledPetriNet, markings: list, edges=None):
+    def __init__(self, net: LabeledPetriNet, markings: list, edges):
         super().__init__()
-        self.markings, self.edges, self.rows, self.whole = markings, edges, {}, None
+        self.markings, self.edges, self.rows = markings, edges, {}
         self.symbols = sorted(net.alphabet)
         column = {sym: i for i, sym in enumerate(self.symbols)}  # ε last
         self.column = {t: column.get(lab, len(column))
                        for t, lab in zip(net.transitions, net.labels)}
 
     def __missing__(self, v):
-        out = self.edges(self, v)
-        self._derive(() if out is None else [(v, out)])
-        return self.setdefault(v, None)
-
-    def _derive(self, nodes):
-        """Store the row of each (v, edges of v) pair in nodes."""
         column, rows, blank = self.column, self.rows, ((),) * (len(self.symbols) + 1)
-        for v, out in nodes:
+        for u, out in self.edges(v):
+            if out is None:
+                self[u] = None
+                continue
             row = list(blank)
             for t, w in out:
                 row[column[t]] += (w,)
-            self[v] = row.pop()
-            rows[v] = row
+            self[u] = row.pop()
+            rows[u] = row
+        return self[v]
 
     @classmethod
-    def read(cls, graph: ReachabilityGraph) -> "NetGraph":
-        """Every row of a built graph, derived from graph.succ; nothing is fired."""
-        rows = cls(graph.net, graph.markings)
-        rows._derive(enumerate(graph.succ))
-        rows.update(dict.fromkeys(graph.cut))
-        return rows
+    def read(cls, graph: ReachabilityGraph, need=None) -> "NetGraph":
+        """The rows of graph, derived from graph.succ for every node expanded
+        since the last read. A graph grown on demand comes with its need
+        (explore._graph_on_demand), so a read grows it to the node read."""
+        succ, cut, done = graph.succ, graph.cut, [0]
+
+        def edges(v):
+            if v >= len(succ):
+                need(v)
+            start, done[0] = done[0], len(succ)
+            return ((u, None if u in cut else succ[u]) for u in range(start, len(succ)))
+
+        return cls(graph.net, graph.markings, edges)
 
     @classmethod
     def fired(cls, net: LabeledPetriNet, budget: Budget) -> "NetGraph":
-        """The graph expanded on demand: a node is fired when first read, and
-        a new successor becomes the next node if fewer than budget.max_states
-        are stored and the run that first reached it fired at most
-        budget.max_depth transitions; otherwise the node is cut. That run
-        can be longer than the shortest, so at the first successor past
-        max_depth the whole graph is built once, and kept as whole: if it
-        closes, no node is cut, as none is in the whole graph."""
+        """The graph fired on demand for weak's root test: a node is fired
+        when first read, and a new successor becomes the next node if fewer
+        than budget.max_states are stored and the run that first reached it
+        fired at most budget.max_depth transitions, else the node is cut; a
+        node the whole graph keeps can be cut, that run not being shortest."""
         markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
         names = net.transitions
 
-        def edges(graph, v):
+        def edges(v):
             out, d = [], depth[v] + 1
             for ti, m in successors(net, markings[v]):
                 w = index.get(m)
                 if w is None:
-                    if d > budget.max_depth and graph.whole is None:
-                        graph.whole = build_reachability_graph(net, budget)
-                    if (len(markings) >= budget.max_states
-                            or d > budget.max_depth and not graph.whole.complete):
-                        return None
+                    if len(markings) >= budget.max_states or d > budget.max_depth:
+                        return [(v, None)]
                     w = index[m] = len(markings)
                     markings.append(m)
                     depth.append(d)
                 out.append((names[ti], w))
-            return out
+            return [(v, out)]
 
         return cls(net, markings, edges)
 
@@ -376,12 +375,15 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     Exact on bounded nets: weakly detectable iff the observer has a
     reachable cycle all of whose states are singleton estimates. Where
     certificates proved both assumptions, so that the gate built no graph,
-    the observer's first goal test runs on a graph expanded on demand
+    the observer's first goal test runs on a graph fired on demand
     (NetGraph.fired): if the initial estimate is a singleton whose
     singleton steps (_singleton_steps) reach a cycle (_root_cycle), that is
     `holds`, with stats (1, 0), bounded or not, firing only the markings
-    those steps reach. Otherwise the whole graph is read: the gate's, the
-    one the graph expanded on demand built, or one built here. On a closed
+    those steps reach. That graph cuts a node by the depth of the run that
+    first reached it, so it may cut a node the whole graph keeps: a miss
+    sends the check on, and a cycle found past a cut for depth stands only
+    if the whole graph, then built, is open. Otherwise the whole graph is
+    read: the gate's, or one built here. On a closed
     graph, one peel finds the nodes from which the graph's singleton steps
     reach a cycle; if there are none, `fails` is certified without an
     observer. Otherwise the observer stops at the first singleton estimate
@@ -452,8 +454,8 @@ def _singleton_cycle(singles: dict, live: set, v: int):
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
     """check_weak's (verdict, assumption report). The root test reads a
-    graph expanded on demand where the gate built none; the certificate
-    and the observer read the gate's graph, or else the whole graph, built
+    graph fired on demand where the gate built none; the certificate and
+    the observer read the gate's graph, or else the whole graph, built
     once; a certified `fails` builds no observer. The clock starts after
     the assumption gate, as in _check_strong."""
     report = _gate_assumptions(g, budget)
@@ -462,10 +464,12 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     if built is None:
         graph = NetGraph.fired(g, budget)
         cycle = _root_cycle(graph)
-        if cycle:
+        # Below max_states, a cut node may be one a closed whole graph keeps.
+        if not cycle or None in graph.values() and len(graph.markings) < budget.max_states:
+            built = build_reachability_graph(g, budget)
+        if cycle and not (built and built.complete):
             stats = SearchStats(1, 0, time.perf_counter() - t0)
             return _cycle_holds(g, graph, (), cycle, stats), report
-        built = graph.whole if graph.whole is not None else build_reachability_graph(g, budget)
     graph = NetGraph.read(built)
     live = set()  # the nodes from which singleton steps reach a cycle
     if built.complete:
@@ -599,24 +603,23 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     secret set. FAILS carries the violating observation and estimate; the
     observer stops at the first such estimate, so its stats count the
     observer states stored up to it, and its estimate is recomputed by
-    `estimate` (a mismatch raises RuntimeError). The observer reads a net
-    graph expanded on demand (NetGraph.fired), which fires only the
-    markings of the estimates it stores or tries. Where the whole
-    reachability graph closes within the budget, that graph cuts nothing,
-    and the verdict and stats are those of the observer over the whole
-    graph; where it is open, the two cut different nodes and the stats
-    may differ. Where every secret marking reaches a non-secret one by
-    unobservable firing (_secret_escapes), `holds` is certified without a
-    graph or an observer, bounded or not. The check does not require the
-    standing assumptions. A secret marking must have one non-negative
-    integer per place; otherwise InputError is raised.
+    `estimate` (a mismatch raises RuntimeError). The observer reads the
+    reachability graph grown on demand (explore._graph_on_demand), whose
+    breadth-first search runs only as far as the last node its estimates
+    hold or try. Node ids, successors and cuts are those of the whole graph
+    built under budget, so the verdict and stats are those of the observer
+    over the whole graph, closed or not. Where every secret marking reaches
+    a non-secret one by unobservable firing (_secret_escapes), `holds` is
+    certified without a graph or an observer, bounded or not. The check
+    does not require the standing assumptions. A secret marking must have
+    one non-negative integer per place; otherwise InputError is raised.
     """
     t0 = time.perf_counter()
     secret_set = _normalize_secret(g, secret)
     if _secret_escapes(g, secret_set):
         return _certified(t0, "every secret marking reaches a non-secret marking "
                               "by unobservable transitions")
-    graph = NetGraph.fired(g, budget)
+    graph = NetGraph.read(*_graph_on_demand(g, budget))
     markings = graph.markings
     obs = explore_observer(graph, budget, lambda nodes: all(
         markings[v] in secret_set for v in nodes))

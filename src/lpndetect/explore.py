@@ -8,19 +8,20 @@ covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
 graph; nothing is fired twice. The twin's graph is read off its net's
-closed graph where there is one, firing nothing; else search_pattern builds
-the graph in rounds, a twin's by firing the net on each half of a twin
-marking (see twin.twin_steps), which builds no twin net. Once a round's
-prefix proves the net unbounded, a walk of the prefix's nodes runs, and a
-witness it finds there, or a walk that fills the budget, is the answer.
-Else the graph is built under the budget.
-When it closes the answer is decided, and a witness is read off three
-breadth-first distances (see _lasso); on a twin graph read off the net's,
-a lower bound from the net's graph skips the pump searches that would find
-nothing. stats.states then counts the nodes the distance searches stored,
-not those of the bound's. Otherwise the walk, whose pumps close on covering,
-runs under the same budget and finds a sound witness or reports the
-question inconclusive.
+closed graph where there is one, firing nothing; else search_pattern grows
+the graph as its reader asks (see _graph_on_demand), a twin's by firing
+the net on each half of a twin marking (see twin.twin_steps), which builds
+no twin net. Once a growing transition fires, proving the net unbounded,
+the walk runs once, growing the graph as it reaches new nodes, and gives
+the answer of the walk of the whole graph. Else the graph is grown to its
+end under the budget. When it closes the answer is decided, and a witness
+is read off three breadth-first distances (see _lasso); on a twin graph
+read off the net's, a lower bound from the net's graph skips the pump
+searches that would find nothing. stats.states then counts the nodes the
+distance searches stored, not those of the bound's. Otherwise the walk,
+whose pumps close on covering, runs under the same budget and finds a
+sound witness or reports the question inconclusive. Opacity's observer
+(in analyze) reads a graph grown on demand too.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class Exploration:
     succ[v] is a tuple of (label, w) for every stored successor w of an
     expanded node v, in the order they were expanded; the first len(succ)
     stored nodes are expanded, all of them unless a goal stopped the search
-    or it is paused between rounds (see _explore_rounds). edges is succ
+    or its search is paused (see _explore_rounds). edges is succ
     flattened. parent[v] is (u, label), the BFS tree edge into v (None at
     the root), so path_to(v) is a shortest label path to v. cut holds the
     nodes that lost a successor; complete means a root was stored, every
@@ -173,10 +174,10 @@ def _explore_rounds(root, expand, budget: Budget, goal=None):
     cut. The search stops at the first stored state that meets goal, if
     given; stored last and in BFS order, it is the least deep to meet it.
 
-    Yields the exploration each time its count of expanded states reaches
-    a power of two (1, 2, 4, ...), while a stored state is still
-    unexpanded, and once more when the search ends. It is one object
-    throughout, which grows when the search resumes.
+    Yields the exploration once the root is stored, then each time its
+    count of expanded states reaches the count last sent to it (next()
+    sends None, which asks for none), and once more when the search ends.
+    It is one object throughout, which grows when the search resumes.
     """
     if root is None:
         yield Exploration([], [], [], [], set())
@@ -185,11 +186,10 @@ def _explore_rounds(root, expand, budget: Budget, goal=None):
     cut, max_states, max_depth = set(), budget.max_states, budget.max_depth
     exp = Exploration(states, succ, parent, depth, cut)
     found = goal is not None and goal(root)
-    v, checkpoint = 0, 1
+    v, checkpoint = 0, (yield exp)
     while v < len(states) and not found:  # states are stored in BFS order: the queue
         if v == checkpoint:
-            yield exp
-            checkpoint *= 2
+            checkpoint = yield exp
         d = depth[v] + 1
         out = []
         for label, x in expand(states[v]):
@@ -236,10 +236,15 @@ class ReachabilityGraph(Exploration):
         return self.states
 
 
-def _graph_rounds(net, budget: Budget):
-    """The reachability graph at each round of its search (see
-    _explore_rounds): BFS over the markings reachable from the initial
-    marking, in declared transition order.
+def _graph_on_demand(net, budget: Budget):
+    """The reachability graph, grown as its reader asks: (graph, need).
+    graph is the BFS over the markings reachable from the initial marking,
+    in declared transition order, with only its root stored; need(v)
+    resumes its search (see _explore_rounds) until node v is expanded or
+    the search ends, and says whether v is expanded. Node ids, successors
+    and cuts are those of the whole graph built under budget, whose BFS
+    depth max_depth bounds: a reader that calls need(v) before reading
+    node v reads the whole graph.
 
     The graph of a TwinNet is that of its twin net, built without it: a
     twin marking steps by the twin's step rule (twin.twin_steps) over the
@@ -262,11 +267,17 @@ def _graph_rounds(net, budget: Budget):
             for ti, m2 in successors(net, m):
                 yield names[ti], m2
 
-    graph = None
-    for exp in _explore_rounds(root, expand, budget):
-        # One graph throughout, which grows with exp's lists.
-        graph = graph or ReachabilityGraph(**vars(exp), net=net)
-        yield graph
+    rounds = _explore_rounds(root, expand, budget)
+    # One graph throughout, which grows with the exploration's lists.
+    graph = ReachabilityGraph(**vars(next(rounds)), net=net)
+    succ, states = graph.succ, graph.states
+
+    def need(v):
+        while len(succ) <= v and len(succ) < len(states):
+            rounds.send(v + 1)
+        return v < len(succ)
+
+    return graph, need
 
 
 def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
@@ -282,7 +293,8 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
     step rule lists the twin's transitions in the order of net.transitions.
     """
     if base is None:
-        *_, graph = _graph_rounds(net, budget)
+        graph, need = _graph_on_demand(net, budget)
+        need(budget.max_states)  # no node has that id: the search runs to its end
         return graph
     g, mk = base.net, base.markings
     labels, index = g.labels, g.transition_index
@@ -504,7 +516,7 @@ def _final(graph: ReachabilityGraph, pattern: PathPattern, nodes):
 
 
 def _witness_search(
-    graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None
+    graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None, need=None
 ):
     """A minimal witness read off graph, firing nothing.
 
@@ -519,9 +531,8 @@ def _witness_search(
     (3, x, None) whose marking passes the final test. The walk runs under
     budget; a state less than budget.max_depth deep lies less deep in the
     graph, so it lost no successor unless the graph hit budget.max_states.
-    graph may be a prefix (see search_pattern) whose first unexpanded node
-    lies budget.max_depth deep: a state on an unexpanded node is then at
-    the depth cap, where expanding it would store nothing, and is skipped.
+    A graph grown on demand (see _graph_on_demand) comes with its need,
+    called on each node before the walk reads its successors.
 
     Returns (witness-or-None, exhausted, states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
@@ -539,10 +550,9 @@ def _witness_search(
 
     def expand(state):
         j, x, a = state
-        try:
-            out = succ[x]
-        except IndexError:  # unexpanded in a prefix: state is at the depth cap
-            return
+        if x >= len(succ):  # not expanded yet: grow the graph
+            need(x)
+        out = succ[x]
         for t, y in out:
             if not (j == 2 and t in barred):
                 yield t, (j, y, a)
@@ -614,6 +624,7 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
                 to_final[u] = to_final[v] + 1
                 queue.append(u)
     stored, best, tied = len(queue), math.inf, []
+    barred = _barred(graph.net, pattern)
     girth = _girth(graph.base.succ) if graph.pairs else None
     for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
                        if to_final[x] is not None):
@@ -622,7 +633,7 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
         limit = best - s
         if girth and limit < math.inf and all(girth(y, limit) > limit for y in graph.pairs[x]):
             continue
-        pump, seen = _first_cycle(graph, pattern, x, limit)
+        pump, seen, _ = _first_cycle(succ, barred, x, limit)
         stored += seen
         if pump is not None:
             if s + len(pump) < best:
@@ -644,55 +655,49 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
 def _girth(succ: list):
     """c_net of the graph with successor lists succ, asked lazily:
     girth(u, limit) is the length of the shortest nonempty cycle through u
-    if it is at most limit, else a lower bound above limit. A BFS from u
-    bounded by limit answers, and its answer, exact or "more than limit",
-    is kept for u: it answers every later ask it settles."""
+    if it is at most limit, else a lower bound above limit. _first_cycle's
+    answer, exact or "more than limit", is kept for the later asks it
+    settles."""
     known = {}  # u -> (length or lower bound, exact)
 
     def girth(u, limit):
         bound, exact = known.get(u, (0, False))
-        if exact or bound > limit:
-            return bound
-        seen, level, d = {u}, [u], 0
-        while level and d < limit:
-            d, nxt = d + 1, []
-            for y in level:
-                for _, w in succ[y]:
-                    if w == u:
-                        known[u] = d, True
-                        return d
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            level = nxt
-        known[u] = (limit + 1, False) if level else (math.inf, True)
+        if not exact and bound <= limit:
+            cycle, _, ended = _first_cycle(succ, (), u, limit)
+            known[u] = ((len(cycle), True) if cycle else (math.inf, True) if ended
+                        else (limit + 1, False))
         return known[u][0]
 
     return girth
 
 
-def _first_cycle(graph: ReachabilityGraph, pattern: PathPattern, x: int, limit):
-    """The labels of the first shortest nonempty cycle of allowed edges
-    through x, or None if it is longer than limit; and the count of nodes
-    its BFS stored."""
-    parent, level, d, barred = {x: None}, [x], 0, _barred(graph.net, pattern)
+def _first_cycle(succ: list, barred, x: int, limit):
+    """The labels of the first shortest nonempty cycle through x over the
+    edges in succ whose labels are not in barred, or None if none is at
+    most limit long; the count of nodes its BFS stored; and whether that
+    BFS ended, so that there is no such cycle."""
+    parent, level, d = {x: None}, [x], 0
     while level and d < limit:
         d, nxt = d + 1, []
         for u in level:
-            for t, w in graph.succ[u]:
+            for t, w in succ[u]:
                 if t in barred:
                     continue
                 if w == x:
                     labels = [t]
-                    while u != x:
-                        u, t = parent[u]
-                        labels.append(t)
-                    return tuple(labels[::-1]), len(parent)
+                    while u != x:  # a tree edge is the first allowed one into u
+                        v = parent[u]
+                        for s, y in succ[v]:
+                            if y == u and s not in barred:
+                                labels.append(s)
+                                break
+                        u = v
+                    return tuple(labels[::-1]), len(parent), False
                 if w not in parent:
-                    parent[w] = (u, t)
+                    parent[w] = u
                     nxt.append(w)
         level = nxt
-    return None, len(parent)
+    return None, len(parent), not level
 
 
 def replay_witness(net, pattern: PathPattern, witness: Witness) -> bool:
@@ -753,34 +758,25 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
 
-    The graph is read off base if given (see build_reachability_graph), else
-    built in rounds that double its expanded markings from the first (see
-    _graph_rounds and _explore_rounds), and the answer is that of
-    search_graph on the whole graph; a round may give it early. A prefix
-    in which a growing transition has fired proves the net unbounded: the
-    whole graph never closes, and its walk runs under budget. If nothing in
-    the prefix was cut, its walk under depth cap D, the depth of its first
-    unexpanded node, expands only fully expanded nodes short of the cap, so
-    it stores the first states that the walk of the whole graph stores, in
-    the same order. A witness among them, or max_states of them, is
-    therefore that walk's answer.
+    The graph is read off base if given (see build_reachability_graph),
+    else grown on demand (see _graph_on_demand), and the answer is that of
+    search_graph on the whole graph built under budget. The graph is grown
+    a node at a time until a growing transition fires, which proves the
+    net unbounded: the whole graph never closes, and the walk (see
+    _witness_search) runs once under budget, growing the graph as it
+    reaches new nodes. Else the whole graph is grown and searched.
     """
     if t0 is None:
         t0 = time.perf_counter()
     if base is not None:
         return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
-    grows, unbounded = _growing(net), False
-    for graph in _graph_rounds(net, budget):
-        expanded = len(graph.succ)
-        if expanded == len(graph.states):  # the search has ended
-            break
-        unbounded = unbounded or any(t in grows for out in graph.succ for t, _ in out)
-        if unbounded and not graph.cut:
-            # D <= budget.max_depth, as no deeper node is stored.
-            cap = Budget(budget.max_states, graph.depth[expanded])
-            walked = _witness_search(graph, pattern, cap)
-            if walked[0] is not None or walked[2] == budget.max_states:
-                return _walk_verdict(graph, pattern, walked, t0)
+    graph, need = _graph_on_demand(net, budget)
+    grows, v = _growing(net), 0
+    while need(v):
+        if any(t in grows for t, _ in graph.succ[v]):
+            walked = _witness_search(graph, pattern, budget, need=need)
+            return _walk_verdict(graph, pattern, walked, t0)
+        v += 1
     return search_graph(graph, pattern, budget, t0)
 
 

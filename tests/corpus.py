@@ -1,0 +1,195 @@
+"""Differential corpora: one line per verdict, to compare two revisions.
+
+Run from anywhere, with the repository's Python:
+
+    python tests/corpus.py [--nets N]
+    python tests/corpus.py --against REV [--nets N]
+
+The first form prints one record per line: a key (corpus, net or instance,
+budget) and, after a tab, what the check returned: its outcome, witness,
+message, stats.states and stats.depth, or the error it raised. Wall times
+are left out, so the records of one revision are the same on every run.
+
+The corpora:
+
+- strong: check_strong on 600 netgen.random_net nets (rng 11, 5 places, 6
+  transitions, ε 0.3) at Budget(300, 30) and (2000, 100), and on the
+  strong instances of perfbench's twin_bounded and twin_unbounded
+  workloads at seeds 0-2, at their workloads' budgets;
+- weak: check_weak on 1500 such nets (rng 7) at Budget(2000, 100),
+  (300, 30) and (50, 5);
+- opacity: check_opacity on the same nets and budgets, each with one
+  secret marking drawn (rng 5) from the net's Budget(300, 30) graph;
+- cli: the check-strong, check-weak, check-opacity and check-assumptions
+  commands, text and --json, on the first 24 of those nets at
+  --max-states 300 --max-depth 30 and 2000 100: exit code, standard
+  output and standard error, with wall_time_s masked.
+
+--nets N keeps the first N nets of each corpus and drops the benchmark
+instances. --against REV extracts src/ of the git revision REV into a
+temporary directory (git archive), runs the same corpora on it and on this
+checkout, and prints each record that differs, the revision's line first
+(-) and this checkout's second (+); it exits 1 if any record differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import random
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+CORPORA = ("strong", "weak", "opacity", "cli")
+
+
+def _nets(seed, count):
+    from netgen import random_net
+
+    rng = random.Random(seed)
+    return [random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(count)]
+
+
+def _secrets(nets):
+    from lpndetect import Budget, build_reachability_graph
+
+    rng = random.Random(5)
+    return [rng.choice(build_reachability_graph(net, Budget(300, 30)).markings) for net in nets]
+
+
+def _instances():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from families import WORKLOADS, instances
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for w in ("twin_bounded", "twin_unbounded"):
+        for seed in range(3):
+            for inst in instances(w, seed):
+                if inst.check == "strong":
+                    yield f"{w}:{seed}:{inst.name}", inst.net, WORKLOADS[w].budget
+
+
+def _witness(w):
+    if w is None or not hasattr(w, "word"):
+        return repr(w)
+    return f"word={w.word!r} estimate={sorted(w.estimate)!r}"
+
+
+def _key(corpus, name, budget):
+    return f"{corpus} {name} ({budget.max_states},{budget.max_depth})"
+
+
+def _record(check, *args):
+    from lpndetect import NetError
+
+    try:
+        v = check(*args)
+    except NetError as e:
+        return f"raises {type(e).__name__}: {e}"
+    return (f"{v.outcome} | {_witness(v.witness)} | {v.message} | "
+            f"{v.stats.states} {v.stats.depth}")
+
+
+def _cli(nets, secrets, tmp):
+    from lpndetect import cli
+    from lpndetect.textio import render_lpn
+
+    for i, (net, secret) in enumerate(zip(nets, secrets)):
+        path, spath = os.path.join(tmp, f"n{i}.lpn"), os.path.join(tmp, f"n{i}.secret")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(render_lpn(net))
+        with open(spath, "w", encoding="utf-8") as f:
+            f.write(" ".join(f"{p}={n}" for p, n in zip(net.places, secret)) + "\n")
+        for states, depth in ((300, 30), (2000, 100)):
+            for cmd in ("check-strong", "check-weak", "check-opacity", "check-assumptions"):
+                for js in ((), ("--json",)):
+                    argv = [cmd, path, "--max-states", str(states), "--max-depth", str(depth),
+                            *js, *(("--secret", spath) if cmd == "check-opacity" else ())]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    text = re.sub(r'"wall_time_s": [^,\n}]*', '"wall_time_s": _',
+                                  out.getvalue() + err.getvalue())
+                    yield f"cli {i} {cmd}{''.join(js)} ({states},{depth})", \
+                        f"exit {code} | {text!r}"
+
+
+def records(nets=None):
+    """Yield (key, record) for each record of the corpora, with only the
+    first nets nets of each and no benchmark instances if nets is given."""
+    from lpndetect import Budget, check_opacity, check_strong, check_weak
+
+    pool = _nets(11, 600)[:nets]
+    for budget in (Budget(300, 30), Budget(2000, 100)):
+        for i, net in enumerate(pool):
+            yield _key("strong", i, budget), _record(check_strong, net, budget)
+    for name, net, budget in (() if nets else _instances()):
+        yield _key("strong", name, budget), _record(check_strong, net, budget)
+    pool = _nets(7, 1500)[:nets]
+    secrets = _secrets(pool)
+    for budget in (Budget(2000, 100), Budget(300, 30), Budget(50, 5)):
+        for i, net in enumerate(pool):
+            yield _key("weak", i, budget), _record(check_weak, net, budget)
+        for i, net in enumerate(pool):
+            yield _key("opacity", i, budget), _record(check_opacity, net, [secrets[i]], budget)
+    with tempfile.TemporaryDirectory() as tmp:
+        yield from _cli(pool[:24], secrets, tmp)
+
+
+def _run(src, nets):
+    """The records of the checkout whose src/ is src, from a subprocess."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--src", str(src)] + \
+        (["--nets", str(nets)] if nets else [])
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, text=True)
+
+
+def _lines(proc):
+    out, _ = proc.communicate()
+    if proc.returncode:
+        raise SystemExit(f"corpus run failed with exit code {proc.returncode}")
+    return dict(line.split("\t", 1) for line in out.splitlines())
+
+
+def against(rev, nets) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        theirs, ours = _run(Path(tmp) / "src", nets), _run(ROOT / "src", nets)
+        theirs, ours = _lines(theirs), _lines(ours)
+    if theirs.keys() != ours.keys():
+        raise SystemExit("the two runs listed different records")
+    differ = [key for key in ours if ours[key] != theirs[key]]
+    for key in differ:
+        print(f"- {key}\t{theirs[key]}\n+ {key}\t{ours[key]}")
+    counts = {c: sum(key.split(" ", 1)[0] == c for key in ours) for c in CORPORA}
+    print(f"{len(differ)} of {len(ours)} records differ from {rev}; records per corpus: {counts}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--nets", type=int, help="only the first N nets of each corpus")
+    parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
+    parser.add_argument("--src", default=str(ROOT / "src"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against, args.nets)
+    sys.path[:0] = [args.src, str(HERE)]
+    for key, record in records(args.nets):
+        print(f"{key}\t{record}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

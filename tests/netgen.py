@@ -101,11 +101,11 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
     while True:
         net = random_net(rng)
         # A growing transition that fires proves the net unbounded: its graph
-        # can never close, so the net is dropped at that round.
-        grows = explore._growing(net)
-        for graph in explore._graph_rounds(net, budget):
-            if any(t in grows for out in graph.succ for t, _ in out):
-                break
+        # can never close, so the net is dropped at that node.
+        grows, v = explore._growing(net), 0
+        graph, need = explore._graph_on_demand(net, budget)
+        while need(v) and not any(t in grows for t, _ in graph.succ[v]):
+            v += 1
         if not graph.complete:
             continue
         report = check_assumptions(net, budget)

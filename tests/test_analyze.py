@@ -540,13 +540,12 @@ class TestOpacityStopsEarly:
     """check_opacity's observer stops at the first secret estimate."""
 
     def test_matches_the_whole_observer_scan(self, monkeypatch, no_certificates):
-        # check_opacity's observer reads a graph expanded on demand, the
-        # reference the whole built graph. Where that closes, the graph
-        # expanded on demand cuts nothing either, and the stats agree: the
-        # observer stops early only at a failure. On an
-        # open graph the two cut different nodes, so the stats may differ;
-        # outcome and witness must not, and every estimate stored on demand
-        # must be exact: the closure of its parent's step fired on the net,
+        # check_opacity's observer reads the graph grown on demand, the
+        # reference the whole built graph. Both have the same node ids,
+        # successors and cuts, closed or open, so outcome and witness agree
+        # and so do the stats, as the observer stops early only at a
+        # failure. On an open graph every estimate stored on demand must
+        # also be exact: the closure of its parent's step fired on the net,
         # and on a sample, the estimate of its word.
         rng, pick = random.Random(73), random.Random(1)
         cases = []
@@ -566,7 +565,7 @@ class TestOpacityStopsEarly:
             return seen[1]
 
         monkeypatch.setattr(analyze, "explore_observer", spy)
-        outcomes, fewer, stepped, exact = Counter(), 0, 0, 0
+        outcomes, fewer, stepped, exact, open_graphs = Counter(), 0, 0, 0, 0
         for net, budget in cases:
             whole = build_reachability_graph(net, budget)
             secret = set(rng.sample(whole.markings, min(len(whole.markings),
@@ -577,13 +576,14 @@ class TestOpacityStopsEarly:
             outcomes[outcome, whole.complete] += 1
             if outcome == FAILS:
                 assert ours.stats.depth == len(witness.word)
+            if outcome == FAILS:
+                assert ours.stats.states <= states and ours.stats.depth <= depth
+                fewer += ours.stats.states < states
+            else:
+                assert (ours.stats.states, ours.stats.depth) == (states, depth)
             if whole.complete:
-                if outcome == FAILS:
-                    assert ours.stats.states <= states and ours.stats.depth <= depth
-                    fewer += ours.stats.states < states
-                else:
-                    assert (ours.stats.states, ours.stats.depth) == (states, depth)
                 continue
+            open_graphs += 1
             graph, obs = seen
             ests = [{graph.markings[u] for u in nodes} for nodes in obs.states]
             for v, est in enumerate(ests):  # the parent's step, fired and closed
@@ -598,44 +598,47 @@ class TestOpacityStopsEarly:
                 if complete:
                     exact += 1
                     assert est == ests[v]
-        print("records", len(cases), dict(outcomes), "fewer states", fewer,
-              "estimates on open graphs stepped", stepped, "and estimated", exact)
+        print("records", len(cases), dict(outcomes), "fewer states", fewer, "open graphs",
+              open_graphs, "estimates on open graphs stepped", stepped, "and estimated", exact)
         assert len(cases) == 784 and fewer >= 120 and stepped >= 4000 and exact >= 500
+        assert open_graphs >= 280
         assert outcomes[FAILS, True] >= 400 and outcomes[HOLDS, True] >= 35
         assert outcomes[FAILS, False] >= 80 and outcomes[INCONCLUSIVE, False] >= 180
 
     def test_fires_only_what_its_estimates_need(self, monkeypatch, no_certificates):
-        # The observer reads a graph it expands on demand: of ring(8, 4)'s 330
-        # markings it fires those in the estimates up to b b b b, each once,
-        # and no whole graph is built.
+        # The observer reads a graph grown as it asks: of ring(8, 4)'s 330
+        # markings it expands those up to the last one that the estimates
+        # up to b b b b hold or try, and no whole graph is built.
         net, budget = ring(8, 4), Budget(20000, 2000)
-        fired, built, real = [], [], analyze.successors
-        monkeypatch.setattr(analyze, "successors", lambda g, m: fired.append(m) or real(g, m))
+        grown, built, real = [], [], analyze._graph_on_demand
+        monkeypatch.setattr(analyze, "_graph_on_demand",
+                            lambda *args: grown.append(real(*args)) or grown[-1])
         for module in (analyze, explore):
             monkeypatch.setattr(module, "build_reachability_graph",
                                 lambda *args: built.append(args))
         v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
         assert v.outcome == FAILS and v.witness.word == ("b",) * 4 and built == []
-        assert len(fired) == len(set(fired)) < 330
+        [(graph, _)] = grown
+        assert len(graph.succ) < len(graph.markings) < 330
+        print("expanded", len(graph.succ), "of", len(graph.markings))
 
     def test_a_long_first_run_cuts_no_closed_graph(self, monkeypatch):
-        # One token; e1, e2 are unobservable. The initial closure fires y,
+        # One token; e1, e2 are unobservable. The initial closure reads y,
         # two firings deep, which first reaches x three deep, though b2
-        # reaches it two deep: past max_depth 2 the whole graph is built
-        # once, closes, and nothing is cut. At max_depth 1 it is open.
+        # reaches it two deep: a graph fired in the order of reading would
+        # cut y past max_depth 2, where the whole graph closes and cuts
+        # nothing. The graph grown on demand is breadth first, so its cuts
+        # are the whole graph's. At max_depth 1 it is open.
         net = make_net(["p", "q", "y", "u", "x"], {
             "e1": (EPSILON, {"p": 1}, {"q": 1}), "e2": (EPSILON, {"q": 1}, {"y": 1}),
             "a": ("a", {"p": 1}, {"u": 1}), "b1": ("b", {"y": 1}, {"x": 1}),
             "b2": ("b", {"u": 1}, {"x": 1}), "c": ("c", {"x": 1}, {"p": 1})}, {"p": 1})
-        secret, built, real = {(0, 0, 0, 0, 1)}, [], analyze.build_reachability_graph
-        monkeypatch.setattr(analyze, "build_reachability_graph",
-                            lambda *args: built.append(args) or real(*args))
+        secret = {(0, 0, 0, 0, 1)}
         for budget, outcome in ((Budget(100, 2), FAILS), (Budget(100, 1), INCONCLUSIVE)):
-            built.clear()
             v = check_opacity(net, secret, budget)
             ref = _scanned_opacity(net, secret, budget)
             assert (v.outcome, v.witness, v.stats.states, v.stats.depth) == ref
-            assert v.outcome == outcome and len(built) == 1
+            assert v.outcome == outcome
         assert v.witness is None and check_opacity(net, secret, Budget(100, 3)).fails
 
     def test_ring_stops_at_its_first_secret_estimate(self):
@@ -882,18 +885,25 @@ class TestWeakRootTest:
 
     def test_fires_only_what_its_steps_need(self, monkeypatch):
         # ring(8, 4): the gate certifies both assumptions, and the root
-        # test fires the markings its singleton steps reach, each once,
-        # not the graph's 330; no whole graph is built.
+        # test fires the markings its singleton steps reach, each once:
+        # 80, not the graph's 330; no whole graph is built. Only the
+        # markings NetGraph.fired fires are counted.
         net, budget = ring(8, 4), Budget(20000, 2000)
-        fired, built, real = [], [], analyze.successors
-        monkeypatch.setattr(analyze, "successors", lambda g, m: fired.append(m) or real(g, m))
+        fired, built, real = [], [], analyze.NetGraph.fired
+
+        def counted(net, budget):
+            graph = real(net, budget)
+            edges = graph.edges
+            graph.edges = lambda v: fired.append(graph.markings[v]) or edges(v)
+            return graph
+
+        monkeypatch.setattr(analyze.NetGraph, "fired", staticmethod(counted))
         for module in (analyze, explore):
             monkeypatch.setattr(module, "build_reachability_graph",
                                 lambda *args: built.append(args))
         v = check_weak(net, budget)
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
-        assert built == [] and len(fired) == len(set(fired)) < 330
-        print("fired", len(fired))
+        assert built == [] and len(fired) == len(set(fired)) == 80
 
     def test_unbounded_net_holds(self):
         # t grows q by a; b keeps p's token where it is. {(1, 0)} is the
@@ -931,6 +941,34 @@ class TestWeakRootTest:
             mp.setattr(analyze, "_root_cycle", lambda graph: None)
             whole = check_weak(net, budget)
         assert (whole.message, whole.stats.states, whole.stats.depth) == (v.message, 1, 0)
+
+    def test_a_cycle_past_a_cut_defers_to_a_closed_graph(self, monkeypatch):
+        # One token. x's a-loop, after a a, is the whole graph's first
+        # cycle. The root test reads along its singleton steps, so it first
+        # reaches y from x, three deep, though z1 reaches it two deep: at
+        # max_depth 2 it cuts x and finds q's d-loop, after a d, instead.
+        # The whole graph closes there, so its cycle is named, as with the
+        # root test off; at max_depth 3 nothing is cut.
+        net = make_net(["r", "p", "x", "q", "y", "z1", "z2"], {
+            "ra": ("a", {"r": 1}, {"p": 1}),
+            "rc1": ("c", {"r": 1}, {"z1": 1}), "rc2": ("c", {"r": 1}, {"z2": 1}),
+            "pa": ("a", {"p": 1}, {"x": 1}), "pd": ("d", {"p": 1}, {"q": 1}),
+            "xa": ("a", {"x": 1}, {"x": 1}), "xg": ("g", {"x": 1}, {"y": 1}),
+            "qd": ("d", {"q": 1}, {"q": 1}), "yb": ("b", {"y": 1}, {"y": 1}),
+            "z1e": ("e", {"z1": 1}, {"y": 1}), "z2e": ("e", {"z2": 1}, {"z2": 1})},
+            {"r": 1})
+        for budget in (Budget(100, 2), Budget(100, 3)):
+            assert check_assumptions(net, budget).graph is None
+            assert build_reachability_graph(net, budget).complete
+            v = check_weak(net, budget)
+            assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+            assert v.message == ("the estimate after the word a a is {(0, 0, 1, 0, 0, 0, 0)}, "
+                                 "and singleton estimates return to it under the word a")
+            with monkeypatch.context() as mp:
+                mp.setattr(analyze, "_root_cycle", lambda graph: None)
+                assert check_weak(net, budget).message == v.message
+        graph = analyze.NetGraph.fired(net, Budget(100, 2))
+        assert analyze._root_cycle(graph)[::2] == (("a", "d"), ["d"]) and None in graph.values()
 
     def test_root_with_an_eps_successor_is_no_singleton(self):
         # b never lowers s, and e removes q's token unobservably: both
@@ -1239,7 +1277,7 @@ def test_wall_time_counts_the_twin_build(monkeypatch, e2, e4):
 class TestOneExploration:
     def test_each_graph_built_once(self, e1, e2, e2_eps, e4, budget, monkeypatch):
         built, bases, rounds = [], [], []
-        real, real_rounds = explore.build_reachability_graph, explore._graph_rounds
+        real, real_grown = explore.build_reachability_graph, explore._graph_on_demand
 
         def counting(net, budget, base=None):
             built.append(net)
@@ -1248,8 +1286,8 @@ class TestOneExploration:
 
         monkeypatch.setattr(explore, "build_reachability_graph", counting)
         monkeypatch.setattr(analyze, "build_reachability_graph", counting)
-        monkeypatch.setattr(explore, "_graph_rounds",
-                            lambda net, b: rounds.append(net) or real_rounds(net, b))
+        monkeypatch.setattr(explore, "_graph_on_demand",
+                            lambda net, b: rounds.append(net) or real_grown(net, b))
         # Certificates prove both of e1's assumptions and its strong
         # detectability: the gate builds no graph, and check_weak's root
         # test, which fires e1's one marking, none either.
@@ -1261,9 +1299,9 @@ class TestOneExploration:
         # e2's assumptions are certified too, but its root estimate has no
         # singleton step: check_weak builds its graph, once.
         assert check_weak(e2, budget).fails and built == [e2]
-        # ring(8, 4)'s root test passes max_depth 5, where the graph
-        # expanded on demand builds the whole graph, open, and finds no
-        # cycle: the observer reads that graph, not a second one.
+        # ring(8, 4)'s root test cuts the graph fired on demand past
+        # max_depth 5 and finds no cycle: check_weak builds the whole
+        # graph, open, once.
         built.clear()
         net = ring(8, 4)
         assert check_weak(net, Budget(20000, 5)).outcome == INCONCLUSIVE and built == [net]
@@ -1407,9 +1445,10 @@ class TestTwinReadOffTheNetGraph:
             from families import WORKLOADS, instances
         finally:
             sys.path.remove(str(SRC.parent / "perfbench"))
+        # Only pump searches count, not the cycle bound's (_girth's).
         real, calls, key = explore._first_cycle, Counter(), [None]
-        monkeypatch.setattr(explore, "_first_cycle",
-                            lambda *args: calls.update([key[0]]) or real(*args))
+        monkeypatch.setattr(explore, "_first_cycle", lambda *args: calls.update(
+            [key[0]] if sys._getframe(1).f_code.co_name == "_lasso" else []) or real(*args))
         budget = WORKLOADS["twin_bounded"].budget
         for inst in instances("twin_bounded", 0):
             key[0] = inst.name, "read off"

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -112,7 +114,8 @@ def _one_shot_explore(root, expand, budget, goal=None):
 
 
 class TestRounds:
-    """The resumable search and search_pattern's walks of its prefixes."""
+    """The resumable search and search_pattern's walk of the graph it grows
+    on demand."""
 
     def test_rounds_run_to_the_end_equal_the_one_shot_search(self):
         rng = random.Random(61)
@@ -131,15 +134,26 @@ class TestRounds:
 
             for budget in (Budget(300, 30), Budget(700, 60)):
                 for g in (None, goal):
-                    seen = []  # the exploration grows in place: copy each round
-                    for exp in explore._explore_rounds(m0, expand, budget, g):
+                    # Resumed to growing counts of expanded states, now and
+                    # then to the end (None), until it stops.
+                    search = explore._explore_rounds(m0, expand, budget, g)
+                    exp, seen, asked = next(search), [], [0]
+                    while True:
+                        # The exploration grows in place: copy each round.
                         seen.append((len(exp.succ), list(exp.states)))
+                        n = (asked[-1] or 0) + rng.randint(1, 9) if rng.random() < 0.95 else None
+                        try:
+                            exp = search.send(n)
+                        except StopIteration:
+                            break
+                        asked.append(n)
                     ref = _one_shot_explore(m0, expand, budget, g)
                     assert all(getattr(exp, f) == getattr(ref, f) for f in fields)
-                    # One yield per doubling of the expanded states while a
-                    # stored state is unexpanded, then the end; each a prefix.
+                    # One yield once the root is stored, one at each count
+                    # sent while a stored state is unexpanded, then the end;
+                    # each a prefix.
                     *checkpoints, last = seen
-                    assert [n for n, _ in checkpoints] == [2**i for i in range(len(checkpoints))]
+                    assert [n for n, _ in checkpoints] == asked[:len(checkpoints)]
                     for n, states in checkpoints:
                         assert n < len(states) and states == ref.states[:len(states)]
                     assert last == (len(ref.succ), ref.states)
@@ -151,10 +165,11 @@ class TestRounds:
     def test_search_pattern_matches_the_whole_graph_search(self, monkeypatch):
         # The reference builds the whole graph under the budget and searches
         # it; search_pattern must give the same outcome, witness, stats and
-        # message. A record is decided early when search_pattern answers
-        # from a prefix without calling search_graph. Otherwise it called
-        # search_graph on the whole graph (the last round is the graph the
-        # one-shot build gives, see the test above) and must return its
+        # message, and walk or search a graph at most once. A record is
+        # decided early when search_pattern walks the graph it grows on
+        # demand without calling search_graph. Otherwise it called
+        # search_graph on the whole graph (grown to its end, it is the graph
+        # the one-shot build gives, see the test above) and must return its
         # verdict, so only the early records build the reference.
         rng = random.Random(11)
         nets = [random_net(rng) for _ in range(300)] + [
@@ -167,6 +182,9 @@ class TestRounds:
             return calls[-1][1]
 
         monkeypatch.setattr(explore, "search_graph", recorded)
+        walks, real_walk = [], explore._witness_search
+        monkeypatch.setattr(explore, "_witness_search",
+                            lambda *args, **kw: walks.append(args[0]) or real_walk(*args, **kw))
         records, early = 0, Counter()
 
         def key(v):
@@ -177,7 +195,9 @@ class TestRounds:
             for n, pattern in ((tw.net, STRONG), (net, EPS_PUMP)):
                 for budget in (Budget(50, 3), Budget(300, 30), Budget(2000, 100)):
                     calls.clear()
+                    walks.clear()
                     ours = search_pattern(n, pattern, budget)
+                    assert len(walks) <= 1
                     if calls:
                         [(graph, ref)] = calls
                         assert len(graph.succ) == len(graph.markings)  # searched to the end
@@ -190,9 +210,35 @@ class TestRounds:
         assert records == 3600 and early[FAILS] >= 900 and early[INCONCLUSIVE] >= 110
         assert set(early) == {FAILS, INCONCLUSIVE}
 
+    def test_unbounded_twins_walk_once_as_the_whole_graph_does(self, monkeypatch):
+        # twin_unbounded's instances at seeds 0-2, each twin fired on its
+        # halves and as its twin net: search_pattern walks at most once, and
+        # its answer is that of search_graph on the whole twin graph.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.pop(0)
+        walks, real = [], explore._witness_search
+        monkeypatch.setattr(explore, "_witness_search",
+                            lambda *args, **kw: walks.append(args[0]) or real(*args, **kw))
+        budget, outcomes = WORKLOADS["twin_unbounded"].budget, Counter()
+        for seed in range(3):
+            for inst in instances("twin_unbounded", seed):
+                tw = build_twin(inst.net)
+                ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
+                for n in (tw, tw.net):
+                    walks.clear()
+                    v = search_pattern(n, STRONG, budget)
+                    assert len(walks) == 1 and not walks[0].complete
+                    assert (v.outcome, v.witness, v.stats.states, v.stats.depth) == \
+                        (ref.outcome, ref.witness, ref.stats.states, ref.stats.depth)
+                    outcomes[v.outcome] += 1
+        assert outcomes == {FAILS: 72, INCONCLUSIVE: 6}
+
     def test_bounded_twin_never_walks_a_prefix(self, monkeypatch):
         # A ring is bounded; with a dead transition that would grow p0 its
-        # twin is built in rounds, yet no prefix proves it unbounded.
+        # twin is grown on demand, yet no growing transition fires.
         ring = {f"t{i}": ("ab"[i % 2], {f"p{i}": 1}, {f"p{(i + 1) % 6}": 1}) for i in range(6)}
         dead = dict(ring, g=("a", {"x": 1}, {"x": 1, "p0": 1}))
         walks = []
@@ -212,13 +258,13 @@ class TestRounds:
         walks = []
         real = explore._witness_search
         monkeypatch.setattr(explore, "_witness_search",
-                            lambda graph, *args: walks.append(len(graph.markings))
-                            or real(graph, *args))
+                            lambda graph, *args, **kw: walks.append(len(graph.markings))
+                            or real(graph, *args, **kw))
         budget = Budget(2000, 100)
         tw = build_twin(e4)
         v = search_pattern(tw.net, STRONG, budget)
         assert v.witness.segments == ((), ("(t,u)",), ())
-        # One walk, on the first prefix: the root expanded, of 2000 twin markings.
+        # One walk, begun with only the root expanded, of 2000 twin markings.
         assert len(walks) == 1 and walks[0] < 200
         ref = search_graph(build_reachability_graph(tw.net, budget), STRONG, budget, 0.0)
         assert walks[1:] == [2000]
@@ -227,7 +273,7 @@ class TestRounds:
 
     def test_unbounded_twins_are_walked_from_their_first_expansion(self, e4, monkeypatch):
         # Each net's witness is one pair step from the twin's root, so the
-        # prefix with only the root expanded holds it: check_strong expands
+        # graph with only the root expanded holds it: check_strong expands
         # at most two twin markings, and its witness is the whole graph's.
         # A twin marking is expanded by one call of the step rule on the
         # moves of its halves, whose markings it gets as the no-move values.
@@ -259,7 +305,7 @@ class TestRounds:
 
 class TestTwinFiredOnItsHalves:
     """An unbounded twin's graph, built by firing the net on each half of a
-    twin marking (see explore._graph_rounds), against the twin net fired."""
+    twin marking (see explore._graph_on_demand), against the twin net fired."""
 
     FIELDS = ("states", "succ", "parent", "depth", "cut")
 
@@ -278,13 +324,16 @@ class TestTwinFiredOnItsHalves:
             assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, _, _, _, e in kernel)
             invariant += analyze._twin_invariant(tw)
             for budget in (Budget(50, 3), Budget(300, 30)):
-                halves = explore._graph_rounds(tw, budget)
-                fired = explore._graph_rounds(tw.net, budget)
-                for ours, ref in itertools.zip_longest(halves, fired):
+                ours, need = explore._graph_on_demand(tw, budget)
+                ref, need_ref = explore._graph_on_demand(tw.net, budget)
+                assert ours.net is tw and ref.net is tw.net
+                v, more = 0, True
+                while more:  # grown to node 0, 1, 3, 7, ... and then the end
+                    more = need(v)
+                    assert need_ref(v) == more
                     assert [getattr(ours, f) for f in self.FIELDS] == \
                         [getattr(ref, f) for f in self.FIELDS]
-                    assert ours.net is tw and ref.net is tw.net
-                    rounds += 1
+                    v, rounds = 2 * v + 1, rounds + 1
                 cut += bool(ref.cut)
                 closed += ref.complete
         print("rounds", rounds, "cut", cut, "closed", closed, "growing", grows,
@@ -711,9 +760,9 @@ class TestWitnessOnGraph:
         calls, searched = [], []
         real_successors, real_search = explore.successors, explore._witness_search
 
-        def spy(graph, *args):
+        def spy(graph, *args, **kw):
             before = len(calls)
-            result = real_search(graph, *args)
+            result = real_search(graph, *args, **kw)
             searched.append((graph.complete, len(calls) - before))
             return result
 
