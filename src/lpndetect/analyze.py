@@ -7,19 +7,18 @@ disagree. Weak detectability and opacity work on the observer, the
 deterministic automaton over current-marking estimates, which reads a net
 graph (NetGraph): opacity's is the reachability graph grown as the
 observer asks for its nodes; weak detectability's is the reachability
-graph built by its assumption check, and where certificates proved both
-assumptions, the observer's first goal test, on the initial estimate,
-runs on a graph fired on demand before any whole graph is built. A
-certificate, where one applies, decides without that search. Integer ones
-on the arc tables prove `holds` without a graph: deadlock freedom from a
-transition no step disables or from a token count no step lowers over
-places that each enable a transition alone, the finiteness of unobservable
-runs from a token count each of them lowers, and strong detectability
-from the twin invariant. Unobservable exits from the secret set prove
-opacity, and a closed graph whose singleton steps form no cycle refutes
-weak detectability. Otherwise bounded nets (whose state space closes
-within budget) get exact verdicts, and unbounded nets sound witnesses or
-an inconclusive report.
+graph built once, after a root test over the singleton steps (_steps)
+from the initial marking, and read by the observer only where those
+steps reach a cycle from some node. A certificate, where one applies,
+decides without that search. Integer ones on the arc tables prove `holds`
+without a graph: deadlock freedom from a transition no step disables or
+from a token count no step lowers over places that each enable a
+transition alone, the finiteness of unobservable runs from a token count
+each of them lowers, and strong detectability from the twin invariant.
+Unobservable exits from the secret set prove opacity, and a closed graph
+whose singleton steps form no cycle refutes weak detectability. Otherwise
+bounded nets (whose state space closes within budget) get exact verdicts,
+and unbounded nets sound witnesses or an inconclusive report.
 """
 
 from __future__ import annotations
@@ -234,74 +233,46 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
 Observer = Exploration
 
 
+def _columns(net: LabeledPetriNet):
+    """net's sorted symbols, and per transition id its symbol's index, ε last."""
+    symbols = sorted(net.alphabet)
+    column = {sym: i for i, sym in enumerate(symbols)}
+    return symbols, [column.get(lab, len(symbols)) for lab in net.labels]
+
+
+def _split(symbols, column, out):
+    """(eps, row) of the (t, w) of out: the w by ε, and per symbol by it."""
+    row = [()] * (len(symbols) + 1)
+    for t, w in out:
+        row[column[t]] += (w,)
+    return row.pop(), row
+
+
 class NetGraph(dict):
     """A net's reachability graph as the observer reads it: maps a node id v
     to the tuple of its ε-successors, None if the budget cut v; rows[v]
     holds per symbol of symbols (sorted) the tuple of v's successors by it.
-    markings[v] is v's marking, node 0 the initial one. A node first read
-    is derived from edges(v): (node, its (transition, successor id) pairs or
-    None) for v and any other node that call made known."""
+    markings[v] is v's marking, node 0 the initial one. A node's entries are
+    derived from graph.succ on its first read, with those of every node
+    expanded since the last. A graph grown on demand comes with its need
+    (explore._graph_on_demand), so a read grows it to the node read."""
 
-    def __init__(self, net: LabeledPetriNet, markings: list, edges):
+    def __init__(self, graph: ReachabilityGraph, need=None):
         super().__init__()
-        self.markings, self.edges, self.rows = markings, edges, {}
-        self.symbols = sorted(net.alphabet)
-        column = {sym: i for i, sym in enumerate(self.symbols)}  # ε last
-        self.column = {t: column.get(lab, len(column))
-                       for t, lab in zip(net.transitions, net.labels)}
+        self.graph, self.need, self.markings, self.rows = graph, need, graph.markings, {}
+        self.symbols, column = _columns(graph.net)
+        self.column = dict(zip(graph.net.transitions, column))
 
     def __missing__(self, v):
-        column, rows, blank = self.column, self.rows, ((),) * (len(self.symbols) + 1)
-        for u, out in self.edges(v):
-            if out is None:
+        succ, cut = self.graph.succ, self.graph.cut
+        if v >= len(succ):
+            self.need(v)
+        for u in range(len(self), len(succ)):  # the nodes expanded since the last read
+            if u in cut:
                 self[u] = None
-                continue
-            row = list(blank)
-            for t, w in out:
-                row[column[t]] += (w,)
-            self[u] = row.pop()
-            rows[u] = row
+            else:
+                self[u], self.rows[u] = _split(self.symbols, self.column, succ[u])
         return self[v]
-
-    @classmethod
-    def read(cls, graph: ReachabilityGraph, need=None) -> "NetGraph":
-        """The rows of graph, derived from graph.succ for every node expanded
-        since the last read. A graph grown on demand comes with its need
-        (explore._graph_on_demand), so a read grows it to the node read."""
-        succ, cut, done = graph.succ, graph.cut, [0]
-
-        def edges(v):
-            if v >= len(succ):
-                need(v)
-            start, done[0] = done[0], len(succ)
-            return ((u, None if u in cut else succ[u]) for u in range(start, len(succ)))
-
-        return cls(graph.net, graph.markings, edges)
-
-    @classmethod
-    def fired(cls, net: LabeledPetriNet, budget: Budget) -> "NetGraph":
-        """The graph fired on demand for weak's root test: a node is fired
-        when first read, and a new successor becomes the next node if fewer
-        than budget.max_states are stored and the run that first reached it
-        fired at most budget.max_depth transitions, else the node is cut; a
-        node the whole graph keeps can be cut, that run not being shortest."""
-        markings, index, depth = [net.initial_marking], {net.initial_marking: 0}, [0]
-        names = net.transitions
-
-        def edges(v):
-            out, d = [], depth[v] + 1
-            for ti, m in successors(net, markings[v]):
-                w = index.get(m)
-                if w is None:
-                    if len(markings) >= budget.max_states or d > budget.max_depth:
-                        return [(v, None)]
-                    w = index[m] = len(markings)
-                    markings.append(m)
-                    depth.append(d)
-                out.append((names[ti], w))
-            return [(v, out)]
-
-        return cls(net, markings, edges)
 
 
 def _eps_closure(eps, nodes: set) -> Optional[frozenset]:
@@ -340,7 +311,7 @@ def explore_observer(graph: NetGraph, budget: Budget, goal=None) -> Observer:
 
 def marking_observer(graph: ReachabilityGraph, budget: Budget) -> Observer:
     """The observer over a built graph, its states mapped to markings."""
-    obs = explore_observer(NetGraph.read(graph), budget)
+    obs = explore_observer(NetGraph(graph), budget)
     obs.states[:] = [frozenset(map(graph.markings.__getitem__, s)) for s in obs.states]
     return obs
 
@@ -370,81 +341,76 @@ def check_strong_oracle(g: LabeledPetriNet, budget: Optional[Budget] = None) -> 
 
 
 def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
-    """Weak detectability.
+    """Weak detectability: exact on bounded nets, where it holds iff the
+    observer has a reachable cycle of singleton estimates, and a sound
+    semi-decision on unbounded ones, for which no algorithm exists.
 
-    Exact on bounded nets: weakly detectable iff the observer has a
-    reachable cycle all of whose states are singleton estimates. Where
-    certificates proved both assumptions, so that the gate built no graph,
-    the observer's first goal test runs on a graph fired on demand
-    (NetGraph.fired): if the initial estimate is a singleton whose
-    singleton steps (_singleton_steps) reach a cycle (_root_cycle), that is
-    `holds`, with stats (1, 0), bounded or not, firing only the markings
-    those steps reach. That graph cuts a node by the depth of the run that
-    first reached it, so it may cut a node the whole graph keeps: a miss
-    sends the check on, and a cycle found past a cut for depth stands only
-    if the whole graph, then built, is open. Otherwise the whole graph is
-    read: the gate's, or one built here. On a closed
-    graph, one peel finds the nodes from which the graph's singleton steps
-    reach a cycle; if there are none, `fails` is certified without an
-    observer. Otherwise the observer stops at the first singleton estimate
-    of such a node. The message of `holds` names a cycle it reaches
-    (_singleton_cycle). Other unbounded nets are reported inconclusive;
-    the problem has no general algorithm.
+    Where certificates proved both assumptions, the root test
+    (_root_cycle) asks whether singleton steps (_steps) reach a cycle from
+    the initial estimate: a cycle is `holds`, stats (1, 0), bounded or
+    not, unless it was found past a cut for depth and the whole graph
+    closes. Else the whole graph (the gate's, or built once) is read. If
+    its singleton steps reach a cycle from no node, a closed graph
+    certifies `fails` and an open one is inconclusive with the graph's
+    stats, without an observer. Otherwise the observer stops at the first
+    singleton estimate of such a node (`holds`, closed graph or not); a
+    closed one that never meets one `fails`. A `holds` names the nearest
+    cycle (_singleton_cycle), replayed first (_replay_singleton_cycle).
     """
     return _check_weak(g, budget)[0]
 
 
+def _steps(symbols, eps, row, u) -> list:
+    """The singleton steps of node u, whose ε-successors are eps (None if
+    the budget cut u) and whose successors per symbol of symbols are row:
+    if u is not cut and {u} is ε-closed, each (symbol, w), in symbol order,
+    such that every step from u by the symbol leads to w. Whether {w} is
+    ε-closed is tested at w's own steps: a node that fails it has none, so
+    no cycle of steps passes through it."""
+    if eps is None or eps.count(u) != len(eps):
+        return []
+    return [(sym, out[0]) for sym, out in zip(symbols, row)
+            if out and out.count(out[0]) == len(out)]
+
+
 def _singleton_steps(graph: NetGraph, nodes) -> dict:
-    """Per node u of nodes, the (symbol, w), in symbol order, such that
-    {u} -symbol-> {w} is an observer step: u is not cut, every step from u
-    by the symbol leads to w, and w is not cut and has no ε-successor but
-    itself, so {w} is ε-closed. On a graph expanded on demand this fires u
-    and each such w."""
-    singles = {u: [] for u in nodes}
-    fired = [u for u in singles if graph[u] is not None]
-    for sym, step in zip(graph.symbols, zip(*map(graph.rows.__getitem__, fired))):
-        for u, out in zip(fired, step):
-            if out and out.count(w := out[0]) == len(out):
-                eps = graph[w]
-                if eps is not None and eps.count(w) == len(eps):
-                    singles[u].append((sym, w))
-    return singles
+    """Per node u of nodes, its singleton steps (_steps) on graph."""
+    return {u: _steps(graph.symbols, graph[u], graph.rows.get(u), u) for u in nodes}
 
 
-def _live(graph: NetGraph, singles: dict) -> set:
-    """The nodes from which the singleton steps singles[u] of each node u
-    reach a cycle, every node a step leads to being a key: one peel of the
-    reversed steps, as a node that a cycle reaches by reversed steps
-    reaches it by the steps."""
-    return _fed_by_cycle(len(graph.markings),
-                         [(w, u) for u, out in singles.items() for _, w in out])
+def _live(singles: dict) -> set:
+    """The nodes from which the singleton steps singles[u] of each node u,
+    0 to len(singles) - 1, reach a cycle: one peel of the reversed steps."""
+    return _fed_by_cycle(len(singles), [(w, u) for u, out in singles.items() for _, w in out])
 
 
-def _root_cycle(graph: NetGraph):
-    """_singleton_cycle's cycle from node 0 if the initial estimate is the
-    singleton {0} and its singleton steps reach a cycle, else None. A BFS
-    from 0 lists the steps of the nodes they reach, and only those: the
-    cycle is thus the one the whole graph's steps give."""
-    if _eps_closure(graph, {0}) != {0}:
-        return None
-    singles, level = {}, {0}
-    while level:
-        singles.update(_singleton_steps(graph, level))
-        level = {w for u in level for _, w in singles[u]} - singles.keys()
-    live = _live(graph, singles)
-    return _singleton_cycle(singles, live, 0) if 0 in live else None
+def _root_cycle(net: LabeledPetriNet, budget: Budget):
+    """The root test: (tree, cycle). tree is the breadth-first search under
+    budget from the initial marking over the singleton steps (_steps) of
+    each marking it stores, each fired once; cycle is _singleton_cycle's
+    from node 0 if those steps reach a cycle, else None. A step comes from
+    all of a marking's successors, so a cycle found is real."""
+    symbols, column = _columns(net)
+    tree = _explore(net.initial_marking,
+                    lambda m: _steps(symbols, *_split(symbols, column, successors(net, m)), m),
+                    budget)
+    singles = dict(enumerate(tree.succ))
+    live = _live(singles)
+    return tree, _singleton_cycle(singles, live, 0) if 0 in live else None
 
 
 def _singleton_cycle(singles: dict, live: set, v: int):
-    """A cycle of the singleton steps singles that node v reaches: the word
-    from v to a node on it, that node and the cycle's word. live holds the
-    nodes from which the steps reach a cycle, v among them; the search is a
-    BFS from v over the steps into live and the peel of its edges."""
+    """The nearest cycle of the singleton steps singles that node v
+    reaches: the word from v to a node on it, that node and the cycle's
+    word. live holds the nodes from which the steps reach a cycle, v among
+    them; the search is a BFS from v over the steps into live, the peel of
+    its edges and a walk back along the first in-edge of each kept node."""
     tree = _explore(v, lambda u: ((sym, w) for sym, w in singles[u] if w in live),
                     Budget(len(live), len(live)))
-    fed = _fed_by_cycle(len(tree.states), [(u, w) for u, _, w in tree.edges])
-    # Each fed node has an in-edge from a fed node: walk them back to a repeat.
-    into = {w: (u, sym) for u, sym, w in tree.edges if u in fed}
+    edges = tree.edges
+    fed = _fed_by_cycle(len(tree.states), [(u, w) for u, _, w in edges])
+    # Each fed node has an in-edge from a fed node: walk back to a repeat.
+    into = {w: (u, sym) for u, sym, w in reversed(edges) if u in fed}
     x, back = min(fed), []
     while x not in back:
         back.append(x)
@@ -453,36 +419,36 @@ def _singleton_cycle(singles: dict, live: set, v: int):
 
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
-    """check_weak's (verdict, assumption report). The root test reads a
-    graph fired on demand where the gate built none; the certificate and
-    the observer read the gate's graph, or else the whole graph, built
-    once; a certified `fails` builds no observer. The clock starts after
-    the assumption gate, as in _check_strong."""
+    """check_weak's (verdict, assumption report). The root test runs where
+    the gate built no graph; the rest reads the gate's graph, or else the
+    whole graph, built once. The clock starts after the assumption gate,
+    as in _check_strong."""
     report = _gate_assumptions(g, budget)
     t0 = time.perf_counter()
     built = report.graph
     if built is None:
-        graph = NetGraph.fired(g, budget)
-        cycle = _root_cycle(graph)
+        tree, cycle = _root_cycle(g, budget)
         # Below max_states, a cut node may be one a closed whole graph keeps.
-        if not cycle or None in graph.values() and len(graph.markings) < budget.max_states:
+        if not cycle or tree.cut and len(tree.states) < budget.max_states:
             built = build_reachability_graph(g, budget)
         if cycle and not (built and built.complete):
             stats = SearchStats(1, 0, time.perf_counter() - t0)
-            return _cycle_holds(g, graph, (), cycle, stats), report
-    graph = NetGraph.read(built)
-    live = set()  # the nodes from which singleton steps reach a cycle
-    if built.complete:
-        singles = _singleton_steps(graph, range(len(built.markings)))
-        live = _live(graph, singles)
-        if not live:
-            return _certified(t0, "the graph's singleton steps form no cycle "
-                                  f"({sum(map(len, singles.values()))} of them, over "
-                                  f"{len(singles)} markings)", FAILS), report
-    obs = explore_observer(graph, budget, (lambda nodes: len(nodes) == 1
-                                           and min(nodes) in live) if live else None)
+            return _cycle_holds(g, tree.states, (), cycle, stats), report
+    graph = NetGraph(built)
+    singles = _singleton_steps(graph, range(len(built.markings)))
+    live = _live(singles)  # the nodes from which singleton steps reach a cycle
+    if not live and built.complete:
+        return _certified(t0, "the graph's singleton steps form no cycle "
+                              f"({sum(map(len, singles.values()))} of them, over "
+                              f"{len(singles)} markings)", FAILS), report
+    if not live:
+        stats = SearchStats(len(built.markings), max(built.depth), time.perf_counter() - t0)
+        return Verdict(INCONCLUSIVE, stats=stats, message=(
+            "no singleton steps reach a cycle on the graph the budget cut; weak "
+            "detectability of unbounded nets admits no general decision procedure")), report
+    obs = explore_observer(graph, budget, lambda nodes: len(nodes) == 1 and min(nodes) in live)
     # The goal stopped the observer iff its last estimate meets it.
-    last = obs.states[-1] if live and obs.states else ()
+    last = obs.states[-1] if obs.states else ()
     stop = min(last) if len(last) == 1 else None
     cycle = _singleton_cycle(singles, live, stop) if stop in live else None
     stats = SearchStats(len(obs.states), max(obs.depth, default=0), time.perf_counter() - t0)
@@ -495,12 +461,14 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
                 "of unbounded nets admits no general decision procedure"
             ),
         ), report
-    if not all(obs.succ):  # over the expanded estimates
+    # Over the expanded estimates; a cut one may have lost every successor.
+    if any(not out and v not in obs.cut for v, out in enumerate(obs.succ)):
         raise RuntimeError(
             "internal error: the net is deadlock free, yet an estimate has no successor"
         )
     if cycle:
-        return _cycle_holds(g, graph, obs.path_to(len(obs.states) - 1), cycle, stats), report
+        return _cycle_holds(g, graph.markings, obs.path_to(len(obs.states) - 1), cycle,
+                            stats), report
     return Verdict(
         FAILS,
         stats=stats,
@@ -509,16 +477,17 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
     ), report
 
 
-def _cycle_holds(net: LabeledPetriNet, graph: NetGraph, word: tuple, cycle,
+def _cycle_holds(net: LabeledPetriNet, markings: list, word: tuple, cycle,
                  stats: SearchStats) -> Verdict:
     """Weak `holds` on the cycle (prefix, x, loop) of _singleton_cycle,
-    reached from the estimate after word, replayed first."""
+    reached from the estimate after word, node v's marking being
+    markings[v]; replayed first."""
     prefix, x, loop = cycle
     word += prefix
-    _replay_singleton_cycle(net, word, graph.markings[x], loop, len(graph.markings))
+    _replay_singleton_cycle(net, word, markings[x], loop, len(markings))
     return Verdict(HOLDS, stats=stats, message=(
         f"the estimate after the word {' '.join(word) or '(empty)'} is "
-        f"{{{graph.markings[x]}}}, and singleton estimates return to it under the "
+        f"{{{markings[x]}}}, and singleton estimates return to it under the "
         f"word {' '.join(loop)}"))
 
 
@@ -530,13 +499,14 @@ def _replay_singleton_cycle(net: LabeledPetriNet, word: tuple, m, loop: list,
     it is {m}. Raises RuntimeError otherwise, and where the search is cut.
 
     The budget is (length + 1) * stored states, for states and depth,
-    stored being the count of markings the graph stored. Each state of
-    the search is a (marking, position) whose marking lies in the estimate
-    after that position, so the budget holds every state if each estimate
-    along the run has at most stored markings: on a closed graph every
-    reachable marking is stored; on a graph expanded on demand the word
-    is the root test's, whose estimates, like the loop's, are singletons,
-    and stored is at least 1."""
+    stored being the count of markings the graph or the root test stored.
+    Each state of the search is a (marking, position) whose marking lies in
+    the estimate after that position, so the budget holds every state if
+    each estimate along the run has at most stored markings. The loop's
+    estimates are singletons. Those along a word the observer read are
+    states it stored, which hold only stored nodes, whether the graph
+    closed or not; those along the root test's word are singletons, and
+    the root test stored at least 1 marking."""
     run = word + tuple(loop)
     bound = (len(run) + 1) * stored
     ests, complete = estimates(net, run, Budget(bound, bound))
@@ -619,7 +589,7 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     if _secret_escapes(g, secret_set):
         return _certified(t0, "every secret marking reaches a non-secret marking "
                               "by unobservable transitions")
-    graph = NetGraph.read(*_graph_on_demand(g, budget))
+    graph = NetGraph(*_graph_on_demand(g, budget))
     markings = graph.markings
     obs = explore_observer(graph, budget, lambda nodes: all(
         markings[v] in secret_set for v in nodes))

@@ -55,6 +55,15 @@ OMEGA = float("inf")
 
 @dataclass(frozen=True)
 class Budget:
+    """Bounds on each breadth-first search (_explore): max_states on the
+    states it stores, max_depth on the steps from its root to one. State
+    and step are a marking and a fired transition in the reachability graph
+    (and a node in the Karp-Miller tree); a marking and a singleton step in
+    weak's root test (analyze._root_cycle); a (segment, node, pump anchor)
+    and a stored edge in the witness walk (_witness_search); an estimate
+    and a symbol in the observer; a (marking, position) and a fired
+    transition in estimates."""
+
     max_states: int = 100_000
     max_depth: int = 10_000
 

@@ -29,7 +29,10 @@ The corpora:
 instances. --against REV extracts src/ of the git revision REV into a
 temporary directory (git archive), runs the same corpora on it and on this
 checkout, and prints each record that differs, the revision's line first
-(-) and this checkout's second (+); it exits 1 if any record differs.
+(-) and this checkout's second (+), then a tally of those records by
+corpus, by outcome (the revision's, then this checkout's) and by the fields
+that changed: witness, message and stats, or a command's output; it exits
+1 if any record differs.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -159,6 +163,28 @@ def _lines(proc):
     return dict(line.split("\t", 1) for line in out.splitlines())
 
 
+def _fields(record):
+    """A record's outcome, and its other fields by name."""
+    head, _, rest = record.partition(" | ")
+    if head.startswith("exit "):
+        return head, {"output": rest}
+    rest, _, stats = rest.rpartition(" | ")
+    witness, _, message = rest.partition(" | ")
+    return head.split(":", 1)[0], {"witness": witness, "message": message, "stats": stats}
+
+
+def _tally(theirs, ours, differ):
+    """Lines counting the records differ by corpus, outcome and field."""
+    corpora, outcomes, fields = Counter(), Counter(), Counter()
+    for key in differ:
+        corpora[key.split(" ", 1)[0]] += 1
+        (was, old), (now, new) = _fields(theirs[key]), _fields(ours[key])
+        outcomes[f"{was} -> {now}"] += 1
+        fields.update(name for name in old if old[name] != new.get(name))
+    for title, counts in (("corpus", corpora), ("outcome", outcomes), ("field", fields)):
+        yield f"by {title}: " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items()))
+
+
 def against(rev, nets) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -174,6 +200,7 @@ def against(rev, nets) -> int:
         print(f"- {key}\t{theirs[key]}\n+ {key}\t{ours[key]}")
     counts = {c: sum(key.split(" ", 1)[0] == c for key in ours) for c in CORPORA}
     print(f"{len(differ)} of {len(ours)} records differ from {rev}; records per corpus: {counts}")
+    print("\n".join(_tally(theirs, ours, differ)))
     return 1 if differ else 0
 
 

@@ -70,7 +70,7 @@ def _certificates_off(mp):
     the graph of a net only it covers."""
     mp.setattr(analyze, "_secret_escapes", lambda net, secret_set: False)
     mp.setattr(analyze, "_token_live", lambda net: False)
-    mp.setattr(analyze, "_root_cycle", lambda graph: None)
+    mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
     real = analyze._fed_by_cycle
     mp.setattr(analyze, "_fed_by_cycle", lambda n, edges: _Truthy(real(n, edges)))
 
@@ -723,6 +723,11 @@ class TestWeakStopsEarly:
                 outcomes["raises"] += 1
                 continue
             outcome, states, depth = ref
+            if outcome == INCONCLUSIVE and ours.holds:  # the goal, met on an open graph
+                outcomes["inconclusive to holds"] += 1
+                assert ours.stats.states <= states and ours.stats.depth <= depth
+                _check_named_cycle(net, ours.message)
+                continue
             assert ours.outcome == outcome
             outcomes[outcome] += 1
             if outcome == HOLDS:  # only the stop proves it
@@ -735,6 +740,7 @@ class TestWeakStopsEarly:
         print("records", len(cases), dict(outcomes), "early stops", early,
               "fewer states", fewer)
         assert len(cases) == 1286 and early >= 120 and fewer >= 40 and outcomes[FAILS] >= 60
+        assert outcomes["inconclusive to holds"] >= 40
 
     def test_ring_stops_at_its_root(self):
         # ring(8, 4): {4 tokens on p0} is singleton and returns to itself.
@@ -842,7 +848,8 @@ class TestWeakRootTest:
         # Against check_weak with the root test and the token-count
         # certificate off: every `holds` and `fails` keeps its outcome,
         # message and stats, and an `inconclusive` stays as it is or
-        # becomes `holds`, on an open graph.
+        # becomes `holds`, on an open graph. Most open-graph `holds` are
+        # found on both paths: the observer stops at the root there too.
         sys.path.insert(0, str(SRC.parent / "perfbench"))
         try:
             from families import WORKLOADS, instances
@@ -865,7 +872,7 @@ class TestWeakRootTest:
         ours = [fields(net, budget) for net, budget in cases]
         with monkeypatch.context() as mp:
             mp.setattr(analyze, "_token_live", lambda net: False)
-            mp.setattr(analyze, "_root_cycle", lambda graph: None)
+            mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
             whole = [fields(net, budget) for net, budget in cases]
         hits = Counter()
         for (net, budget), v, ref in zip(cases, ours, whole):
@@ -878,26 +885,20 @@ class TestWeakRootTest:
             assert v == ref
             hits[ref and ref[0]] += 1
             hits["root holds"] += v is not None and v[:1] + v[2:] == (HOLDS, 1, 0)
+            hits["open holds"] += v is not None and v[0] == HOLDS and \
+                not build_reachability_graph(net, budget).complete
         print("records", len(cases), dict(hits))
-        assert len(cases) == 621 and hits["inconclusive to holds"] >= 10
+        assert len(cases) == 621 and hits["open holds"] >= 10
         assert hits[HOLDS] >= 30 and hits[FAILS] >= 10 and hits[INCONCLUSIVE] >= 90
         assert hits["root holds"] >= 25
 
     def test_fires_only_what_its_steps_need(self, monkeypatch):
         # ring(8, 4): the gate certifies both assumptions, and the root
         # test fires the markings its singleton steps reach, each once:
-        # 80, not the graph's 330; no whole graph is built. Only the
-        # markings NetGraph.fired fires are counted.
+        # 80, not the graph's 330; no whole graph is built.
         net, budget = ring(8, 4), Budget(20000, 2000)
-        fired, built, real = [], [], analyze.NetGraph.fired
-
-        def counted(net, budget):
-            graph = real(net, budget)
-            edges = graph.edges
-            graph.edges = lambda v: fired.append(graph.markings[v]) or edges(v)
-            return graph
-
-        monkeypatch.setattr(analyze.NetGraph, "fired", staticmethod(counted))
+        fired, built, real = [], [], analyze.successors
+        monkeypatch.setattr(analyze, "successors", lambda g, m: fired.append(m) or real(g, m))
         for module in (analyze, explore):
             monkeypatch.setattr(module, "build_reachability_graph",
                                 lambda *args: built.append(args))
@@ -938,17 +939,33 @@ class TestWeakRootTest:
         assert v.message == ("the estimate after the word q is {(0, 0, 1, 0, 0, 0)}, and "
                              "singleton estimates return to it under the word s s")
         with monkeypatch.context() as mp:
-            mp.setattr(analyze, "_root_cycle", lambda graph: None)
+            mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
             whole = check_weak(net, budget)
         assert (whole.message, whole.stats.states, whole.stats.depth) == (v.message, 1, 0)
 
+    def test_names_the_nearest_cycle(self):
+        # Net 126 of the weak corpus (tests/corpus.py). b adds a token to p
+        # and a takes one; both ε transitions need two tokens on q, so each
+        # (k, 1) is ε-closed and steps by b to (k + 1, 1) and, if k > 0, by a
+        # to (k - 1, 1). The cycle named is the one nearest the root, not
+        # one at the far end of the cut graph, 98 b deep.
+        net = make_net(["p", "q"], {"t0": (EPSILON, {"p": 2, "q": 2}, {"p": 2}),
+                                    "t1": ("b", {}, {"p": 1}), "t2": ("a", {"p": 1}, {}),
+                                    "t3": (EPSILON, {"q": 2}, {})}, {"q": 1})
+        v = check_weak(net, Budget(2000, 100))
+        assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+        assert v.message == ("the estimate after the word (empty) is {(0, 1)}, and "
+                             "singleton estimates return to it under the word b a")
+        _check_named_cycle(net, v.message)
+
     def test_a_cycle_past_a_cut_defers_to_a_closed_graph(self, monkeypatch):
         # One token. x's a-loop, after a a, is the whole graph's first
-        # cycle. The root test reads along its singleton steps, so it first
+        # cycle. The root test steps along singleton steps only, so it
         # reaches y from x, three deep, though z1 reaches it two deep: at
-        # max_depth 2 it cuts x and finds q's d-loop, after a d, instead.
-        # The whole graph closes there, so its cycle is named, as with the
-        # root test off; at max_depth 3 nothing is cut.
+        # max_depth 2 it cuts x's step to y, though it keeps x's a-loop.
+        # A cut below max_states sends the check to the whole graph, which
+        # closes there, so its cycle is named, as with the root test off;
+        # at max_depth 3 nothing is cut.
         net = make_net(["r", "p", "x", "q", "y", "z1", "z2"], {
             "ra": ("a", {"r": 1}, {"p": 1}),
             "rc1": ("c", {"r": 1}, {"z1": 1}), "rc2": ("c", {"r": 1}, {"z2": 1}),
@@ -965,10 +982,11 @@ class TestWeakRootTest:
             assert v.message == ("the estimate after the word a a is {(0, 0, 1, 0, 0, 0, 0)}, "
                                  "and singleton estimates return to it under the word a")
             with monkeypatch.context() as mp:
-                mp.setattr(analyze, "_root_cycle", lambda graph: None)
+                mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
                 assert check_weak(net, budget).message == v.message
-        graph = analyze.NetGraph.fired(net, Budget(100, 2))
-        assert analyze._root_cycle(graph)[::2] == (("a", "d"), ["d"]) and None in graph.values()
+        tree, cycle = analyze._root_cycle(net, Budget(100, 2))
+        assert cycle[::2] == (("a", "a"), ["a"]) and tree.cut == {2}
+        assert tree.states[2] == (0, 0, 1, 0, 0, 0, 0) and len(tree.states) < 100
 
     def test_root_with_an_eps_successor_is_no_singleton(self):
         # b never lowers s, and e removes q's token unobservably: both
@@ -986,15 +1004,75 @@ class TestWeakRootTest:
 
     def test_replay_budget_counts_the_fired_markings(self, monkeypatch):
         # The replay's budget is the word's length plus one, times the
-        # markings the graph expanded on demand stored.
+        # markings the root test stored: 36 of ring(6, 3)'s 56.
         net, seen = ring(6, 3), []
         real = analyze._replay_singleton_cycle
         monkeypatch.setattr(analyze, "_replay_singleton_cycle",
                             lambda *args: seen.append(args[-1]) or real(*args))
-        graph = analyze.NetGraph.fired(net, Budget(20000, 2000))
-        assert analyze._root_cycle(graph) is not None
+        tree, cycle = analyze._root_cycle(net, Budget(20000, 2000))
+        assert cycle is not None and not tree.cut
         assert check_weak(net, Budget(20000, 2000)).holds
-        assert seen == [len(graph.markings)] and len(graph.markings) < 56
+        assert seen == [len(tree.states)] == [36]
+
+
+class TestWeakOnOpenGraphs:
+    """On a graph the budget cut, check_weak runs the observer only with its
+    goal and only if singleton steps reach a cycle from some node: a goal
+    met is a sound `holds`, and no such node leaves `inconclusive` at once."""
+
+    def test_no_observer_that_cannot_answer(self, monkeypatch):
+        # The weak corpus of tests/corpus.py at two budgets that cut most of
+        # its graphs, and rings with a c-loop at their initial marking,
+        # which the budgets cut and Budget(2000, 200) does not. A spy sees
+        # every observer run: each has a goal and a node it can stop at. An
+        # open graph's `holds` agrees with the verdict at Budget(2000, 200)
+        # wherever that graph closes: on the rings, through the root
+        # test without ε and through the observer's goal with it.
+        from corpus import _nets
+
+        def looped(k, n, eps):
+            trans = {f"t{i}": (EPSILON if eps and i % 3 == 2 else "ba"[i % 2],
+                               {f"p{i}": 1}, {f"p{(i + 1) % k}": 1}) for i in range(k)}
+            trans["c"] = ("c", {"p0": n}, {"p0": n})
+            return make_net([f"p{i}" for i in range(k)], trans, {"p0": n})
+
+        corpus, big = _nets(7, 1500), Budget(2000, 200)
+        rings = [looped(k, n, eps) for k in range(4, 9) for n in (2, 3) for eps in (False, True)]
+        runs, real = [], explore_observer
+
+        def spy(graph, budget, goal=None):
+            live = analyze._live(analyze._singleton_steps(graph, range(len(graph.markings))))
+            runs.append((goal is not None, bool(live)))
+            return real(graph, budget, goal)
+
+        monkeypatch.setattr(analyze, "explore_observer", spy)
+        hits = Counter()
+        for budget in (Budget(50, 5), Budget(300, 30)):
+            for net in corpus + rings:
+                runs.clear()
+                try:
+                    v = check_weak(net, budget)
+                except AssumptionError:
+                    continue
+                assert all(goal and live for goal, live in runs)
+                graph = build_reachability_graph(net, budget)
+                if graph.complete:
+                    continue
+                if v.message.startswith("no singleton steps reach a cycle"):
+                    hits["no live node", budget] += 1
+                    assert v.outcome == INCONCLUSIVE and runs == []
+                    assert (v.stats.states, v.stats.depth) == \
+                        (len(graph.markings), max(graph.depth))
+                elif v.holds:
+                    hits["goal met", budget, net in rings] += bool(runs)
+                    _check_named_cycle(net, v.message)
+                    if build_reachability_graph(net, big).complete:
+                        hits["agrees when closed", bool(runs)] += 1
+                        assert check_weak(net, big).holds
+        print(dict(hits))
+        for budget in (Budget(50, 5), Budget(300, 30)):
+            assert hits["no live node", budget] >= 285 and hits["goal met", budget, False] >= 3
+        assert hits["agrees when closed", False] >= 10 and hits["agrees when closed", True] >= 10
 
 
 class TestOneExplorer:
@@ -1159,8 +1237,10 @@ class TestObserverCertificates:
         # verdict equals the observer's wherever the graph closes; on an open
         # graph, words of stored paths replay to no secret estimate. A weak
         # `holds` of the root test, where the observer's is inconclusive,
-        # is on an open graph and names a cycle that replays. Every other
-        # verdict is the observer's, stats and message included.
+        # is on an open graph and names a cycle that replays. A weak check
+        # whose open graph has no live node reports that graph's stats,
+        # where the observer is inconclusive. Every other verdict is the
+        # observer's, stats and message included.
         rng = random.Random(83)
         big = Budget(20000, 2000)
         cases = [(ring(k, n, eps), big) for k in range(3, 8) for n in range(1, 4)
@@ -1204,8 +1284,14 @@ class TestObserverCertificates:
                 hits["weak, root"] += 1
                 assert not graph.complete and (ours.stats.states, ours.stats.depth) == (1, 0)
                 _check_named_cycle(net, ours.message)
+            elif ours is not None and ours.message.startswith("no singleton steps"):
+                hits["weak, no live node"] += 1
+                assert not graph.complete and observed.outcome == ours.outcome == INCONCLUSIVE
+                assert (ours.stats.states, ours.stats.depth) == \
+                    (len(graph.markings), max(graph.depth))
             else:
                 assert fields(ours) == fields(observed)
+                hits["weak, open holds"] += bool(ours and ours.holds and not graph.complete)
             for secret in ([net.initial_marking],
                            *(rng.sample(graph.markings, min(len(graph.markings), k))
                              for k in (1, 3))):
@@ -1227,13 +1313,15 @@ class TestObserverCertificates:
                         hits["replayed"] += 1
                         assert not est or not est <= set(secret)
         print("records", len(cases), dict(hits))
-        assert len(cases) == 244 and hits["weak"] >= 15 and hits["weak, root"] >= 3
+        assert len(cases) == 244 and hits["weak"] >= 15 and hits["weak, open holds"] >= 3
+        assert hits["weak, no live node"] >= 20
         assert hits["opacity"] >= 120 and hits["opacity, closed"] >= 15
         assert hits["replayed"] >= 90
 
     def test_certified_checks_build_no_observer(self, monkeypatch):
-        # ring(6,2,eps): its 21 markings have 6 singleton steps and no cycle
-        # among them; t2 leads both tokens on p2 out of the secret unobservably.
+        # ring(6,2,eps): its 21 markings list 12 singleton steps and no cycle
+        # among them, counting steps into markings that are not ε-closed;
+        # t2 leads both tokens on p2 out of the secret unobservably.
         net, budget = ring(6, 2, eps=True), Budget(20000, 2000)
         built, observed = [], []
         monkeypatch.setattr(analyze, "build_reachability_graph",
@@ -1251,7 +1339,7 @@ class TestObserverCertificates:
         assert v.outcome == FAILS and v.universal and observed == []
         assert (v.stats.states, v.stats.depth) == (0, 0) and peeled == [21]
         assert v.message == ("certificate: the graph's singleton steps form no cycle "
-                             "(6 of them, over 21 markings)")
+                             "(12 of them, over 21 markings)")
 
 
 def test_wall_time_leaves_out_the_assumption_gate(monkeypatch):

@@ -404,8 +404,9 @@ class TestCli:
 
     def test_observer_certificates_report(self, tmp_path, capsys):
         # A ring p0 -b-> p1 -a-> p2 -ε-> p0 with one token: the ε step leads
-        # the secret p2=1 out of the secret, and the one singleton step, b
-        # from p0 to p1, lies on no cycle.
+        # the secret p2=1 out of the secret, and the two singleton steps
+        # lie on no cycle: b from p0 to p1, and a from p1 to p2, which has
+        # none, as its ε step leaves it.
         net = make_net(["p0", "p1", "p2"],
                        {"t0": ("b", {"p0": 1}, {"p1": 1}), "t1": ("a", {"p1": 1}, {"p2": 1}),
                         "t2": (EPSILON, {"p2": 1}, {"p0": 1})}, {"p0": 1})
@@ -423,7 +424,7 @@ class TestCli:
         assert main(["check-weak", path]) == 1
         assert capsys.readouterr().out.splitlines()[:2] == [
             "weak-detectability: FAILS",
-            "  note: certificate: the graph's singleton steps form no cycle (1 of them, "
+            "  note: certificate: the graph's singleton steps form no cycle (2 of them, "
             "over 3 markings)"]
         assert main(["check-weak", path, "--json"]) == 1
         rep = json.loads(capsys.readouterr().out)
@@ -654,6 +655,22 @@ def test_one_firing_kernel():
                     any(_adds_effect(n) or _tests_kernel_arcs(n) for n in ast.walk(fn))):
                 firing.add(f"{path.stem}.{fn.name}")
     assert firing == {"net.successors", "net.fire"}
+
+
+def test_analyze_fires_in_two_places():
+    # Weak's root test and the opacity certificate are analyze's only
+    # callers of successors: every other question reads a graph that
+    # explore built, so no second search loop comes back into analyze.
+    path = Path(__file__).resolve().parent.parent / "src" / "lpndetect" / "analyze.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = set()
+    for top in tree.body:
+        for fn in ([top] if not isinstance(top, ast.ClassDef) else top.body):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "successors"
+                    for n in ast.walk(fn)):
+                callers.add(fn.name)
+    assert callers == {"_root_cycle", "_secret_escapes"}
 
 
 def test_benchmark_finds_every_layer_it_traces():

@@ -295,8 +295,8 @@ def test_kernel_omega_on_first_arc():
 
 
 def test_explorers_fire_each_expanded_marking_once(monkeypatch):
-    # build_reachability_graph and a NetGraph.fired read to the end each call
-    # successors once per expanded marking, on the markings in BFS order.
+    # build_reachability_graph and weak's root test each call successors
+    # once per stored marking, on the markings in BFS order.
     net = make_net(["p", "q", "r"], {
         "t": ("a", {"p": 1}, {"q": 1}),
         "u": (None, {"q": 1}, {"r": 1}),
@@ -309,13 +309,11 @@ def test_explorers_fire_each_expanded_marking_once(monkeypatch):
                             lambda g, m, seen=seen: seen.append(m) or successors(g, m))
     graph = explore.build_reachability_graph(net, Budget())
     assert graph.complete and len(graph.markings) > 5
-    fired = analyze.NetGraph.fired(net, Budget())
-    v = 0
-    while v < len(fired.markings):
-        assert fired[v] is not None
-        v += 1
     assert calls[explore] == graph.markings
-    assert calls[analyze] == fired.markings == graph.markings
+    calls[explore].clear()
+    tree, _ = analyze._root_cycle(net, Budget())
+    assert calls[explore] == [] and len(tree.states) > 1
+    assert calls[analyze] == tree.states
 
 
 def test_index_maps_are_not_parameters(e2):
