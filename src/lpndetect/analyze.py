@@ -55,7 +55,6 @@ from .explore import (
     _graph_on_demand,
     _growing,
     build_reachability_graph,
-    estimate,
     estimates,
     search_graph,
     search_pattern,
@@ -206,8 +205,6 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     without building either again. The clock starts after the assumption
     gate."""
     report = _gate_assumptions(g, budget)
-    graph = report.graph
-    report = AssumptionReport(report.deadlock_free, report.no_infinite_unobservable, None)
     t0 = time.perf_counter()
     tw = build_twin(g)
     if _twin_invariant(tw):
@@ -216,8 +213,7 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     # The twin's graph is read off a closed graph of g, kept from the gate or
     # built here unless a growing transition could prove g unbounded; else
     # the twin is fired on its halves, and its net is never built.
-    if graph is None and not _growing(g):
-        graph = build_reachability_graph(g, budget)
+    graph = report.graph or (None if _growing(g) else build_reachability_graph(g, budget))
     if graph is not None and graph.complete:
         return search_pattern(tw.net, STRONG, budget, graph, t0), tw, report
     return search_pattern(tw, STRONG, budget, t0=t0), tw, report
@@ -348,8 +344,7 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     Where certificates proved both assumptions, the root test
     (_root_cycle) asks whether singleton steps (_steps) reach a cycle from
     the initial estimate: a cycle is `holds`, stats (1, 0), bounded or
-    not, unless it was found past a cut for depth and the whole graph
-    closes. Else the whole graph (the gate's, or built once) is read. If
+    not. Else the whole graph (the gate's, or built once) is read. If
     its singleton steps reach a cycle from no node, a closed graph
     certifies `fails` and an open one is inconclusive with the graph's
     stats, without an observer. Otherwise the observer stops at the first
@@ -420,20 +415,17 @@ def _singleton_cycle(singles: dict, live: set, v: int):
 
 def _check_weak(g: LabeledPetriNet, budget: Budget):
     """check_weak's (verdict, assumption report). The root test runs where
-    the gate built no graph; the rest reads the gate's graph, or else the
-    whole graph, built once. The clock starts after the assumption gate,
-    as in _check_strong."""
+    the gate built no graph, and a cycle it finds is final; the rest reads
+    the gate's graph, or else the whole graph, built once. The clock starts
+    after the assumption gate, as in _check_strong."""
     report = _gate_assumptions(g, budget)
     t0 = time.perf_counter()
-    built = report.graph
-    if built is None:
+    if report.graph is None:
         tree, cycle = _root_cycle(g, budget)
-        # Below max_states, a cut node may be one a closed whole graph keeps.
-        if not cycle or tree.cut and len(tree.states) < budget.max_states:
-            built = build_reachability_graph(g, budget)
-        if cycle and not (built and built.complete):
+        if cycle:
             stats = SearchStats(1, 0, time.perf_counter() - t0)
             return _cycle_holds(g, tree.states, (), cycle, stats), report
+    built = report.graph or build_reachability_graph(g, budget)
     graph = NetGraph(built)
     singles = _singleton_steps(graph, range(len(built.markings)))
     live = _live(singles)  # the nodes from which singleton steps reach a cycle
@@ -493,26 +485,33 @@ def _cycle_holds(net: LabeledPetriNet, markings: list, word: tuple, cycle,
 
 def _replay_singleton_cycle(net: LabeledPetriNet, word: tuple, m, loop: list,
                             stored: int) -> None:
-    """Check, on the independent reference (explore.estimates), what weak
-    `holds` names: the estimate after word is {m}, that after each longer
-    prefix of word followed by loop is a singleton, and that after all of
-    it is {m}. Raises RuntimeError otherwise, and where the search is cut.
+    """Check, on the independent reference (_replayed), what weak `holds`
+    names: the estimate after word is {m}, that after each longer prefix of
+    word followed by loop is a singleton, and that after all of it is {m}.
+    Raises RuntimeError otherwise. stored, the count of markings the graph
+    or the root test stored, bounds every estimate along the run: the
+    loop's estimates are singletons, those along a word the observer read
+    are states it stored, which hold only stored nodes, whether the graph
+    closed or not, and those along the root test's word are singletons."""
+    along = _replayed(net, word + tuple(loop), stored)[len(word):]
+    if not (along[0] == along[-1] == {m} and all(len(e) == 1 for e in along)):
+        raise RuntimeError("internal error: weak detectability witness failed its replay check")
 
-    The budget is (length + 1) * stored states, for states and depth,
-    stored being the count of markings the graph or the root test stored.
+
+def _replayed(net: LabeledPetriNet, word: tuple, stored: int) -> list:
+    """The estimates after each prefix of word, by explore.estimates, the
+    independent reference of the witness replays; raises RuntimeError where
+    its search is cut.
+
+    The budget is (len(word) + 1) * stored states, for states and depth.
     Each state of the search is a (marking, position) whose marking lies in
     the estimate after that position, so the budget holds every state if
-    each estimate along the run has at most stored markings. The loop's
-    estimates are singletons. Those along a word the observer read are
-    states it stored, which hold only stored nodes, whether the graph
-    closed or not; those along the root test's word are singletons, and
-    the root test stored at least 1 marking."""
-    run = word + tuple(loop)
-    bound = (len(run) + 1) * stored
-    ests, complete = estimates(net, run, Budget(bound, bound))
-    along = ests[len(word):]
-    if not (complete and along[0] == along[-1] == {m} and all(len(e) == 1 for e in along)):
-        raise RuntimeError("internal error: weak detectability witness failed its replay check")
+    each estimate along word has at most stored markings."""
+    bound = (len(word) + 1) * stored
+    ests, complete = estimates(net, word, Budget(bound, bound))
+    if not complete:
+        raise RuntimeError("internal error: a witness replay was cut by its budget")
+    return ests
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +572,7 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     secret set. FAILS carries the violating observation and estimate; the
     observer stops at the first such estimate, so its stats count the
     observer states stored up to it, and its estimate is recomputed by
-    `estimate` (a mismatch raises RuntimeError). The observer reads the
+    _replayed (a mismatch raises RuntimeError). The observer reads the
     reachability graph grown on demand (explore._graph_on_demand), whose
     breadth-first search runs only as far as the last node its estimates
     hold or try. Node ids, successors and cuts are those of the whole graph
@@ -598,11 +597,9 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     last = frozenset(map(markings.__getitem__, obs.states[v])) if obs.states else frozenset()
     if last and last <= secret_set:  # the goal stopped the search
         word = obs.path_to(v)
-        # Replay on the independent reference. Every (marking, position)
-        # state it stores has its marking in a stored estimate along word.
-        bound = (len(word) + 1) * len(markings)
-        est, complete = estimate(g, word, Budget(bound, bound))
-        if not (complete and est == last and est <= secret_set):
+        # Each estimate along word is a stored state, of stored markings.
+        est = _replayed(g, word, len(markings))[-1]
+        if not (est == last and est <= secret_set):
             raise RuntimeError("internal error: opacity witness failed its replay check")
         return Verdict(FAILS, OpacityWitness(word=word, estimate=last), stats)
     if obs.complete:

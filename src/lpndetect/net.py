@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 EPSILON = None
 
 Marking = tuple  # tuple[int, ...], indexed by declared place order
-FiringSequence = tuple  # tuple[str, ...] of transition ids
-ObservationWord = tuple  # tuple[str, ...] of alphabet symbols
 
 # The unobservable label in the text format (see textio).
 EPSILON_MARK = "~"
@@ -243,7 +241,7 @@ def fire_sequence(net: LabeledPetriNet, m: Marking, seq: Sequence[str]) -> Marki
     return cur
 
 
-def observation(net: LabeledPetriNet, seq: Sequence[str]) -> ObservationWord:
+def observation(net: LabeledPetriNet, seq: Sequence[str]) -> tuple:
     """Project a firing sequence to its observation (unobservable steps drop)."""
     out = []
     for t in seq:

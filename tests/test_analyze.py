@@ -869,7 +869,19 @@ class TestWeakRootTest:
                 return None
             return v.outcome, v.message, v.stats.states, v.stats.depth
 
-        ours = [fields(net, budget) for net, budget in cases]
+        # A spy sees each whole graph built after the root test found a cycle.
+        cycled, late = [], []
+        root, build = analyze._root_cycle, analyze.build_reachability_graph
+        with monkeypatch.context() as mp:
+            mp.setattr(analyze, "_root_cycle",
+                       lambda *args: cycled.append(root(*args)) or cycled[-1])
+            mp.setattr(analyze, "build_reachability_graph", lambda *args: late.extend(
+                args[0] for _, cycle in cycled if cycle) or build(*args))
+            ours = []
+            for net, budget in cases:
+                cycled.clear()
+                ours.append(fields(net, budget))
+        assert late == []
         with monkeypatch.context() as mp:
             mp.setattr(analyze, "_token_live", lambda net: False)
             mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
@@ -958,13 +970,13 @@ class TestWeakRootTest:
                              "singleton estimates return to it under the word b a")
         _check_named_cycle(net, v.message)
 
-    def test_a_cycle_past_a_cut_defers_to_a_closed_graph(self, monkeypatch):
+    def test_a_cycle_past_a_cut_can_be_the_closed_graphs(self, monkeypatch):
         # One token. x's a-loop, after a a, is the whole graph's first
         # cycle. The root test steps along singleton steps only, so it
         # reaches y from x, three deep, though z1 reaches it two deep: at
         # max_depth 2 it cuts x's step to y, though it keeps x's a-loop.
-        # A cut below max_states sends the check to the whole graph, which
-        # closes there, so its cycle is named, as with the root test off;
+        # The cycle it finds stands, and here it is the one the observer
+        # over the closed whole graph names, as with the root test off;
         # at max_depth 3 nothing is cut.
         net = make_net(["r", "p", "x", "q", "y", "z1", "z2"], {
             "ra": ("a", {"r": 1}, {"p": 1}),
@@ -987,6 +999,38 @@ class TestWeakRootTest:
         tree, cycle = analyze._root_cycle(net, Budget(100, 2))
         assert cycle[::2] == (("a", "a"), ["a"]) and tree.cut == {2}
         assert tree.states[2] == (0, 0, 1, 0, 0, 0, 0) and len(tree.states) < 100
+
+    def test_a_cycle_past_a_cut_for_depth_stands(self, monkeypatch):
+        # One token, on r. At max_depth 2 the root test cuts v's a step to
+        # w, so it misses the a-cycle through u, v and w and finds y's
+        # d-loop after c. The whole graph closes at that budget, and its
+        # observer would name u's a a a cycle after a, but the root test's
+        # cycle stands and no graph is built. At max_depth 3 nothing is
+        # cut, and the root test names u's cycle itself.
+        net = make_net(["r", "u", "v", "w", "y", "z"], {
+            "ra": ("a", {"r": 1}, {"u": 1}), "rb1": ("b", {"r": 1}, {"w": 1}),
+            "rb2": ("b", {"r": 1}, {"z": 1}), "rc": ("c", {"r": 1}, {"y": 1}),
+            "ua": ("a", {"u": 1}, {"v": 1}), "va": ("a", {"v": 1}, {"w": 1}),
+            "wa": ("a", {"w": 1}, {"u": 1}), "yd": ("d", {"y": 1}, {"y": 1}),
+            "ze": ("e", {"z": 1}, {"z": 1})}, {"r": 1})
+        built, real = [], analyze.build_reachability_graph
+        monkeypatch.setattr(analyze, "build_reachability_graph",
+                            lambda *args: built.append(args) or real(*args))
+        expected = {
+            2: "the estimate after the word c is {(0, 0, 0, 0, 1, 0)}, and singleton "
+               "estimates return to it under the word d",
+            3: "the estimate after the word a is {(0, 1, 0, 0, 0, 0)}, and singleton "
+               "estimates return to it under the word a a a"}
+        for depth, message in expected.items():
+            budget = Budget(100, depth)
+            assert check_assumptions(net, budget).graph is None
+            assert build_reachability_graph(net, budget).complete
+            v = check_weak(net, budget)
+            assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (1, 0)
+            assert v.message == message
+        assert built == []
+        tree, _ = analyze._root_cycle(net, Budget(100, 2))
+        assert tree.cut == {3} and tree.states[3] == (0, 0, 1, 0, 0, 0)
 
     def test_root_with_an_eps_successor_is_no_singleton(self):
         # b never lowers s, and e removes q's token unobservably: both
@@ -1742,10 +1786,10 @@ class TestHardChecks:
             "        print('error')\n"
             "run([(1, 0)])\n"
             "run([(1, 0), (0, 1)])\n"
-            "real = analyze.estimate\n"
-            "analyze.estimate = lambda *args: (real(*args)[0], False)\n"
+            "real = analyze.estimates\n"
+            "analyze.estimates = lambda *args: (real(*args)[0], False)\n"
             "run([(1, 0), (0, 1)])\n"
-            "analyze.estimate = real\n"
+            "analyze.estimates = real\n"
             "analyze._eps_closure = lambda eps, nodes: frozenset(nodes)\n"
             "run([(1, 0)])\n"
         )
