@@ -250,19 +250,18 @@ class NetGraph(dict):
     holds per symbol of symbols (sorted) the tuple of v's successors by it.
     markings[v] is v's marking, node 0 the initial one. A node's entries are
     derived from graph.succ on its first read, with those of every node
-    expanded since the last. A graph grown on demand comes with its need
-    (explore._graph_on_demand), so a read grows it to the node read."""
+    expanded since the last. A graph grown on demand
+    (explore._graph_on_demand) grows on a read to the node read."""
 
-    def __init__(self, graph: ReachabilityGraph, need=None):
+    def __init__(self, graph: ReachabilityGraph):
         super().__init__()
-        self.graph, self.need, self.markings, self.rows = graph, need, graph.markings, {}
+        self.graph, self.markings, self.rows = graph, graph.markings, {}
         self.symbols, column = _columns(graph.net)
         self.column = dict(zip(graph.net.transitions, column))
 
     def __missing__(self, v):
         succ, cut = self.graph.succ, self.graph.cut
-        if v >= len(succ):
-            self.need(v)
+        self.graph.need(v)
         for u in range(len(self), len(succ)):  # the nodes expanded since the last read
             if u in cut:
                 self[u] = None
@@ -588,7 +587,7 @@ def check_opacity(g: LabeledPetriNet, secret, budget: Budget) -> Verdict:
     if _secret_escapes(g, secret_set):
         return _certified(t0, "every secret marking reaches a non-secret marking "
                               "by unobservable transitions")
-    graph = NetGraph(*_graph_on_demand(g, budget))
+    graph = NetGraph(_graph_on_demand(g, budget))
     markings = graph.markings
     obs = explore_observer(graph, budget, lambda nodes: all(
         markings[v] in secret_set for v in nodes))

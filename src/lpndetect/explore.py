@@ -234,26 +234,37 @@ class ReachabilityGraph(Exploration):
     A twin net's graph read off the closed graph base of its net (see
     build_reachability_graph) keeps base, and in pairs[v] the two base
     nodes whose markings make up that of v; a graph built by firing has
-    neither."""
+    neither. A graph grown on demand (see _graph_on_demand) keeps its
+    paused search in rounds until the search ends; rounds is None on a
+    graph searched to its end or read off base."""
 
     net: object
     base: Optional["ReachabilityGraph"] = field(default=None, compare=False, repr=False)
     pairs: Optional[list] = field(default=None, compare=False, repr=False)
+    rounds: object = field(default=None, compare=False, repr=False)
 
     @property
     def markings(self) -> list:
         return self.states
 
+    def need(self, v: int) -> bool:
+        """Whether node v is expanded, once the paused search (see
+        _explore_rounds) has resumed until it is or the search ends."""
+        while len(self.succ) <= v and self.rounds is not None:
+            self.rounds.send(v + 1)
+            if len(self.succ) == len(self.states):  # no goal: the search ended
+                self.rounds = None
+        return v < len(self.succ)
 
-def _graph_on_demand(net, budget: Budget):
-    """The reachability graph, grown as its reader asks: (graph, need).
-    graph is the BFS over the markings reachable from the initial marking,
-    in declared transition order, with only its root stored; need(v)
-    resumes its search (see _explore_rounds) until node v is expanded or
-    the search ends, and says whether v is expanded. Node ids, successors
-    and cuts are those of the whole graph built under budget, whose BFS
-    depth max_depth bounds: a reader that calls need(v) before reading
-    node v reads the whole graph.
+
+def _graph_on_demand(net, budget: Budget) -> ReachabilityGraph:
+    """The reachability graph, grown as its reader asks: the BFS over the
+    markings reachable from the initial marking, in declared transition
+    order, with only its root stored. Its need(v) resumes the search until
+    node v is expanded or the search ends. Node ids, successors and cuts
+    are those of the whole graph built under budget, whose BFS depth
+    max_depth bounds: a reader that calls need(v) before reading node v
+    reads the whole graph.
 
     The graph of a TwinNet is that of its twin net, built without it: a
     twin marking steps by the twin's step rule (twin.twin_steps) over the
@@ -278,15 +289,7 @@ def _graph_on_demand(net, budget: Budget):
 
     rounds = _explore_rounds(root, expand, budget)
     # One graph throughout, which grows with the exploration's lists.
-    graph = ReachabilityGraph(**vars(next(rounds)), net=net)
-    succ, states = graph.succ, graph.states
-
-    def need(v):
-        while len(succ) <= v and len(succ) < len(states):
-            rounds.send(v + 1)
-        return v < len(succ)
-
-    return graph, need
+    return ReachabilityGraph(**vars(next(rounds)), net=net, rounds=rounds)
 
 
 def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
@@ -302,8 +305,8 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
     step rule lists the twin's transitions in the order of net.transitions.
     """
     if base is None:
-        graph, need = _graph_on_demand(net, budget)
-        need(budget.max_states)  # no node has that id: the search runs to its end
+        graph = _graph_on_demand(net, budget)
+        graph.need(budget.max_states)  # no node has that id: the search runs to its end
         return graph
     g, mk = base.net, base.markings
     labels, index = g.labels, g.transition_index
@@ -524,9 +527,7 @@ def _final(graph: ReachabilityGraph, pattern: PathPattern, nodes):
     return (u != v for u, v in map(graph.pairs.__getitem__, nodes))
 
 
-def _witness_search(
-    graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None, need=None
-):
+def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None):
     """A minimal witness read off graph, firing nothing.
 
     On a closed graph it is _lasso's, from the nodes fed that the peel kept
@@ -540,8 +541,8 @@ def _witness_search(
     (3, x, None) whose marking passes the final test. The walk runs under
     budget; a state less than budget.max_depth deep lies less deep in the
     graph, so it lost no successor unless the graph hit budget.max_states.
-    A graph grown on demand (see _graph_on_demand) comes with its need,
-    called on each node before the walk reads its successors.
+    A graph grown on demand (see _graph_on_demand) grows to each node
+    before the walk reads its successors.
 
     Returns (witness-or-None, exhausted, states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
@@ -553,7 +554,7 @@ def _witness_search(
     """
     if graph.complete:
         return _lasso(graph, pattern, _exact_exists(graph, pattern) if fed is None else fed)
-    markings, succ, k = graph.markings, graph.succ, pattern.segments
+    markings, succ, need, k = graph.markings, graph.succ, graph.need, pattern.segments
     barred, final_ok = _barred(graph.net, pattern), pattern.final_ok
     covers = lambda a, x: leq(markings[a], markings[x])  # noqa: E731
 
@@ -771,20 +772,16 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     else grown on demand (see _graph_on_demand), and the answer is that of
     search_graph on the whole graph built under budget. The graph is grown
     a node at a time until a growing transition fires, which proves the
-    net unbounded: the whole graph never closes, and the walk (see
-    _witness_search) runs once under budget, growing the graph as it
-    reaches new nodes. Else the whole graph is grown and searched.
+    net unbounded, or its search ends; search_graph then decides the
+    closed graph, or walks the open one, which grows as the walk reaches
+    new nodes.
     """
     if t0 is None:
         t0 = time.perf_counter()
     if base is not None:
         return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
-    graph, need = _graph_on_demand(net, budget)
-    grows, v = _growing(net), 0
-    while need(v):
-        if any(t in grows for t, _ in graph.succ[v]):
-            walked = _witness_search(graph, pattern, budget, need=need)
-            return _walk_verdict(graph, pattern, walked, t0)
+    graph, grows, v = _graph_on_demand(net, budget), _growing(net), 0
+    while graph.need(v) and not any(t in grows for t, _ in graph.succ[v]):
         v += 1
     return search_graph(graph, pattern, budget, t0)
 
@@ -792,29 +789,22 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
 def search_graph(
     graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, t0: float
 ) -> Verdict:
-    """search_pattern on the already built reachability graph from its
-    initial node; t0 is when the question started, for the wall time."""
+    """search_pattern on graph from its initial node; t0 is when the
+    question started, for the wall time. A closed graph is decided (see
+    _exact_exists), and a witness read off it; an open one is walked (see
+    _witness_search), growing if it grows on demand, and its answer is
+    that of the walk of the whole graph built under budget."""
     fed = _exact_exists(graph, pattern) if graph.complete else None
     if fed is not None and not fed:
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)
         return Verdict(HOLDS, None, stats)
-    return _walk_verdict(graph, pattern, _witness_search(graph, pattern, budget, fed), t0)
-
-
-def _walk_verdict(
-    graph: ReachabilityGraph, pattern: PathPattern, walked, t0: float
-) -> Verdict:
-    """The verdict on the result of _witness_search on graph."""
-    witness, _, states, depth = walked
+    witness, _, states, depth = _witness_search(graph, pattern, budget, fed)
     stats = SearchStats(states, depth, time.perf_counter() - t0)
     if witness is None:
-        if graph.complete:
+        if fed:
             raise RuntimeError("internal error: no witness on a graph decided to fail")
-        return Verdict(
-            INCONCLUSIVE,
-            stats=stats,
-            message="state space did not close within budget",
-        )
+        return Verdict(INCONCLUSIVE, stats=stats,
+                       message="state space did not close within budget")
     if not replay_witness(graph.net, pattern, witness):
         raise RuntimeError("internal error: witness failed its replay check")
     return Verdict(FAILS, witness, stats)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 # Label of an unobservable transition.
@@ -98,16 +99,13 @@ class LabeledPetriNet:
                 raise InputError(f"label {lab!r} not in alphabet")
         if len(self.initial_marking) != len(self.places):
             raise InputError("initial marking has wrong dimension")
-        if any(n < 0 for n in self.initial_marking):
-            raise InputError("initial marking must be non-negative")
+        _check_naturals(tuple(self.initial_marking), "initial marking")
         for mat in (self.pre, self.post):
             if len(mat) != len(self.transitions):
                 raise InputError("arc table has wrong transition dimension")
-            for row in mat:
-                if len(row) != len(self.places):
-                    raise InputError("arc table has wrong place dimension")
-                if any(w < 0 for w in row):
-                    raise InputError("arc weights must be non-negative")
+            if not set(map(len, mat)) <= {len(self.places)}:
+                raise InputError("arc table has wrong place dimension")
+        _check_naturals(tuple(chain(*self.pre, *self.post)), "arc weights")
         object.__setattr__(
             self, "place_index", {p: i for i, p in enumerate(self.places)}
         )
@@ -140,6 +138,14 @@ class LabeledPetriNet:
             )
 
 
+def _check_naturals(values: tuple, what: str):
+    """Raise InputError unless every value is an int (a bool is not) and
+    none is negative; the test runs in two C-level passes over values."""
+    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
+        bad = next(x for x in values if type(x) is not int or x < 0)
+        raise InputError(f"{what} must be non-negative integers, not {bad!r}")
+
+
 def make_net(
     places: Sequence[str],
     transitions: Mapping[str, tuple],
@@ -164,6 +170,9 @@ def make_net(
         post_rows.append(tuple(post_map.get(p, 0) for p in places))
         labels.append(lab)
     if isinstance(initial, Mapping):
+        for q in initial:
+            if q not in pidx:
+                raise InputError(f"initial marking references unknown place {q!r}")
         m0 = tuple(initial.get(p, 0) for p in places)
     else:
         m0 = tuple(initial)

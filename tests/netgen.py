@@ -102,9 +102,8 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
         net = random_net(rng)
         # A growing transition that fires proves the net unbounded: its graph
         # can never close, so the net is dropped at that node.
-        grows, v = explore._growing(net), 0
-        graph, need = explore._graph_on_demand(net, budget)
-        while need(v) and not any(t in grows for t, _ in graph.succ[v]):
+        graph, grows, v = explore._graph_on_demand(net, budget), explore._growing(net), 0
+        while graph.need(v) and not any(t in grows for t, _ in graph.succ[v]):
             v += 1
         if not graph.complete:
             continue

@@ -618,7 +618,7 @@ class TestOpacityStopsEarly:
                                 lambda *args: built.append(args))
         v = check_opacity(net, [(0, 4, 0, 0, 0, 0, 0, 0)], budget)
         assert v.outcome == FAILS and v.witness.word == ("b",) * 4 and built == []
-        [(graph, _)] = grown
+        [graph] = grown
         assert len(graph.succ) < len(graph.markings) < 330
         print("expanded", len(graph.succ), "of", len(graph.markings))
 

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter, deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -165,12 +166,13 @@ class TestRounds:
     def test_search_pattern_matches_the_whole_graph_search(self, monkeypatch):
         # The reference builds the whole graph under the budget and searches
         # it; search_pattern must give the same outcome, witness, stats and
-        # message, and walk or search a graph at most once. A record is
-        # decided early when search_pattern walks the graph it grows on
-        # demand without calling search_graph. Otherwise it called
-        # search_graph on the whole graph (grown to its end, it is the graph
-        # the one-shot build gives, see the test above) and must return its
-        # verdict, so only the early records build the reference.
+        # message, call search_graph once and walk a graph at most once. A
+        # record is decided early when the graph it grows on demand is still
+        # paused as search_graph is called, which then walks it. Otherwise
+        # search_graph got the whole graph (grown to its end, it is the
+        # graph the one-shot build gives, see the test above) and
+        # search_pattern must return its verdict, so only the early records
+        # build the reference.
         rng = random.Random(11)
         nets = [random_net(rng) for _ in range(300)] + [
             random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)]
@@ -178,7 +180,8 @@ class TestRounds:
         calls = []
 
         def recorded(graph, *args):
-            calls.append((graph, real(graph, *args)))
+            paused = len(graph.succ) < len(graph.markings)  # before the walk grows it
+            calls.append((paused, real(graph, *args)))
             return calls[-1][1]
 
         monkeypatch.setattr(explore, "search_graph", recorded)
@@ -198,10 +201,8 @@ class TestRounds:
                     walks.clear()
                     ours = search_pattern(n, pattern, budget)
                     assert len(walks) <= 1
-                    if calls:
-                        [(graph, ref)] = calls
-                        assert len(graph.succ) == len(graph.markings)  # searched to the end
-                    else:
+                    [(paused, ref)] = calls
+                    if paused:
                         early[ours.outcome] += 1
                         ref = real(build_reachability_graph(n, budget), pattern, budget, 0.0)
                     assert key(ours) == key(ref)
@@ -324,13 +325,13 @@ class TestTwinFiredOnItsHalves:
             assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, _, _, _, e in kernel)
             invariant += analyze._twin_invariant(tw)
             for budget in (Budget(50, 3), Budget(300, 30)):
-                ours, need = explore._graph_on_demand(tw, budget)
-                ref, need_ref = explore._graph_on_demand(tw.net, budget)
+                ours = explore._graph_on_demand(tw, budget)
+                ref = explore._graph_on_demand(tw.net, budget)
                 assert ours.net is tw and ref.net is tw.net
                 v, more = 0, True
                 while more:  # grown to node 0, 1, 3, 7, ... and then the end
-                    more = need(v)
-                    assert need_ref(v) == more
+                    more = ours.need(v)
+                    assert ref.need(v) == more
                     assert [getattr(ours, f) for f in self.FIELDS] == \
                         [getattr(ref, f) for f in self.FIELDS]
                     v, rounds = 2 * v + 1, rounds + 1
@@ -363,6 +364,35 @@ class TestReachabilityGraph:
     def test_bad_budget(self):
         with pytest.raises(InputError):
             Budget(0, 10)
+
+    def test_need_grows_to_the_node_asked_for(self):
+        # need(v) resumes the paused search until node v is expanded, and
+        # no further; once the search ends the graph is the one-shot one.
+        net, budget = ring(8, 4), Budget(20000, 2000)
+        graph, sent = explore._graph_on_demand(net, budget), []
+        rounds = graph.rounds
+        graph.rounds = SimpleNamespace(send=lambda n: sent.append(n) or rounds.send(n))
+        assert graph.need(5) and len(graph.succ) == 6 < len(graph.markings)
+        assert sent == [6]
+        assert graph.need(5) and len(graph.succ) == 6 and sent == [6]
+        assert not graph.need(10**9) and graph.rounds is None and sent == [6, 10**9 + 1]
+        whole = build_reachability_graph(net, budget)
+        assert len(whole.markings) == 330 and whole.rounds is None
+        assert [getattr(graph, f) for f in TestTwinFiredOnItsHalves.FIELDS] == \
+            [getattr(whole, f) for f in TestTwinFiredOnItsHalves.FIELDS]
+
+    def test_need_never_grows_a_graph_read_off_its_nets(self):
+        # A twin graph read off its net's closed graph has no search to
+        # resume: need(v) only says whether v is expanded.
+        for net, budget in ((ring(4, 2), Budget(1000, 100)), (ring(6, 3), Budget(40, 100))):
+            tw = build_twin(net)
+            graph = build_reachability_graph(
+                tw.net, budget, build_reachability_graph(net, Budget(1000, 100)))
+            assert graph.rounds is None and graph.pairs is not None
+            fields = [list(getattr(graph, f)) for f in TestTwinFiredOnItsHalves.FIELDS]
+            assert [graph.need(v) for v in range(len(graph.succ) + 3)] == \
+                [True] * len(graph.succ) + [False] * 3
+            assert [list(getattr(graph, f)) for f in TestTwinFiredOnItsHalves.FIELDS] == fields
 
 
 class TestKarpMiller:

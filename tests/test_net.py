@@ -129,6 +129,13 @@ _MALFORMED = [
     (lambda: _net(pre=((1, 0),)), "wrong place dimension"),
     (lambda: _net(post=((-1,),)), "weights must be non-negative"),
     (lambda: make_net(["p"], {"t": ("a", {}, {"q": 1})}), "unknown place 'q'"),
+    (lambda: make_net(["p"], {"t": ("a", {"p": 1}, {"p": 1})}, {"q": 1}),
+     "initial marking references unknown place 'q'"),
+    # render_lpn would write these, and parse_lpn could not read them back.
+    (lambda: _net(pre=((1.5,),)), "weights must be non-negative integers, not 1.5"),
+    (lambda: _net(post=((True,),)), "weights must be non-negative integers, not True"),
+    (lambda: _net(initial_marking=(1.5,)), "marking must be non-negative integers, not 1.5"),
+    (lambda: _net(initial_marking=(True,)), "marking must be non-negative integers, not True"),
 ]
 
 
