@@ -34,6 +34,7 @@ from .net import (
     InputError,
     LabeledPetriNet,
     NetError,
+    _check_naturals,
     enabled,
     fire_sequence,
     successors,
@@ -53,7 +54,6 @@ from .explore import (
     _explore,
     _fed_by_cycle,
     _graph_on_demand,
-    _growing,
     build_reachability_graph,
     estimates,
     search_graph,
@@ -211,9 +211,10 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
         return _certified(t0, "twin invariant, as every twin transition "
                               "changes both halves equally"), tw, report
     # The twin's graph is read off a closed graph of g, kept from the gate or
-    # built here unless a growing transition could prove g unbounded; else
-    # the twin is fired on its halves, and its net is never built.
-    graph = report.graph or (None if _growing(g) else build_reachability_graph(g, budget))
+    # built here unless a transition with a nonzero effect >= 0 could prove g
+    # unbounded; else the twin is fired on its halves, and its net is never built.
+    graph = report.graph or (None if any(any(e) and min(e) >= 0 for *_, e in g.kernel)
+                             else build_reachability_graph(g, budget))
     if graph is not None and graph.complete:
         return search_pattern(tw.net, STRONG, budget, graph, t0), tw, report
     return search_pattern(tw, STRONG, budget, t0=t0), tw, report
@@ -538,8 +539,7 @@ def _normalize_secret(net: LabeledPetriNet, secret) -> frozenset:
                 f"secret marking has {len(m)} entries, net has "
                 f"{len(net.places)} places"
             )
-        if not all(isinstance(n, int) and n >= 0 for n in m):
-            raise InputError(f"secret marking {m!r} must hold non-negative integers")
+        _check_naturals(m, "secret marking")
         out.add(m)
     return frozenset(out)
 

@@ -11,11 +11,12 @@ graph; nothing is fired twice. The twin's graph is read off its net's
 closed graph where there is one, firing nothing; else search_pattern grows
 the graph as its reader asks (see _graph_on_demand), a twin's by firing
 the net on each half of a twin marking (see twin.twin_steps), which builds
-no twin net. Once a growing transition fires, proving the net unbounded,
-the walk runs once, growing the graph as it reaches new nodes, and gives
-the answer of the walk of the whole graph. Else the graph is grown to its
-end under the budget. When it closes the answer is decided, and a witness
-is read off three breadth-first distances (see _lasso); on a twin graph
+no twin net. Once a stored edge's target strictly covers its source,
+proving the net unbounded (Karp & Miller 1969), the walk runs once,
+growing the graph as it reaches new nodes, and gives the answer of the
+walk of the whole graph. Else the graph is grown to its end under the
+budget. When it closes the answer is decided, and a witness is read off
+three breadth-first distances (see _lasso); on a twin graph
 read off the net's, a lower bound from the net's graph skips the pump
 searches that would find nothing. stats.states then counts the nodes the
 distance searches stored, not those of the bound's. Otherwise the walk,
@@ -38,6 +39,7 @@ from .net import (
     InputError,
     LabeledPetriNet,
     Marking,
+    _check_naturals,
     fire,
     leq,
     observation,
@@ -68,7 +70,8 @@ class Budget:
     max_depth: int = 10_000
 
     def __post_init__(self):
-        if self.max_states < 1 or self.max_depth < 1:
+        bounds = (self.max_states, self.max_depth)
+        if {type(b) for b in bounds} != {int} or min(bounds) < 1:
             raise InputError("budget bounds must be >= 1")
 
 
@@ -401,12 +404,13 @@ def coverable(net: LabeledPetriNet, target: Marking) -> bool:
     expanded first in, first out.
     """
     net._check_marking(target)
+    target = tuple(target)
+    _check_naturals(target, "target")
     m0, arcs = net.initial_marking, tuple(zip(net.pre, net.post))
     cap = tuple(
         x if all(post[i] <= pre[i] for pre, post in arcs) else OMEGA
         for i, x in enumerate(m0)
     )
-    target = tuple(target)
     if leq(target, m0):
         return True
     if not leq(target, cap):
@@ -740,23 +744,6 @@ def replay_witness(net, pattern: PathPattern, witness: Witness) -> bool:
     return leq(witness.markings[0], witness.markings[1]) and pattern.final_ok(m)
 
 
-def _growing(net) -> set:
-    """The transitions with a nonzero effect >= 0: the net is unbounded if
-    one fires. The effect of a TwinNet's transition is that of its left
-    move followed by that of its right move: it grows iff no move lowers
-    a place and some move changes one."""
-    if not isinstance(net, TwinNet):
-        return {net.transitions[t] for t, _, _, _, e in net.kernel if any(e) and min(e) >= 0}
-    up, keep = set(), {None}  # the moves that grow, and those that lower nothing
-    for t, _, _, _, e in net.base.kernel:
-        if min(e, default=0) >= 0:
-            keep.add(t)
-            if any(e):
-                up.add(t)
-    return {tid for (a, b), tid in net.ids.items()
-            if a in keep and b in keep and (a in up or b in up)}
-
-
 def search_pattern(net, pattern: PathPattern, budget: Budget,
                    base: Optional[ReachabilityGraph] = None,
                    t0: Optional[float] = None) -> Verdict:
@@ -771,17 +758,18 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     The graph is read off base if given (see build_reachability_graph),
     else grown on demand (see _graph_on_demand), and the answer is that of
     search_graph on the whole graph built under budget. The graph is grown
-    a node at a time until a growing transition fires, which proves the
-    net unbounded, or its search ends; search_graph then decides the
-    closed graph, or walks the open one, which grows as the walk reaches
-    new nodes.
+    a node at a time until a stored edge's target strictly covers its
+    source, which proves the net unbounded, or its search ends;
+    search_graph then decides the closed graph, or walks the open one,
+    which grows as the walk reaches new nodes.
     """
     if t0 is None:
         t0 = time.perf_counter()
     if base is not None:
         return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
-    graph, grows, v = _graph_on_demand(net, budget), _growing(net), 0
-    while graph.need(v) and not any(t in grows for t, _ in graph.succ[v]):
+    graph, v = _graph_on_demand(net, budget), 0
+    markings, succ = graph.markings, graph.succ
+    while graph.need(v) and not any(w != v and leq(markings[v], markings[w]) for _, w in succ[v]):
         v += 1
     return search_graph(graph, pattern, budget, t0)
 

@@ -6,7 +6,7 @@ from collections import deque
 
 from lpndetect import Budget, build_reachability_graph, build_twin, explore, make_net
 from lpndetect.analyze import check_assumptions
-from lpndetect.net import EPSILON, enabled, fire
+from lpndetect.net import EPSILON, enabled, fire, leq
 
 
 def random_net(
@@ -100,10 +100,13 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
     budget = budget or Budget(max_states=graph_cap, max_depth=2000)
     while True:
         net = random_net(rng)
-        # A growing transition that fires proves the net unbounded: its graph
-        # can never close, so the net is dropped at that node.
-        graph, grows, v = explore._graph_on_demand(net, budget), explore._growing(net), 0
-        while graph.need(v) and not any(t in grows for t, _ in graph.succ[v]):
+        # A stored edge whose target strictly covers its source proves the
+        # net unbounded: its graph can never close, so the net is dropped at
+        # that node.
+        graph, v = explore._graph_on_demand(net, budget), 0
+        markings, succ = graph.markings, graph.succ
+        while graph.need(v) and not any(w != v and leq(markings[v], markings[w])
+                                        for _, w in succ[v]):
             v += 1
         if not graph.complete:
             continue

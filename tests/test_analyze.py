@@ -477,7 +477,7 @@ class TestCheckOpacity:
             check_opacity(e1, [(1, 0)], budget)
 
     def test_secret_entries_are_non_negative_integers(self, e2, budget):
-        for bad in ([("x", 1)], [(-1, 0)], [(0, 1), (1, 0.5)]):
+        for bad in ([("x", 1)], [(-1, 0)], [(0, 1), (1, 0.5)], [(True, 0)]):
             with pytest.raises(InputError, match="non-negative integers"):
                 check_opacity(e2, bad, budget)
 

@@ -310,21 +310,30 @@ class TestTwinFiredOnItsHalves:
 
     FIELDS = ("states", "succ", "parent", "depth", "cut")
 
-    def test_rounds_equal_the_fired_twin_net_at_every_round(self):
+    def test_rounds_equal_the_fired_twin_net_at_every_round(self, monkeypatch):
         rng = random.Random(23)
         nets = [random_net(rng) for _ in range(100)] + [
             random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(100)]
-        rounds = cut = closed = grows = invariant = 0
+        rounds = cut = closed = early = invariant = 0
+        # search_pattern's grow loop, seen by the expanded count at its one
+        # search_graph call; the walk itself is not run.
+        calls = []
+        monkeypatch.setattr(explore, "search_graph", lambda graph, *_: calls.append(
+            len(graph.succ)))
         for net in nets:
             tw = build_twin(net)
-            # The growing set and the twin invariant, read off the net's
-            # kernel, against their reading off the twin net's kernel.
-            assert explore._growing(tw) == explore._growing(tw.net)
-            grows += bool(explore._growing(tw))
+            # The twin invariant, read off the net's kernel, against its
+            # reading off the twin net's kernel; and, as the reference for
+            # the grow loop, which reads covering edges off the graph, the
+            # twin net's transitions with a nonzero effect >= 0.
             h, kernel = tw.half, tw.net.kernel
             assert analyze._twin_invariant(tw) == all(e[:h] == e[h:] for _, _, _, _, e in kernel)
             invariant += analyze._twin_invariant(tw)
+            growing = {tw.net.transitions[t] for t, _, _, _, e in kernel
+                       if any(e) and min(e) >= 0}
             for budget in (Budget(50, 3), Budget(300, 30)):
+                calls.clear()
+                search_pattern(tw, STRONG, budget)
                 ours = explore._graph_on_demand(tw, budget)
                 ref = explore._graph_on_demand(tw.net, budget)
                 assert ours.net is tw and ref.net is tw.net
@@ -335,12 +344,18 @@ class TestTwinFiredOnItsHalves:
                     assert [getattr(ours, f) for f in self.FIELDS] == \
                         [getattr(ref, f) for f in self.FIELDS]
                     v, rounds = 2 * v + 1, rounds + 1
+                # The loop stops once the first node with an edge fired by
+                # one of them is expanded, else when the search ends.
+                stop = next((u + 1 for u, out in enumerate(ref.succ)
+                             if any(t in growing for t, _ in out)), None)
+                assert calls == [stop or len(ref.succ)]
+                early += stop is not None and budget.max_states == 300
                 cut += bool(ref.cut)
                 closed += ref.complete
-        print("rounds", rounds, "cut", cut, "closed", closed, "growing", grows,
+        print("rounds", rounds, "cut", cut, "closed", closed, "early", early,
               "invariant", invariant)
         assert rounds >= 1500 and cut >= 150 and closed >= 100
-        assert grows >= 100 and invariant >= 40
+        assert early >= 100 and invariant >= 40
 
 
 class TestReachabilityGraph:
@@ -362,8 +377,9 @@ class TestReachabilityGraph:
         assert not g.complete
 
     def test_bad_budget(self):
-        with pytest.raises(InputError):
-            Budget(0, 10)
+        for bounds in ((0, 10), (1.5, 2.5), (1.5, 2), (True, True), (10, True)):
+            with pytest.raises(InputError, match="budget bounds must be >= 1"):
+                Budget(*bounds)
 
     def test_need_grows_to_the_node_asked_for(self):
         # need(v) resumes the paused search until node v is expanded, and
@@ -427,6 +443,9 @@ class TestKarpMiller:
         assert coverable(e1, (1,))
         assert not coverable(e1, (2,))
         assert coverable(e3, (1, 5))
+        for bad in ((-1,), (0.5,), (True,)):
+            with pytest.raises(InputError, match="target must be non-negative integers"):
+                coverable(e1, bad)
 
     def test_backward_search_matches_km_tree(self):
         # Weights up to 3 give pre-images other than the target itself.

@@ -657,6 +657,19 @@ def test_one_firing_kernel():
     assert firing == {"net.successors", "net.fire"}
 
 
+def test_explore_reads_growth_off_the_graph():
+    # search_pattern stops growing its graph at a stored edge whose target
+    # strictly covers its source, which proves the net unbounded, so no
+    # function in explore reads a transition table's kernel to predict it.
+    path = Path(__file__).resolve().parent.parent / "src" / "lpndetect" / "explore.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(n, ast.Attribute) and n.attr == "kernel"
+                       for n in ast.walk(fn))}
+    assert readers == set()
+
+
 def test_analyze_fires_in_two_places():
     # Weak's root test and the opacity certificate are analyze's only
     # callers of successors: every other question reads a graph that
