@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .analyze import Observer
 from .explore import Exploration, ReachabilityGraph
-from .net import EPSILON, LabeledPetriNet
+from .net import EPSILON, EPSILON_MARK, LabeledPetriNet
 
 
 def _q(*lines) -> str:
@@ -25,18 +25,13 @@ def net_to_dot(net: LabeledPetriNet) -> str:
         lines.append(f"  {_q(p)} [shape=circle label={_q(p, n)}];")
     for ti, t in enumerate(net.transitions):
         lab = net.labels[ti]
-        shown = "~" if lab is EPSILON else lab
+        shown = EPSILON_MARK if lab is EPSILON else lab
         lines.append(f"  {_q(t)} [shape=box label={_q(f'{t} [{shown}]')}];")
-        for i, p in enumerate(net.places):
-            w = net.pre[ti][i]
-            if w:
-                suffix = f" [label={_q(w)}]" if w > 1 else ""
-                lines.append(f"  {_q(p)} -> {_q(t)}{suffix};")
-        for i, p in enumerate(net.places):
-            w = net.post[ti][i]
-            if w:
-                suffix = f" [label={_q(w)}]" if w > 1 else ""
-                lines.append(f"  {_q(t)} -> {_q(p)}{suffix};")
+        arcs = [(p, t, w) for p, w in zip(net.places, net.pre[ti]) if w]
+        arcs += [(t, p, w) for p, w in zip(net.places, net.post[ti]) if w]
+        for source, target, w in arcs:
+            suffix = f" [label={_q(w)}]" if w > 1 else ""
+            lines.append(f"  {_q(source)} -> {_q(target)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .net import EPSILON, InputError, LabeledPetriNet, Marking, make_net
+from .net import EPSILON, InputError, LabeledPetriNet, Marking, _check_naturals, make_net
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class GadgetOutput:
     net: LabeledPetriNet
     provenance: dict  # added-element id -> role
     secret: Optional[Marking] = None
+
+
+def _weights(places, row, prefix=""):
+    """The nonzero entries of row as {prefix + place: weight}, as make_net
+    takes an arc map."""
+    return {prefix + p: w for p, w in zip(places, row) if w}
 
 
 def _check_fresh(ids, taken, what):
@@ -47,6 +53,7 @@ def coverability_to_strong(net: LabeledPetriNet, target: Marking) -> GadgetOutpu
     once fired the two tag places can never be told apart.
     """
     net._check_marking(target)
+    _check_naturals(tuple(target), "target")
     if any(lab is EPSILON for lab in net.labels):
         raise InputError("input net must have observable transitions only")
     new_places = ("p_tag1", "p_tag2", "p_run")
@@ -54,14 +61,12 @@ def coverability_to_strong(net: LabeledPetriNet, target: Marking) -> GadgetOutpu
     taken = set(net.places) | set(net.transitions)
     _check_fresh(new_places + new_trans, taken, "reserved")
 
-    def weights(row):  # place -> nonzero weight, as make_net takes them
-        return {p: w for p, w in zip(net.places, row) if w}
-
     # Original transitions become self-labeled: distinct observable symbols.
-    transitions = {t: (t, weights(net.pre[ti]), weights(net.post[ti]))
-                   for ti, t in enumerate(net.transitions)}
-    transitions["t_probe1"] = (EPSILON, weights(target), {"p_tag1": 1})
-    transitions["t_probe2"] = (EPSILON, weights(target), {"p_tag2": 1})
+    transitions = {t: (t, _weights(net.places, pre), _weights(net.places, post))
+                   for t, pre, post in zip(net.transitions, net.pre, net.post)}
+    probe = _weights(net.places, target)
+    transitions["t_probe1"] = (EPSILON, probe, {"p_tag1": 1})
+    transitions["t_probe2"] = (EPSILON, probe, {"p_tag2": 1})
     transitions["t_run"] = ("t_run", {"p_run": 1}, {"p_run": 1})
     out = make_net(tuple(net.places) + new_places, transitions,
                    tuple(net.initial_marking) + (0, 0, 1))
@@ -98,71 +103,53 @@ def inclusion_to_weak(g1: LabeledPetriNet, g2: LabeledPetriNet) -> GadgetOutput:
                 f"{name} net's alphabet clashes with reserved symbols x, a, b"
             )
 
+    # Branch prefix, simulated net, first control place c and name: a branch
+    # runs on p<c>, is frozen on p<c+1> and ends on p<c+2>.
+    branches = (("g1", g1, 1, "g1"), ("g2a", g2, 4, "first g2"), ("g2b", g2, 7, "second g2"))
     control = tuple(f"p{i}" for i in range(10))
-    g1p = tuple(f"g1_{p}" for p in g1.places)
-    g2a = tuple(f"g2a_{p}" for p in g2.places)
-    g2b = tuple(f"g2b_{p}" for p in g2.places)
-    places = control + g1p + g2a + g2b
+    places = control + tuple(f"{b}_{p}" for b, g, _, _ in branches for p in g.places)
 
     transitions = {}  # id -> (label, pre map, post map), as make_net takes them
     provenance = {p: "control place" for p in control}
-    for prefix, g, which in (("g1_", g1, "g1"), ("g2a_", g2, "first g2"),
-                             ("g2b_", g2, "second g2")):
+    for b, g, _, which in branches:
         for p in g.places:
-            provenance[f"{prefix}{p}"] = f"copy of place {p!r} in the {which} branch"
+            provenance[f"{b}_{p}"] = f"copy of place {p!r} in the {which} branch"
 
     def add(tid, lab, pre_map, post_map, role):
         transitions[tid] = (lab, pre_map, post_map)
         provenance[tid] = role
 
-    def seeded(prefix, g):
-        return {f"{prefix}{p}": g.initial_marking[i] for i, p in enumerate(g.places)
-                if g.initial_marking[i] > 0}
-
     # Branch starters: one x per branch, seeding the simulated net.
-    add("t_start_g1", "x", {"p0": 1}, {"p1": 1, **seeded("g1_", g1)},
-        "start of the g1 branch")
-    add("t_start_g2a", "x", {"p0": 1}, {"p4": 1, **seeded("g2a_", g2)},
-        "start of the first g2 branch")
-    add("t_start_g2b", "x", {"p0": 1}, {"p7": 1, **seeded("g2b_", g2)},
-        "start of the second g2 branch")
-
+    for b, g, c, which in branches:
+        add(f"t_start_{b}", "x", {"p0": 1},
+            {f"p{c}": 1, **_weights(g.places, g.initial_marking, f"{b}_")},
+            f"start of the {which} branch")
     # Embedded copies, each gated by a self-loop on its control place.
-    def embed(prefix, g, gate, which):
+    for b, g, c, which in branches:
         for ti, t in enumerate(g.transitions):
-            pre_map = {gate: 1}
-            post_map = {gate: 1}
-            for i, p in enumerate(g.places):
-                if g.pre[ti][i]:
-                    pre_map[f"{prefix}{p}"] = g.pre[ti][i]
-                if g.post[ti][i]:
-                    post_map[f"{prefix}{p}"] = g.post[ti][i]
-            add(f"{prefix}{t}", g.labels[ti], pre_map, post_map,
+            add(f"{b}_{t}", g.labels[ti],
+                {f"p{c}": 1, **_weights(g.places, g.pre[ti], f"{b}_")},
+                {f"p{c}": 1, **_weights(g.places, g.post[ti], f"{b}_")},
                 f"copy of {t!r} in the {which} branch")
-
-    embed("g1_", g1, "p1", "g1")
-    embed("g2a_", g2, "p4", "first g2")
-    embed("g2b_", g2, "p7", "second g2")
-
     # Freeze each branch with a second x.
-    add("t_freeze_g1", "x", {"p1": 1}, {"p2": 1}, "freeze of the g1 branch")
-    add("t_freeze_g2a", "x", {"p4": 1}, {"p5": 1}, "freeze of the first g2 branch")
-    add("t_freeze_g2b", "x", {"p7": 1}, {"p8": 1}, "freeze of the second g2 branch")
-
-    # Drain the g1 places one token at a time under a.
+    for b, _, c, which in branches:
+        add(f"t_freeze_{b}", "x", {f"p{c}": 1}, {f"p{c + 1}": 1},
+            f"freeze of the {which} branch")
+    # Drain the g1 places one token at a time under a; the g2 branches
+    # accept any number of a's.
     for p in g1.places:
         add(f"t_drain_{p}", "a", {"p2": 1, f"g1_{p}": 1}, {"p2": 1},
             f"drain of one token from {p!r}")
-    add("t_a_g2a", "a", {"p5": 1}, {"p5": 1}, "a loop of the first g2 branch")
-    add("t_a_g2b", "a", {"p8": 1}, {"p8": 1}, "a loop of the second g2 branch")
-
+    for b, _, c, which in branches[1:]:
+        add(f"t_a_{b}", "a", {f"p{c + 1}": 1}, {f"p{c + 1}": 1},
+            f"a loop of the {which} branch")
     # Switch to, and stay in, the final b phase.
-    add("t_b_g1", "b", {"p2": 1}, {"p3": 1}, "b switch of the g1 branch")
-    add("t_b_g2a", "b", {"p5": 1}, {"p6": 1}, "b switch of the first g2 branch")
-    add("t_b_g2b", "b", {"p8": 1}, {"p9": 1}, "b switch of the second g2 branch")
-    add("t_bloop_g1", "b", {"p3": 1}, {"p3": 1}, "b loop of the g1 branch")
-    add("t_bloop_g2a", "b", {"p6": 1}, {"p6": 1}, "b loop of the first g2 branch")
-    add("t_bloop_g2b", "b", {"p9": 1}, {"p9": 1}, "b loop of the second g2 branch")
+    for b, _, c, which in branches:
+        add(f"t_b_{b}", "b", {f"p{c + 1}": 1}, {f"p{c + 2}": 1},
+            f"b switch of the {which} branch")
+    for b, _, c, which in branches:
+        add(f"t_bloop_{b}", "b", {f"p{c + 2}": 1}, {f"p{c + 2}": 1},
+            f"b loop of the {which} branch")
 
     out = make_net(places, transitions, {"p0": 1},
                    alphabet=g1.alphabet | g2.alphabet | set(_RESERVED_SYMBOLS))
@@ -185,6 +172,7 @@ def selfloop_unobservable(net: LabeledPetriNet, target: Marking) -> GadgetOutput
     has an infinite unobservable sequence iff the target is coverable.
     """
     net._check_marking(target)
+    _check_naturals(tuple(target), "target")
     tid = "t_cover_loop"
     _check_fresh([tid], set(net.places) | set(net.transitions), "reserved")
     out = LabeledPetriNet(

@@ -138,17 +138,11 @@ def render_lpn(net: LabeledPetriNet, comments=()) -> str:
         lines.append("alphabet " + " ".join(sorted(net.alphabet)))
     for ti, t in enumerate(net.transitions):
         lab = net.labels[ti]
-        parts = [
-            "trans", t, "label", EPSILON_MARK if lab is EPSILON else lab,
-        ]
-        pre = [f"{p}:{w}" for p, w in zip(net.places, net.pre[ti]) if w > 0]
-        post = [f"{p}:{w}" for p, w in zip(net.places, net.post[ti]) if w > 0]
-        if pre:
-            parts.append("pre")
-            parts.extend(pre)
-        if post:
-            parts.append("post")
-            parts.extend(post)
+        parts = ["trans", t, "label", EPSILON_MARK if lab is EPSILON else lab]
+        for section, row in (("pre", net.pre[ti]), ("post", net.post[ti])):
+            arcs = [f"{p}:{w}" for p, w in zip(net.places, row) if w > 0]
+            if arcs:
+                parts += [section, *arcs]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,14 @@ The corpora:
 - cli: the check-strong, check-weak, check-opacity and check-assumptions
   commands, text and --json, on the first 24 of those nets at
   --max-states 300 --max-depth 30 and 2000 100: exit code, standard
-  output and standard error, with wall_time_s masked.
+  output and standard error, with wall_time_s masked;
+- surface: on 24 more such nets (rng 9), the twin --dot, reach --dot,
+  observer --dot and estimate commands, the last three at --max-states 300
+  --max-depth 30 and estimate on a word of one to three symbols; and, on
+  24 pairs of fully observable nets over c and d (rng 13, up to 3 places
+  and 3 transitions), the gadget cov2strong, selfloop, incl2weak and
+  secret commands, with a target marking drawn from the same rng: exit
+  code, standard output, standard error and the DOT file's text.
 
 --nets N keeps the first N nets of each corpus and drops the benchmark
 instances. --against REV extracts src/ of the git revision REV into a
@@ -52,7 +59,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-CORPORA = ("strong", "weak", "opacity", "cli")
+CORPORA = ("strong", "weak", "opacity", "cli", "surface")
 
 
 def _nets(seed, count):
@@ -103,28 +110,72 @@ def _record(check, *args):
             f"{v.stats.states} {v.stats.depth}")
 
 
-def _cli(nets, secrets, tmp):
+def _command(argv):
+    """Run one lpndetect command in-process: its exit code, standard output
+    and standard error."""
     from lpndetect import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return path
+
+
+def _cli(nets, secrets, tmp):
     from lpndetect.textio import render_lpn
 
     for i, (net, secret) in enumerate(zip(nets, secrets)):
-        path, spath = os.path.join(tmp, f"n{i}.lpn"), os.path.join(tmp, f"n{i}.secret")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(render_lpn(net))
-        with open(spath, "w", encoding="utf-8") as f:
-            f.write(" ".join(f"{p}={n}" for p, n in zip(net.places, secret)) + "\n")
+        path = _write(os.path.join(tmp, f"n{i}.lpn"), render_lpn(net))
+        spath = _write(os.path.join(tmp, f"n{i}.secret"),
+                       " ".join(f"{p}={n}" for p, n in zip(net.places, secret)) + "\n")
         for states, depth in ((300, 30), (2000, 100)):
             for cmd in ("check-strong", "check-weak", "check-opacity", "check-assumptions"):
                 for js in ((), ("--json",)):
                     argv = [cmd, path, "--max-states", str(states), "--max-depth", str(depth),
                             *js, *(("--secret", spath) if cmd == "check-opacity" else ())]
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                    text = re.sub(r'"wall_time_s": [^,\n}]*', '"wall_time_s": _',
-                                  out.getvalue() + err.getvalue())
+                    code, out, err = _command(argv)
+                    text = re.sub(r'"wall_time_s": [^,\n}]*', '"wall_time_s": _', out + err)
                     yield f"cli {i} {cmd}{''.join(js)} ({states},{depth})", \
                         f"exit {code} | {text!r}"
+
+
+def _surface(count, tmp):
+    """The gadget, DOT and estimate commands: exit code, standard output,
+    standard error and the DOT file's text."""
+    from netgen import random_observable_net
+    from lpndetect.textio import render_lpn
+
+    rng = random.Random(13)
+    dot = Path(tmp) / "out.dot"
+    budget = ["--max-states", "300", "--max-depth", "30"]
+    for i, net in enumerate(_nets(9, count)):
+        g1, g2 = (random_observable_net(rng, max_places=3, max_trans=3, symbols=("c", "d"))
+                  for _ in range(2))
+        target = " ".join(f"{p}={rng.randint(0, 2)}" for p in g1.places)
+        word = ",".join(rng.choice(sorted(net.alphabet)) for _ in range(rng.randint(1, 3)))
+        path = _write(os.path.join(tmp, f"s{i}.lpn"), render_lpn(net))
+        gpaths = [_write(os.path.join(tmp, f"g{i}_{j}.lpn"), render_lpn(g))
+                  for j, g in enumerate((g1, g2))]
+        for name, argv in (
+            ("gadget cov2strong", ["gadget", "cov2strong", gpaths[0], "--marking", target]),
+            ("gadget selfloop", ["gadget", "selfloop", gpaths[0], "--marking", target]),
+            ("gadget incl2weak", ["gadget", "incl2weak", *gpaths]),
+            ("gadget secret", ["gadget", "secret", *gpaths]),
+            ("twin --dot", ["twin", path, "--dot", str(dot)]),
+            ("reach --dot", ["reach", path, *budget, "--dot", str(dot)]),
+            ("observer --dot", ["observer", path, *budget, "--dot", str(dot)]),
+            ("estimate", ["estimate", path, *budget, "--word", word]),
+        ):
+            dot.unlink(missing_ok=True)
+            code, out, err = _command(argv)
+            text = dot.read_text(encoding="utf-8") if dot.exists() else None
+            yield f"surface {i} {name}", f"exit {code} | {(out, err, text)!r}"
 
 
 def records(nets=None):
@@ -147,6 +198,7 @@ def records(nets=None):
             yield _key("opacity", i, budget), _record(check_opacity, net, [secrets[i]], budget)
     with tempfile.TemporaryDirectory() as tmp:
         yield from _cli(pool[:24], secrets, tmp)
+        yield from _surface(nets or 24, tmp)
 
 
 def _run(src, nets):

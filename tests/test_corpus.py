@@ -20,8 +20,8 @@ def test_a_slice_prints_the_same_records_twice():
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
     corpora = [line.split(" ", 1)[0] for line in lines]
-    assert [corpora.count(c) for c in ("strong", "weak", "opacity", "cli")] == \
-        [6 * 2, 6 * 3, 6 * 3, 6 * 16]
+    assert [corpora.count(c) for c in ("strong", "weak", "opacity", "cli", "surface")] == \
+        [6 * 2, 6 * 3, 6 * 3, 6 * 16, 6 * 8]
     assert all("\t" in line for line in lines)
     # The JSON reports' wall times are masked.
     assert sum('"wall_time_s": _' in line for line in lines) >= 10

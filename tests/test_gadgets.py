@@ -20,6 +20,7 @@ from lpndetect.gadgets import (
     selfloop_unobservable,
 )
 from lpndetect.net import EPSILON, InputError
+from lpndetect.textio import render_lpn
 
 from netgen import bounded_observable_net, language_inclusion, random_observable_net
 
@@ -88,6 +89,63 @@ class TestCoverabilityGadget:
                 assert cov
 
 
+PINNED_INCLUSION = """\
+# p0 = control place
+# p1 = control place
+# p2 = control place
+# p3 = control place
+# p4 = control place
+# p5 = control place
+# p6 = control place
+# p7 = control place
+# p8 = control place
+# p9 = control place
+# g1_p = copy of place 'p' in the g1 branch
+# g2a_p = copy of place 'p' in the first g2 branch
+# g2b_p = copy of place 'p' in the second g2 branch
+# t_start_g1 = start of the g1 branch
+# t_start_g2a = start of the first g2 branch
+# t_start_g2b = start of the second g2 branch
+# g1_t = copy of 't' in the g1 branch
+# g1_v = copy of 'v' in the g1 branch
+# g2a_w = copy of 'w' in the first g2 branch
+# g2b_w = copy of 'w' in the second g2 branch
+# t_freeze_g1 = freeze of the g1 branch
+# t_freeze_g2a = freeze of the first g2 branch
+# t_freeze_g2b = freeze of the second g2 branch
+# t_drain_p = drain of one token from 'p'
+# t_a_g2a = a loop of the first g2 branch
+# t_a_g2b = a loop of the second g2 branch
+# t_b_g1 = b switch of the g1 branch
+# t_b_g2a = b switch of the first g2 branch
+# t_b_g2b = b switch of the second g2 branch
+# t_bloop_g1 = b loop of the g1 branch
+# t_bloop_g2a = b loop of the first g2 branch
+# t_bloop_g2b = b loop of the second g2 branch
+places p0 p1 p2 p3 p4 p5 p6 p7 p8 p9 g1_p g2a_p g2b_p
+initial p0=1
+trans t_start_g1 label x pre p0:1 post p1:1 g1_p:1
+trans t_start_g2a label x pre p0:1 post p4:1 g2a_p:1
+trans t_start_g2b label x pre p0:1 post p7:1 g2b_p:1
+trans g1_t label s pre p1:1 g1_p:1 post p1:1 g1_p:2
+trans g1_v label u pre p1:1 g1_p:1 post p1:1
+trans g2a_w label s pre p4:1 g2a_p:1 post p4:1 g2a_p:1
+trans g2b_w label s pre p7:1 g2b_p:1 post p7:1 g2b_p:1
+trans t_freeze_g1 label x pre p1:1 post p2:1
+trans t_freeze_g2a label x pre p4:1 post p5:1
+trans t_freeze_g2b label x pre p7:1 post p8:1
+trans t_drain_p label a pre p2:1 g1_p:1 post p2:1
+trans t_a_g2a label a pre p5:1 post p5:1
+trans t_a_g2b label a pre p8:1 post p8:1
+trans t_b_g1 label b pre p2:1 post p3:1
+trans t_b_g2a label b pre p5:1 post p6:1
+trans t_b_g2b label b pre p8:1 post p9:1
+trans t_bloop_g1 label b pre p3:1 post p3:1
+trans t_bloop_g2a label b pre p6:1 post p6:1
+trans t_bloop_g2b label b pre p9:1 post p9:1
+"""
+
+
 class TestInclusionGadget:
     def g(self, trans):
         return make_net(["p"], trans, {"p": 1})
@@ -102,6 +160,16 @@ class TestInclusionGadget:
         assert set(gadget.provenance) == (set(net.places) | set(net.transitions))
         s = secret_marking(gadget)
         assert sum(s) == 1 and s[net.place_index["p3"]] == 1
+
+    def test_exact_text(self):
+        # Place and transition order, arc weights, provenance and secret.
+        g1 = make_net(["p"], {"t": ("s", {"p": 1}, {"p": 2}), "v": ("u", {"p": 1}, {})},
+                      {"p": 1})
+        g2 = self.g({"w": ("s", {"p": 1}, {"p": 1})})
+        gadget = inclusion_to_weak(g1, g2)
+        comments = [f"{k} = {v}" for k, v in gadget.provenance.items()]
+        assert render_lpn(gadget.net, comments=comments) == PINNED_INCLUSION
+        assert gadget.secret == (0, 0, 0, 1) + (0,) * 9
 
     def test_reserved_symbols_rejected(self):
         bad = self.g({"t": ("a", {"p": 1}, {"p": 1})})
@@ -177,3 +245,12 @@ class TestSelfloopGadget:
                 assert not cov
             elif outcome == FAILS:
                 assert cov
+
+
+@pytest.mark.parametrize("gadget", [coverability_to_strong, selfloop_unobservable])
+@pytest.mark.parametrize("target", [(-1,), (0.5,), (True,)])
+def test_gadget_target_must_be_naturals(gadget, target):
+    # The target is blamed, not the arcs it would become.
+    net = make_net(["p"], {"t": ("s", {"p": 1}, {"p": 1})}, {"p": 1})
+    with pytest.raises(InputError, match="target must be non-negative integers"):
+        gadget(net, target)
