@@ -332,7 +332,7 @@ def check_strong_oracle(g: LabeledPetriNet, budget: Optional[Budget] = None) -> 
     Used to cross-validate check_strong; raises on unbounded input.
     """
     obs = build_observer(g, budget)
-    fed = _fed_by_cycle(len(obs.states), [(v, w) for v, _, w in obs.edges])
+    fed = _fed_by_cycle(obs.succ)
     return not any(len(obs.states[v]) > 1 for v in fed)
 
 
@@ -375,8 +375,13 @@ def _singleton_steps(graph: NetGraph, nodes) -> dict:
 
 def _live(singles: dict) -> set:
     """The nodes from which the singleton steps singles[u] of each node u,
-    0 to len(singles) - 1, reach a cycle: one peel of the reversed steps."""
-    return _fed_by_cycle(len(singles), [(w, u) for u, out in singles.items() for _, w in out])
+    0 to len(singles) - 1, reach a cycle: one peel of the reversed steps,
+    listed per node as the peel reads successor lists."""
+    into = [[] for _ in singles]
+    for u, out in singles.items():
+        for sym, w in out:
+            into[w].append((sym, u))
+    return _fed_by_cycle(into)
 
 
 def _root_cycle(net: LabeledPetriNet, budget: Budget):
@@ -399,13 +404,13 @@ def _singleton_cycle(singles: dict, live: set, v: int):
     reaches: the word from v to a node on it, that node and the cycle's
     word. live holds the nodes from which the steps reach a cycle, v among
     them; the search is a BFS from v over the steps into live, the peel of
-    its edges and a walk back along the first in-edge of each kept node."""
+    its successor lists and a walk back along the first in-edge of each
+    kept node."""
     tree = _explore(v, lambda u: ((sym, w) for sym, w in singles[u] if w in live),
                     Budget(len(live), len(live)))
-    edges = tree.edges
-    fed = _fed_by_cycle(len(tree.states), [(u, w) for u, _, w in edges])
+    fed = _fed_by_cycle(tree.succ)
     # Each fed node has an in-edge from a fed node: walk back to a repeat.
-    into = {w: (u, sym) for u, sym, w in reversed(edges) if u in fed}
+    into = {w: (u, sym) for u, sym, w in reversed(tree.edges) if u in fed}
     x, back = min(fed), []
     while x not in back:
         back.append(x)

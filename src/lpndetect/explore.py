@@ -474,24 +474,26 @@ EPS_PUMP = PathPattern(eps_pump=True)
 # ---------------------------------------------------------------------------
 
 
-def _fed_by_cycle(n_nodes: int, edge_list) -> set:
-    """Node ids reachable from some nontrivial cycle (self-loops included).
-
-    Peels off every node left without an in-edge, as Kahn's topological
-    sort does (Kahn 1962); the nodes never peeled are exactly those that a
-    cycle reaches.
+def _fed_by_cycle(succ: list, barred=frozenset()) -> set:
+    """Node ids reachable from a nontrivial cycle (self-loops included) of
+    the edges (label, w) in succ[v] whose label is not in barred. Peels,
+    in place, every node left without an in-edge, as Kahn's topological
+    sort does (Kahn 1962); the nodes never peeled are those a cycle
+    reaches. Nodes are 0 to len(succ) - 1: every node must be expanded,
+    which a search a goal stopped or paused does not give (Exploration).
     """
-    adj = [[] for _ in range(n_nodes)]
-    indegree = [0] * n_nodes
-    for v, w in edge_list:
-        adj[v].append(w)
-        indegree[w] += 1
+    indegree = [0] * len(succ)
+    for out in succ:
+        for t, w in out:
+            if t not in barred:
+                indegree[w] += 1
     stack = [v for v, d in enumerate(indegree) if not d]
     while stack:
-        for w in adj[stack.pop()]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                stack.append(w)
+        for t, w in succ[stack.pop()]:
+            if t not in barred:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    stack.append(w)
     return {v for v, d in enumerate(indegree) if d}
 
 
@@ -509,16 +511,14 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     On a bounded net a covering loop cannot strictly increase the marking,
     or pumping it would reach infinitely many markings; so the pump is a
     cycle of allowed edges. The pattern holds iff some node reached from
-    such a cycle passes the final test. The peel of the allowed edges
-    finds those nodes: after an ε pump the final test always passes, and
-    otherwise every edge is allowed.
+    such a cycle passes the final test. One peel of graph.succ in place,
+    skipping _barred's labels, finds those nodes: after an ε pump the
+    final test always passes, and otherwise every edge is allowed.
 
     Returns the nodes the peel keeps if the pattern holds, else the empty
     set; they hold every pump anchor (see _lasso).
     """
-    barred = _barred(graph.net, pattern)
-    allowed = [(v, w) for v, out in enumerate(graph.succ) for t, w in out if t not in barred]
-    fed = _fed_by_cycle(len(graph.markings), allowed)
+    fed = _fed_by_cycle(graph.succ, _barred(graph.net, pattern))
     return fed if any(_final(graph, pattern, fed)) else set()
 
 
@@ -604,12 +604,13 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     A run through pump anchor x is at least d0(x) + c(x) + dF(x) long: the
     depth of x, its shortest nonempty cycle of allowed edges (see
     _exact_exists) and its distance to a node passing the final test, 0
-    for the ε pump. Anchors in fed are tried in order of d0 + dF, each
-    cycle BFS bounded by the best total so far, ties kept. As the walk on
-    open graphs steps within a segment before leaving it, then in
-    transition order, the tied anchor taken is the one whose BFS tree path
-    comes first, a path before its prefixes; beta is the first shortest
-    cycle, and gamma the first shortest descent of dF.
+    for the ε pump, from one reverse BFS whose predecessor lists are kept
+    for the nodes that have one. Anchors in fed are tried in order of
+    d0 + dF, each cycle BFS bounded by the best total so far, ties kept.
+    As the walk on open graphs steps within a segment before leaving it,
+    then in transition order, the tied anchor taken is the one whose BFS
+    tree path comes first, a path before its prefixes; beta is the first
+    shortest cycle, and gamma the first shortest descent of dF.
 
     On a twin graph read off pairs (see build_reachability_graph), an
     anchor x = (u, v) whose bound min(c_net(u), c_net(v)) exceeds best - s
@@ -627,13 +628,13 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
     queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
     # Only an edge out of a node that fails the final test sets a distance.
-    pred = [[] for _ in range(n)]
+    pred = {}
     for v, out in enumerate(succ if queue else ()):
         if to_final[v] is None:
             for _, w in out:
-                pred[w].append(v)
+                pred.setdefault(w, []).append(v)
     for v in queue:
-        for u in pred[v]:
+        for u in pred.get(v, ()):
             if to_final[u] is None:
                 to_final[u] = to_final[v] + 1
                 queue.append(u)

@@ -72,7 +72,7 @@ def _certificates_off(mp):
     mp.setattr(analyze, "_token_live", lambda net: False)
     mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
     real = analyze._fed_by_cycle
-    mp.setattr(analyze, "_fed_by_cycle", lambda n, edges: _Truthy(real(n, edges)))
+    mp.setattr(analyze, "_fed_by_cycle", lambda succ: _Truthy(real(succ)))
 
 
 @pytest.fixture
@@ -665,8 +665,9 @@ def _peeled_weak(net, budget):
     if not obs.complete:
         return (INCONCLUSIVE,) + size
     singles = {v for v, s in enumerate(obs.states) if len(s) == 1}
-    edge_pairs = [(v, w) for v in singles for _, w in obs.succ[v] if w in singles]
-    return (HOLDS if explore._fed_by_cycle(len(obs.states), edge_pairs) else FAILS,) + size
+    steps = [[(sym, w) for sym, w in out if w in singles] if v in singles else []
+             for v, out in enumerate(obs.succ)]
+    return (HOLDS if explore._fed_by_cycle(steps) else FAILS,) + size
 
 
 _CYCLE = re.compile(r"the estimate after the word (.*) is \{(.*)\}, and singleton "
@@ -779,7 +780,7 @@ class TestWeakStopsEarly:
         searched = []
         real = analyze._fed_by_cycle
         monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda n, edges: searched.append(n) or real(n, edges))
+                            lambda succ: searched.append(len(succ)) or real(succ))
         v = check_weak(net, budget)
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (47, 7)
         assert searched == [101, 3]
@@ -804,7 +805,7 @@ class TestWeakStopsEarly:
         searched = []
         real = analyze._fed_by_cycle
         monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda n, edges: searched.append(n) or real(n, edges))
+                            lambda succ: searched.append(len(succ)) or real(succ))
         v = check_weak(net, budget)
         assert searched == [5, 1]  # the graph, then the search at {r}
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (4, 2)
@@ -843,6 +844,32 @@ class TestWeakRootTest:
     """Where certificates proved both assumptions, check_weak first asks
     whether the initial estimate is a singleton whose singleton steps reach
     a cycle, on a graph expanded on demand."""
+
+    def test_live_on_a_tree_cut_by_max_states(self):
+        # A tree that max_states cuts still expanded every node it stored,
+        # so the peel in _live may number its nodes 0 to len(succ) - 1: it
+        # agrees with networkx on the reversed steps, cycles and all.
+        rng, hits = random.Random(61), Counter()
+        for _ in range(400):
+            net = random_net(rng, eps_prob=0.0, symbols=("a", "b", "c", "d"))
+            tree, _ = analyze._root_cycle(net, Budget(rng.randint(2, 12), 100))
+            if not tree.cut:
+                continue
+            assert len(tree.succ) == len(tree.states) >= 2
+            reversed_steps = nx.DiGraph((w, u) for u, out in enumerate(tree.succ)
+                                        for _, w in out)
+            reversed_steps.add_nodes_from(range(len(tree.states)))
+            expected = set()
+            for comp in nx.strongly_connected_components(reversed_steps):
+                v = next(iter(comp))
+                if len(comp) > 1 or reversed_steps.has_edge(v, v):
+                    expected |= comp | nx.descendants(reversed_steps, v)
+            live = analyze._live(dict(enumerate(tree.succ)))
+            assert live == expected
+            hits["cut"] += 1
+            hits["live"] += bool(live)
+            hits["live, not all"] += 0 < len(live) < len(tree.states)
+        assert hits["cut"] >= 120 and hits["live"] >= 40 and hits["live, not all"] >= 5
 
     def test_matches_the_whole_graph_path(self, monkeypatch):
         # Against check_weak with the root test and the token-count
@@ -1378,7 +1405,7 @@ class TestObserverCertificates:
                              "marking by unobservable transitions")
         peeled, real = [], analyze._fed_by_cycle
         monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda n, edges: peeled.append(n) or real(n, edges))
+                            lambda succ: peeled.append(len(succ)) or real(succ))
         v = check_weak(net, budget)
         assert v.outcome == FAILS and v.universal and observed == []
         assert (v.stats.states, v.stats.depth) == (0, 0) and peeled == [21]

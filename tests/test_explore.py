@@ -603,6 +603,27 @@ def random_digraph(rng, n, p):
     return [(v, w) for v in range(n) for w in range(n) if rng.random() < p]
 
 
+def successor_lists(n, edges):
+    """The successor lists of the edges (v, w) or (v, label, w) on nodes
+    0 to n - 1, as an exploration stores them: (label, w) per edge."""
+    succ = [[] for _ in range(n)]
+    for v, *label, w in edges:
+        succ[v].append((label[0] if label else None, w))
+    return succ
+
+
+def _nx_fed_by_cycle(n, edges):
+    """The nodes a nontrivial cycle of edges (v, w) reaches, by networkx."""
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(range(n))
+    fed = set()
+    for comp in nx.strongly_connected_components(g):
+        v = next(iter(comp))
+        if len(comp) > 1 or g.has_edge(v, v):
+            fed |= comp | nx.descendants(g, v)
+    return fed
+
+
 class TestCycleNodes:
     """_fed_by_cycle: the nodes reachable from a nontrivial cycle."""
 
@@ -611,21 +632,33 @@ class TestCycleNodes:
         for _ in range(300):
             n = rng.randint(1, 30)
             edges = random_digraph(rng, n, rng.choice((0.02, 0.05, 0.1, 0.3)))
-            g = nx.DiGraph(edges)
-            g.add_nodes_from(range(n))
-            expected = set()
-            for comp in nx.strongly_connected_components(g):
-                v = next(iter(comp))
-                if len(comp) > 1 or g.has_edge(v, v):
-                    expected |= comp | nx.descendants(g, v)
-            assert _fed_by_cycle(n, edges) == expected
+            assert _fed_by_cycle(successor_lists(n, edges)) == _nx_fed_by_cycle(n, edges)
+
+    def test_barred_labels_drop_their_edges(self):
+        # Labelled multigraphs with self-loops and parallel edges: barring
+        # labels peels as networkx does on the graph without their edges.
+        rng, labels = random.Random(53), "abcd"
+        hits = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 25)
+            edges = [(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))]
+            edges += [(v, rng.choice(labels), v) for v in range(n) if rng.random() < 0.05]
+            edges += rng.sample(edges, len(edges) // 4)  # parallel copies
+            barred = frozenset(rng.sample(labels, rng.randint(0, len(labels))))
+            fed = _fed_by_cycle(successor_lists(n, edges), barred)
+            assert fed == _nx_fed_by_cycle(n, [(v, w) for v, t, w in edges if t not in barred])
+            hits["barred drops a cycle"] += fed != _fed_by_cycle(successor_lists(n, edges))
+            hits["fed"] += bool(fed)
+        assert hits["barred drops a cycle"] >= 30 and hits["fed"] >= 30
+        assert _fed_by_cycle([]) == set() and _fed_by_cycle([], frozenset("a")) == set()
 
     def test_long_chain_needs_no_recursion(self):
         n = 20_000
         chain = [(v, v + 1) for v in range(n - 1)]
-        assert _fed_by_cycle(n, chain) == set()
-        assert _fed_by_cycle(n, chain + [(n - 1, 0)]) == set(range(n))
-        assert _fed_by_cycle(n, chain + [(n - 1, n - 1)]) == {n - 1}
+        assert _fed_by_cycle(successor_lists(n, chain)) == set()
+        assert _fed_by_cycle(successor_lists(n, chain + [(n - 1, 0)])) == set(range(n))
+        assert _fed_by_cycle(successor_lists(n, chain + [(n - 1, n - 1)])) == {n - 1}
 
 
 def _fired_witness_search(net, start, pattern, budget):

@@ -670,6 +670,28 @@ def test_explore_reads_growth_off_the_graph():
     assert readers == set()
 
 
+def test_peel_reads_stored_successor_lists():
+    # _fed_by_cycle peels the successor lists its callers already hold, so
+    # no caller builds an edge list or an adjacency list for it, or counts
+    # nodes apart from the lists.
+    src = Path(__file__).resolve().parent.parent / "src" / "lpndetect"
+    callers, built = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_fed_by_cycle":
+                    callers.add(fn.name)
+                    built += [fn.name for arg in call.args + [k.value for k in call.keywords]
+                              if isinstance(arg, (ast.ListComp, ast.GeneratorExp))
+                              or isinstance(arg, ast.Call)
+                              and getattr(arg.func, "id", None) == "len"]
+    assert callers == {"_exact_exists", "check_strong_oracle", "_live", "_singleton_cycle"}
+    assert built == []
+
+
 def test_analyze_fires_in_two_places():
     # Weak's root test and the opacity certificate are analyze's only
     # callers of successors: every other question reads a graph that
