@@ -350,7 +350,7 @@ def check_weak(g: LabeledPetriNet, budget: Budget) -> Verdict:
     stats, without an observer. Otherwise the observer stops at the first
     singleton estimate of such a node (`holds`, closed graph or not); a
     closed one that never meets one `fails`. A `holds` names the nearest
-    cycle (_singleton_cycle), replayed first (_replay_singleton_cycle).
+    cycle (_singleton_cycle), replayed first (_cycle_holds).
     """
     return _check_weak(g, budget)[0]
 
@@ -368,17 +368,12 @@ def _steps(symbols, eps, row, u) -> list:
             if out and out.count(out[0]) == len(out)]
 
 
-def _singleton_steps(graph: NetGraph, nodes) -> dict:
-    """Per node u of nodes, its singleton steps (_steps) on graph."""
-    return {u: _steps(graph.symbols, graph[u], graph.rows.get(u), u) for u in nodes}
-
-
-def _live(singles: dict) -> set:
-    """The nodes from which the singleton steps singles[u] of each node u,
-    0 to len(singles) - 1, reach a cycle: one peel of the reversed steps,
-    listed per node as the peel reads successor lists."""
+def _live(singles: list) -> set:
+    """The nodes from which the singleton steps singles[u] of each node u
+    reach a cycle: one peel of the reversed steps, listed per node as the
+    peel reads successor lists."""
     into = [[] for _ in singles]
-    for u, out in singles.items():
+    for u, out in enumerate(singles):
         for sym, w in out:
             into[w].append((sym, u))
     return _fed_by_cycle(into)
@@ -394,18 +389,17 @@ def _root_cycle(net: LabeledPetriNet, budget: Budget):
     tree = _explore(net.initial_marking,
                     lambda m: _steps(symbols, *_split(symbols, column, successors(net, m)), m),
                     budget)
-    singles = dict(enumerate(tree.succ))
-    live = _live(singles)
-    return tree, _singleton_cycle(singles, live, 0) if 0 in live else None
+    live = _live(tree.succ)
+    return tree, _singleton_cycle(tree.succ, live, 0) if 0 in live else None
 
 
-def _singleton_cycle(singles: dict, live: set, v: int):
-    """The nearest cycle of the singleton steps singles that node v
-    reaches: the word from v to a node on it, that node and the cycle's
-    word. live holds the nodes from which the steps reach a cycle, v among
-    them; the search is a BFS from v over the steps into live, the peel of
-    its successor lists and a walk back along the first in-edge of each
-    kept node."""
+def _singleton_cycle(singles: list, live: set, v: int):
+    """The nearest cycle of the singleton steps singles[u] of each node u
+    that node v reaches: the word from v to a node on it, that node and the
+    cycle's word. live holds the nodes from which the steps reach a cycle,
+    v among them; the search is a BFS from v over the steps into live, the
+    peel of its successor lists and a walk back along the first in-edge of
+    each kept node."""
     tree = _explore(v, lambda u: ((sym, w) for sym, w in singles[u] if w in live),
                     Budget(len(live), len(live)))
     fed = _fed_by_cycle(tree.succ)
@@ -432,11 +426,12 @@ def _check_weak(g: LabeledPetriNet, budget: Budget):
             return _cycle_holds(g, tree.states, (), cycle, stats), report
     built = report.graph or build_reachability_graph(g, budget)
     graph = NetGraph(built)
-    singles = _singleton_steps(graph, range(len(built.markings)))
+    singles = [_steps(graph.symbols, graph[u], graph.rows.get(u), u)
+               for u in range(len(built.markings))]
     live = _live(singles)  # the nodes from which singleton steps reach a cycle
     if not live and built.complete:
         return _certified(t0, "the graph's singleton steps form no cycle "
-                              f"({sum(map(len, singles.values()))} of them, over "
+                              f"({sum(map(len, singles))} of them, over "
                               f"{len(singles)} markings)", FAILS), report
     if not live:
         stats = SearchStats(len(built.markings), max(built.depth), time.perf_counter() - t0)
@@ -478,29 +473,24 @@ def _cycle_holds(net: LabeledPetriNet, markings: list, word: tuple, cycle,
                  stats: SearchStats) -> Verdict:
     """Weak `holds` on the cycle (prefix, x, loop) of _singleton_cycle,
     reached from the estimate after word, node v's marking being
-    markings[v]; replayed first."""
+    markings[v]. First checks it on the independent reference (_replayed):
+    the estimate after word + prefix is {markings[x]}, each one after a
+    longer prefix of it followed by loop is a singleton, and the last is
+    {markings[x]}; raises RuntimeError otherwise. len(markings), the count
+    of markings the graph or the root test stored, bounds every estimate
+    along the run: the loop's estimates are singletons, those along a word
+    the observer read are states it stored, which hold only stored nodes,
+    whether the graph closed or not, and those along the root test's word
+    are singletons."""
     prefix, x, loop = cycle
     word += prefix
-    _replay_singleton_cycle(net, word, markings[x], loop, len(markings))
+    along = _replayed(net, word + tuple(loop), len(markings))[len(word):]
+    if not (along[0] == along[-1] == {markings[x]} and all(len(e) == 1 for e in along)):
+        raise RuntimeError("internal error: weak detectability witness failed its replay check")
     return Verdict(HOLDS, stats=stats, message=(
         f"the estimate after the word {' '.join(word) or '(empty)'} is "
         f"{{{markings[x]}}}, and singleton estimates return to it under the "
         f"word {' '.join(loop)}"))
-
-
-def _replay_singleton_cycle(net: LabeledPetriNet, word: tuple, m, loop: list,
-                            stored: int) -> None:
-    """Check, on the independent reference (_replayed), what weak `holds`
-    names: the estimate after word is {m}, that after each longer prefix of
-    word followed by loop is a singleton, and that after all of it is {m}.
-    Raises RuntimeError otherwise. stored, the count of markings the graph
-    or the root test stored, bounds every estimate along the run: the
-    loop's estimates are singletons, those along a word the observer read
-    are states it stored, which hold only stored nodes, whether the graph
-    closed or not, and those along the root test's word are singletons."""
-    along = _replayed(net, word + tuple(loop), stored)[len(word):]
-    if not (along[0] == along[-1] == {m} and all(len(e) == 1 for e in along)):
-        raise RuntimeError("internal error: weak detectability witness failed its replay check")
 
 
 def _replayed(net: LabeledPetriNet, word: tuple, stored: int) -> list:
@@ -533,20 +523,21 @@ class OpacityWitness:
 
 
 def _normalize_secret(net: LabeledPetriNet, secret) -> frozenset:
-    items = list(secret)
-    if items and all(isinstance(x, int) for x in items):
-        items = [tuple(items)]  # a single marking was passed
-    out = set()
+    try:
+        items = list(secret)
+        if items and all(isinstance(x, int) for x in items):
+            items = [items]  # a single marking was passed
+        items = [tuple(m) for m in items]
+    except TypeError:
+        raise InputError(f"secret must be a marking or markings, not {secret!r}") from None
     for m in items:
-        m = tuple(m)
         if len(m) != len(net.places):
             raise InputError(
                 f"secret marking has {len(m)} entries, net has "
                 f"{len(net.places)} places"
             )
         _check_naturals(m, "secret marking")
-        out.add(m)
-    return frozenset(out)
+    return frozenset(items)
 
 
 def _secret_escapes(net: LabeledPetriNet, secret_set: frozenset) -> bool:

@@ -64,7 +64,13 @@ class Budget:
     weak's root test (analyze._root_cycle); a (segment, node, pump anchor)
     and a stored edge in the witness walk (_witness_search); an estimate
     and a symbol in the observer; a (marking, position) and a fired
-    transition in estimates."""
+    transition in estimates. Not bounded: _lasso's and _girth's pump
+    searches, capped only by the best total so far and by the graph, whose
+    work can reach |fed| x |graph|, so stats.states can exceed max_states;
+    coverable, which takes no budget; _secret_escapes and the arc-table
+    certificates, linear in their tables. _singleton_cycle and _replayed
+    derive their own budgets; the observer counts estimates, not the node
+    ids they hold."""
 
     max_states: int = 100_000
     max_depth: int = 10_000

@@ -122,9 +122,6 @@ class LabeledPetriNet:
     def label(self, t: str):
         return self.labels[self._tindex(t)]
 
-    def is_observable(self, t: str) -> bool:
-        return self.labels[self._tindex(t)] is not EPSILON
-
     def _tindex(self, t: str) -> int:
         try:
             return self.transition_index[t]
@@ -132,10 +129,12 @@ class LabeledPetriNet:
             raise InputError(f"unknown transition {t!r}") from None
 
     def _check_marking(self, m: Marking):
-        if len(m) != len(self.places):
-            raise InputError(
-                f"marking has {len(m)} entries, net has {len(self.places)} places"
-            )
+        try:
+            n = len(m)
+        except TypeError:
+            raise InputError(f"marking must be a sequence of counts, not {m!r}") from None
+        if n != len(self.places):
+            raise InputError(f"marking has {n} entries, net has {len(self.places)} places")
 
 
 def _check_naturals(values: tuple, what: str):
@@ -149,14 +148,14 @@ def _check_naturals(values: tuple, what: str):
 def make_net(
     places: Sequence[str],
     transitions: Mapping[str, tuple],
-    initial: Mapping[str, int] | Sequence[int] = (),
+    initial: Mapping[str, int] | Sequence[int] | None = None,
     alphabet: Optional[Iterable[str]] = None,
 ) -> LabeledPetriNet:
     """Convenience constructor.
 
     transitions maps id -> (label-or-None, {place: pre-weight}, {place: post-weight}).
-    initial is either a place->count mapping (unlisted places default to 0)
-    or a full vector in place order.
+    initial is a place->count mapping (unlisted places default to 0), a full
+    vector in place order, or omitted, when every place holds 0.
     """
     places = tuple(places)
     pidx = {p: i for i, p in enumerate(places)}
@@ -169,7 +168,8 @@ def make_net(
         pre_rows.append(tuple(pre_map.get(p, 0) for p in places))
         post_rows.append(tuple(post_map.get(p, 0) for p in places))
         labels.append(lab)
-    if isinstance(initial, Mapping):
+    if initial is None or isinstance(initial, Mapping):
+        initial = initial or {}
         for q in initial:
             if q not in pidx:
                 raise InputError(f"initial marking references unknown place {q!r}")

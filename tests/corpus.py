@@ -38,8 +38,10 @@ temporary directory (git archive), runs the same corpora on it and on this
 checkout, and prints each record that differs, the revision's line first
 (-) and this checkout's second (+), then a tally of those records by
 corpus, by outcome (the revision's, then this checkout's) and by the fields
-that changed: witness, message and stats, or a command's output; it exits
-1 if any record differs.
+that changed: witness, message and stats, or a command's output, and last
+the line count of src/lpndetect/*.py on both sides, as
+`cat src/lpndetect/*.py | wc -l` counts it; it exits 1 if any record
+differs.
 """
 
 from __future__ import annotations
@@ -237,6 +239,11 @@ def _tally(theirs, ours, differ):
         yield f"by {title}: " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items()))
 
 
+def _src_lines(src: Path) -> int:
+    """The newlines in src/lpndetect/*.py, as `cat ... | wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "lpndetect").glob("*.py"))
+
+
 def against(rev, nets) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -245,6 +252,7 @@ def against(rev, nets) -> int:
             tar.extractall(tmp)
         theirs, ours = _run(Path(tmp) / "src", nets), _run(ROOT / "src", nets)
         theirs, ours = _lines(theirs), _lines(ours)
+        sizes = _src_lines(Path(tmp) / "src"), _src_lines(ROOT / "src")
     if theirs.keys() != ours.keys():
         raise SystemExit("the two runs listed different records")
     differ = [key for key in ours if ours[key] != theirs[key]]
@@ -253,6 +261,7 @@ def against(rev, nets) -> int:
     counts = {c: sum(key.split(" ", 1)[0] == c for key in ours) for c in CORPORA}
     print(f"{len(differ)} of {len(ours)} records differ from {rev}; records per corpus: {counts}")
     print("\n".join(_tally(theirs, ours, differ)))
+    print(f"src/lpndetect/*.py lines: {sizes[0]} at {rev}, {sizes[1]} in this checkout")
     return 1 if differ else 0
 
 

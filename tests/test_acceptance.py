@@ -289,7 +289,7 @@ def eps_cycle_brute(net, budget):
     g = nx.DiGraph()
     g.add_nodes_from(range(len(graph.markings)))
     for v, t, w in graph.edges:
-        if not net.is_observable(t):
+        if net.label(t) is EPSILON:
             g.add_edge(v, w)
     return any(
         len(c) > 1 or g.has_edge(next(iter(c)), next(iter(c)))

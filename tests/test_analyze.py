@@ -481,6 +481,14 @@ class TestCheckOpacity:
             with pytest.raises(InputError, match="non-negative integers"):
                 check_opacity(e2, bad, budget)
 
+    def test_a_secret_that_is_no_marking_is_an_input_error(self, e2, budget):
+        # An entry that is neither a count nor a marking, or a secret that
+        # is no sequence at all, is malformed input, not a TypeError.
+        for bad in ([1, (0, 1)], 5, None):
+            message = f"secret must be a marking or markings, not {bad!r}"
+            with pytest.raises(InputError, match=re.escape(message)):
+                check_opacity(e2, bad, budget)
+
     def test_exact_initial_estimate_of_a_truncated_observer(self):
         # After b the unobservable t1 pumps q forever, so the observer never
         # closes; the estimate of the empty word, {(0, 0)}, is still exact.
@@ -864,7 +872,7 @@ class TestWeakRootTest:
                 v = next(iter(comp))
                 if len(comp) > 1 or reversed_steps.has_edge(v, v):
                     expected |= comp | nx.descendants(reversed_steps, v)
-            live = analyze._live(dict(enumerate(tree.succ)))
+            live = analyze._live(tree.succ)
             assert live == expected
             hits["cut"] += 1
             hits["live"] += bool(live)
@@ -1077,8 +1085,8 @@ class TestWeakRootTest:
         # The replay's budget is the word's length plus one, times the
         # markings the root test stored: 36 of ring(6, 3)'s 56.
         net, seen = ring(6, 3), []
-        real = analyze._replay_singleton_cycle
-        monkeypatch.setattr(analyze, "_replay_singleton_cycle",
+        real = analyze._replayed
+        monkeypatch.setattr(analyze, "_replayed",
                             lambda *args: seen.append(args[-1]) or real(*args))
         tree, cycle = analyze._root_cycle(net, Budget(20000, 2000))
         assert cycle is not None and not tree.cut
@@ -1112,7 +1120,8 @@ class TestWeakOnOpenGraphs:
         runs, real = [], explore_observer
 
         def spy(graph, budget, goal=None):
-            live = analyze._live(analyze._singleton_steps(graph, range(len(graph.markings))))
+            live = analyze._live([analyze._steps(graph.symbols, graph[u], graph.rows.get(u), u)
+                                  for u in range(len(graph.markings))])
             runs.append((goal is not None, bool(live)))
             return real(graph, budget, goal)
 

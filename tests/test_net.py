@@ -5,6 +5,7 @@ import pytest
 
 from lpndetect import analyze, explore, make_net
 from lpndetect.explore import Budget, build_km_tree, build_reachability_graph
+from lpndetect.gadgets import selfloop_unobservable
 from lpndetect.net import (
     EPSILON,
     FiringError,
@@ -106,8 +107,23 @@ def test_labeling_total():
 
 
 def test_initial_marking_dimension():
-    with pytest.raises(InputError):
-        make_net(["p"], {"t": ("a", {}, {})}, [1, 2])
+    # An omitted initial marking puts no token anywhere; an explicit
+    # sequence, even an empty one, must be a full vector.
+    assert make_net(["p"], {"t": ("a", {"p": 1}, {})}).initial_marking == (0,)
+    assert make_net(["p", "q"], {"t": ("a", {}, {})}).initial_marking == (0, 0)
+    for initial in ([1, 2], [], ()):
+        with pytest.raises(InputError, match="wrong dimension"):
+            make_net(["p"], {"t": ("a", {}, {})}, initial)
+
+
+def test_a_non_marking_is_an_input_error(e1):
+    # Every marking argument goes through one check, which names what it got.
+    calls = (lambda m: enabled(e1, m, "t"), lambda m: fire(e1, m, "t"),
+             lambda m: explore.coverable(e1, m), lambda m: selfloop_unobservable(e1, m))
+    for call in calls:
+        for bad in (5, None):
+            with pytest.raises(InputError, match=f"sequence of counts, not {bad!r}"):
+                call(bad)
 
 
 def _net(**change):

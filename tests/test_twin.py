@@ -2,7 +2,7 @@ import itertools
 import random
 
 from lpndetect import build_twin, make_net, observation
-from lpndetect.net import fire_sequence
+from lpndetect.net import EPSILON, fire_sequence
 from lpndetect.twin import decode_pairs, mismatch, project
 
 from netgen import enumerate_sequences, random_net, twin_pair_realizable
@@ -33,10 +33,10 @@ def test_transition_count_formula_random():
     for _ in range(30):
         net = random_net(rng)
         tw = build_twin(net)
-        u = sum(1 for t in net.transitions if not net.is_observable(t))
+        u = sum(1 for t in net.transitions if net.label(t) is EPSILON)
         per_symbol = {}
         for t in net.transitions:
-            if net.is_observable(t):
+            if net.label(t) is not EPSILON:
                 lab = net.label(t)
                 per_symbol[lab] = per_symbol.get(lab, 0) + 1
         expected = 2 * u + sum(k * k for k in per_symbol.values())
