@@ -8,28 +8,25 @@ covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
 graph; nothing is fired twice. The twin's graph is read off its net's
-closed graph where there is one, firing nothing; else search_pattern grows
+closed graph where there is one, firing nothing, as its quotient by the
+swap of halves (see build_reachability_graph); else search_pattern grows
 the graph as its reader asks (see _graph_on_demand), a twin's by firing
-the net on each half of a twin marking (see twin.twin_steps), which builds
-no twin net. Once a stored edge's target strictly covers its source,
-proving the net unbounded (Karp & Miller 1969), the walk runs once,
-growing the graph as it reaches new nodes, and gives the answer of the
-walk of the whole graph. Else the graph is grown to its end under the
+the net on each half of a twin marking (see twin.twin_steps). Once a
+stored edge's target strictly covers its source, proving the net
+unbounded (Karp & Miller 1969), the walk runs once, growing the graph as
+it reaches new nodes. Else the graph is grown to its end under the
 budget. When it closes the answer is decided, and a witness is read off
-three breadth-first distances (see _lasso); on a twin graph
-read off the net's, a lower bound from the net's graph skips the pump
-searches that would find nothing. stats.states then counts the nodes the
-distance searches stored, not those of the bound's. Otherwise the walk,
-whose pumps close on covering, runs under the same budget and finds a
-sound witness or reports the question inconclusive. Opacity's observer
-(in analyze) reads a graph grown on demand too.
+three breadth-first distances (see _lasso). Otherwise the walk, whose
+pumps close on covering, runs under the same budget and finds a sound
+witness or reports the question inconclusive. Opacity's observer reads a
+graph grown on demand too.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -87,11 +84,12 @@ class SearchStats:
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
     of a witness on a closed graph stored (see _lasso), without those of
-    its cycle bound's searches on a net graph: a twin graph read off the
-    net's thus counts at most as many as the fired one. A certified verdict
-    searched nothing: its states and depth are 0. wall_time runs from the
-    end of the assumption gate of check_strong and check_weak, so that of
-    check_strong counts its twin build and any net graph build."""
+    its cycle bound's searches on a net graph; on a quotient (a twin graph
+    read off its net's), its pairs or its and its double cover's nodes, at
+    most the fired graph's count. A certified verdict searched nothing: its
+    states and depth are 0. wall_time runs from the end of the assumption
+    gate of check_strong and check_weak, so that of check_strong counts its
+    twin build and any net graph build."""
 
     states: int = 0
     depth: int = 0
@@ -240,16 +238,18 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids;
     net is a LabeledPetriNet or a TwinNet, whose graph is its twin net's.
-    A twin net's graph read off the closed graph base of its net (see
-    build_reachability_graph) keeps base, and in pairs[v] the two base
-    nodes whose markings make up that of v; a graph built by firing has
-    neither. A graph grown on demand (see _graph_on_demand) keeps its
-    paused search in rounds until the search ends; rounds is None on a
-    graph searched to its end or read off base."""
+    A twin net's graph read off the closed graph base of its net, a
+    quotient, keeps base, pairs, swaps and mirror (see
+    build_reachability_graph), which a graph built by firing has not. A
+    graph grown on demand (see _graph_on_demand) keeps its paused search
+    in rounds until the search ends; rounds is None on a graph searched to
+    its end or read off base."""
 
     net: object
     base: Optional["ReachabilityGraph"] = field(default=None, compare=False, repr=False)
     pairs: Optional[list] = field(default=None, compare=False, repr=False)
+    swaps: Optional[dict] = field(default=None, compare=False, repr=False)
+    mirror: Optional[dict] = field(default=None, compare=False, repr=False)
     rounds: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -307,30 +307,38 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
 
     If base, the closed graph of the net whose twin net (see
     twin.TwinNet.net) is net, is given, every reachable twin marking pairs
-    two of its nodes: the search runs over pairs (u, v), stepping by the
+    two of its nodes, and the graph is the twin's quotient by the swap of
+    halves: the search runs over pairs (u, v), u <= v, stepping by the
     twin's step rule (twin.twin_steps) over the edges of u and v in
-    base.succ and firing nothing, and stores a pair as the marking of u
-    followed by that of v, keeping the pairs and base on the graph. The
-    step rule lists the twin's transitions in the order of net.transitions.
+    base.succ, firing nothing. Node v's pair is pairs[v], its marking that
+    of u followed by that of v. A step ((a, b), w1, w2) of v is stored under
+    the id of (a, b), in the order of net.transitions, to (w1, w2), swapped
+    if w1 > w2, the id then in swaps[v]; mirror maps it to that of (b, a).
+    The twin's graph is the double cover (_Cover), at the same depths, and
+    holds every (u, u): 2·|pairs| - |base.markings| markings.
     """
     if base is None:
         graph = _graph_on_demand(net, budget)
         graph.need(budget.max_states)  # no node has that id: the search runs to its end
         return graph
-    g, mk = base.net, base.markings
+    g, mk, swaps, order = base.net, base.markings, defaultdict(set), iter(range(budget.max_states))
     labels, index = g.labels, g.transition_index
     every = half_moves(labels, ((ti, None) for ti in range(len(labels))))
     ids = dict(zip((key for key, _, _ in twin_steps(every, every, None, None)), net.transitions))
     moves = [half_moves(labels, ((index[t], w) for t, w in out)) for out in base.succ]
 
-    def expand(pair):
-        u, v = pair
+    def expand(pair):  # called once per pair, in node id order
+        (u, v), node = pair, next(order)
         for key, w1, w2 in twin_steps(moves[u], moves[v], u, v):
+            if w1 > w2:
+                swaps[node].add(ids[key])
+                w1, w2 = w2, w1
             yield ids[key], (w1, w2)
 
     exp = _explore((0, 0), expand, budget)
     pairs, exp.states = exp.states, [mk[u] + mk[v] for u, v in exp.states]
-    return ReachabilityGraph(**vars(exp), net=net, base=base, pairs=pairs)
+    return ReachabilityGraph(**vars(exp), net=net, base=base, pairs=pairs, swaps=swaps,
+                             mirror={t: ids[b, a] for (a, b), t in ids.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +529,12 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     skipping _barred's labels, finds those nodes: after an ε pump the
     final test always passes, and otherwise every edge is allowed.
 
+    On a quotient (see build_reachability_graph) the answer is the twin
+    graph's: the step rule maps ((a, b), x1, x2) from (u, v) to ((b, a), x2,
+    x1) from (v, u) and (m0, m0) is its own mirror, so twin cycles project
+    onto closed quotient walks and a quotient cycle of length L lifts to a
+    twin one of length L, or 2L if it returns swapped; u != v is symmetric.
+
     Returns the nodes the peel keeps if the pattern holds, else the empty
     set; they hold every pump anchor (see _lasso).
     """
@@ -556,10 +570,9 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
 
     Returns (witness-or-None, exhausted, states stored, depth reached),
     exhausted being True iff no witness exists and the graph is closed.
-    The states are walk states, or the nodes _lasso's distance and pump
-    searches stored, which skip hopeless anchors on a twin graph read off
-    its net's. Depth counts fired transitions, so the witness has minimal
-    total length; ties break on the own segment's steps first, then on
+    The states are walk states, or the nodes _lasso's searches stored.
+    Depth counts fired transitions, so the witness has minimal total
+    length; ties break on the own segment's steps first, then on
     transition order.
     """
     if graph.complete:
@@ -609,28 +622,31 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
 
     A run through pump anchor x is at least d0(x) + c(x) + dF(x) long: the
     depth of x, its shortest nonempty cycle of allowed edges (see
-    _exact_exists) and its distance to a node passing the final test, 0
-    for the ε pump, from one reverse BFS whose predecessor lists are kept
-    for the nodes that have one. Anchors in fed are tried in order of
-    d0 + dF, each cycle BFS bounded by the best total so far, ties kept.
-    As the walk on open graphs steps within a segment before leaving it,
-    then in transition order, the tied anchor taken is the one whose BFS
-    tree path comes first, a path before its prefixes; beta is the first
-    shortest cycle, and gamma the first shortest descent of dF.
+    _exact_exists) and its distance to a node passing the final test, 0 for
+    the ε pump, from one reverse BFS. Anchors in fed are tried in order of
+    d0 + dF, each cycle BFS bounded by the best total so far, ties kept;
+    once one ends with no cycle, a peel of the reversed allowed edges skips
+    the anchors that reach none. As the walk on open graphs steps within a
+    segment before leaving it, then in transition order, the tied anchor
+    taken is the one whose BFS tree path comes first, a path before its
+    prefixes; beta is the first shortest cycle, and gamma the first shortest
+    descent of dF.
 
-    On a twin graph read off pairs (see build_reachability_graph), an
+    On a quotient, d0 and dF are the twin graph's, c is the cycle BFS's on
+    the double cover (_Cover), mirrored if alpha reaches x swapped, and
+    states counts quotient and cover nodes: the lifted witness has the
+    twin's total length, a tie breaking on the quotient's BFS order. An
     anchor x = (u, v) whose bound min(c_net(u), c_net(v)) exceeds best - s
     is skipped, c_net being the length of the shortest nonempty cycle
     through a node of the net's graph (_girth, asked once best is finite).
     The bound is sound: each twin step moves each half along at most one
     edge of the net's graph, and one half at least, so a twin cycle of
-    length L through x projects to closed walks of at most L steps through
-    u and through v, one of them nonempty: L >= min(c_net(u), c_net(v)).
-    The skipped search would thus have found no cycle within best - s, and
-    best, the ties and the witness are those without the bound. The states
-    counted leave out the bound's searches on the net's graph.
+    length L through x projects to closed walks of at most L steps through u
+    and through v, one of them nonempty: L >= min(c_net(u), c_net(v)). So
+    best, the ties and the witness are those without the bound, whose
+    searches states leaves out.
     """
-    markings, succ, n = graph.markings, graph.succ, len(graph.markings)
+    succ, n = graph.succ, len(graph.markings)
     to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
     queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
     # Only an edge out of a node that fails the final test sets a distance.
@@ -645,17 +661,24 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
                 to_final[u] = to_final[v] + 1
                 queue.append(u)
     stored, best, tied = len(queue), math.inf, []
-    barred = _barred(graph.net, pattern)
+    barred, cover, live = _barred(graph.net, pattern), _Cover(graph), fed
     girth = _girth(graph.base.succ) if graph.pairs else None
     for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
                        if to_final[x] is not None):
         if s >= best:
             break
         limit = best - s
-        if girth and limit < math.inf and all(girth(y, limit) > limit for y in graph.pairs[x]):
+        if x not in live or girth and limit < math.inf and all(
+                girth(y, limit) > limit for y in graph.pairs[x]):
             continue
-        pump, seen, _ = _first_cycle(succ, barred, x, limit)
+        pump, seen, ended = _first_cycle(cover, barred, x, limit)
         stored += seen
+        if ended and live is fed:  # peel once: live becomes the nodes that reach a cycle
+            into = [[] for _ in succ]
+            for u, out in enumerate(succ):
+                for t, w in out:
+                    into[w].append((t, u))
+            live = _fed_by_cycle(into, barred)
         if pump is not None:
             if s + len(pump) < best:
                 best, tied = s + len(pump), []
@@ -663,14 +686,47 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     if not tied:
         return None, True, stored, 0
     _, x, pump = min(tied)
-    gamma, v = [], x
-    while to_final[v]:
-        t, v = next((t, w) for t, w in succ[v] if to_final[w] == to_final[v] - 1)
+    alpha, i = [], 0  # i: the cover node reached
+    for t in graph.path_to(x):
+        t, i = next(e for (label, _), e in zip(succ[i % n], cover[i]) if label == t)
+        alpha.append(t)
+    pump = tuple(map(graph.mirror.__getitem__, pump)) if i >= n else pump
+    gamma, j = [], i
+    while to_final[j % n]:
+        t, j = next((t, y) for t, y in cover[j] if to_final[y % n] == to_final[j % n] - 1)
         gamma.append(t)
-    k = pattern.segments
-    witness = Witness((graph.path_to(x), pump, tuple(gamma))[:k],
-                      (markings[x], markings[x], markings[v])[:k])
-    return witness, False, stored, best
+    k, m = pattern.segments, cover.marking(i)
+    return (Witness((tuple(alpha), pump, tuple(gamma))[:k], (m, m, cover.marking(j))[:k]),
+            False, stored, best)
+
+
+class _Cover(dict):
+    """The double cover of a graph of n nodes: cover[v + o·n] lists the
+    edges of node v in orientation o as (label, cover node), in the order of
+    graph.succ[v], built on first read unless it is graph.succ[v]. On a
+    quotient it is the twin's graph: orientation 1 swaps a pair and labels
+    an edge (t, w) graph.mirror[t], a step in graph.swaps[v] flips it, and a
+    pair (u, u) has orientation 0 alone; on any other graph, the graph."""
+
+    def __init__(self, graph: ReachabilityGraph):
+        super().__init__(enumerate(graph.succ))
+        self.graph, self.n = graph, len(graph.succ)
+        for v in graph.swaps or ():  # its steps that swap change its edges
+            del self[v]
+
+    def __missing__(self, i):
+        g, n = self.graph, self.n
+        swapped, mirror, pairs = g.swaps.get(i % n, ()), g.mirror, g.pairs
+        if i < n:
+            self[i] = [(t, w + n * (t in swapped)) for t, w in g.succ[i]]
+        else:  # a swap never reaches a pair (u, u)
+            self[i] = [(mirror[t], w + n * (t not in swapped and pairs[w][0] != pairs[w][1]))
+                       for t, w in g.succ[i - n]]
+        return self[i]
+
+    def marking(self, i):
+        m = self.graph.markings[i % self.n]
+        return m[len(m) // 2:] + m[:len(m) // 2] if i >= self.n else m
 
 
 def _girth(succ: list):
@@ -762,18 +818,22 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
 
-    The graph is read off base if given (see build_reachability_graph),
-    else grown on demand (see _graph_on_demand), and the answer is that of
-    search_graph on the whole graph built under budget. The graph is grown
-    a node at a time until a stored edge's target strictly covers its
-    source, which proves the net unbounded, or its search ends;
-    search_graph then decides the closed graph, or walks the open one,
-    which grows as the walk reaches new nodes.
+    The graph is read off base if given (see build_reachability_graph), else
+    grown on demand (see _graph_on_demand), and the answer is that of
+    search_graph on the whole graph built under budget. The quotient read
+    off base is decided where the twin's graph closes under budget, a tie of
+    minimal witnesses breaking on its BFS order; elsewhere net is fired. The
+    graph is grown a node at a time until a stored edge's target strictly
+    covers its source, which proves the net unbounded, or its search ends;
+    search_graph then decides the closed graph, or walks the open one, which
+    grows as the walk reaches new nodes.
     """
     if t0 is None:
         t0 = time.perf_counter()
     if base is not None:
-        return search_graph(build_reachability_graph(net, budget, base), pattern, budget, t0)
+        graph = build_reachability_graph(net, budget, base)
+        if graph.complete and 2 * len(graph.pairs) - len(base.markings) <= budget.max_states:
+            return search_graph(graph, pattern, budget, t0)
     graph, v = _graph_on_demand(net, budget), 0
     markings, succ = graph.markings, graph.succ
     while graph.need(v) and not any(w != v and leq(markings[v], markings[w]) for _, w in succ[v]):

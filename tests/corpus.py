@@ -38,10 +38,11 @@ temporary directory (git archive), runs the same corpora on it and on this
 checkout, and prints each record that differs, the revision's line first
 (-) and this checkout's second (+), then a tally of those records by
 corpus, by outcome (the revision's, then this checkout's) and by the fields
-that changed: witness, message and stats, or a command's output, and last
-the line count of src/lpndetect/*.py on both sides, as
-`cat src/lpndetect/*.py | wc -l` counts it; it exits 1 if any record
-differs.
+that changed: witness, message, states and depth (stats.states and
+stats.depth, each 0 where no differing record changed it), or a
+command's output, and last the line count of src/lpndetect/*.py on both
+sides, as `cat src/lpndetect/*.py | wc -l` counts it; it exits 1 if any
+record differs.
 """
 
 from __future__ import annotations
@@ -224,7 +225,9 @@ def _fields(record):
         return head, {"output": rest}
     rest, _, stats = rest.rpartition(" | ")
     witness, _, message = rest.partition(" | ")
-    return head.split(":", 1)[0], {"witness": witness, "message": message, "stats": stats}
+    states, _, depth = stats.partition(" ")
+    return head.split(":", 1)[0], {"witness": witness, "message": message,
+                                   "states": states, "depth": depth}
 
 
 def _tally(theirs, ours, differ):
@@ -234,7 +237,7 @@ def _tally(theirs, ours, differ):
         corpora[key.split(" ", 1)[0]] += 1
         (was, old), (now, new) = _fields(theirs[key]), _fields(ours[key])
         outcomes[f"{was} -> {now}"] += 1
-        fields.update(name for name in old if old[name] != new.get(name))
+        fields.update({name: old[name] != new.get(name) for name in old})  # 0 if kept
     for title, counts in (("corpus", corpora), ("outcome", outcomes), ("field", fields)):
         yield f"by {title}: " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items()))
 

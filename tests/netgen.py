@@ -117,7 +117,8 @@ def bounded_wellformed_net(rng, budget=None, graph_cap=5000, twin_cap=5000):
         tgraph = build_reachability_graph(
             tw.net, Budget(max_states=twin_cap, max_depth=2000), graph
         )
-        if not tgraph.complete:
+        # The twin graph holds each pair (u, v), u < v, of the quotient in both orders.
+        if not tgraph.complete or 2 * len(tgraph.pairs) - len(graph.markings) > twin_cap:
             continue
         return net, graph
 

@@ -877,6 +877,33 @@ class TestWitnessOnGraph:
         assert _witness_search(graph, STRONG, Budget(100, 20))[0] is not None
         assert len(calls) == 1  # an open graph is walked
 
+    def test_anchors_that_reach_no_cycle_are_skipped(self):
+        # x holds N tokens that dec moves to y one at a time; only at y:N do
+        # up and down form the one unobservable cycle, N steps deep. jump
+        # takes x:N to y:N at once and marks c, which drain and tick keep
+        # marked: a fed chain of anchors shallower than the cycle, none of
+        # which reaches a cycle of unobservable edges. After the first
+        # anchor's search ends without a cycle, one reverse peel skips the
+        # rest, so the searches store far fewer than |fed| x |graph| nodes.
+        n = 500
+        net = make_net(["x", "y", "a", "b", "c"], {
+            "dec": (EPSILON, {"x": 1, "a": 1}, {"y": 1, "a": 1}),
+            "up": (EPSILON, {"y": n, "a": 1}, {"y": n, "b": 1}),
+            "down": (EPSILON, {"y": n, "b": 1}, {"y": n, "a": 1}),
+            "exit": (EPSILON, {"b": 1}, {"c": 1}),
+            "drain": (EPSILON, {"y": 1, "c": 1}, {"c": 1}),
+            "jump": ("j", {"x": n, "a": 1}, {"y": n, "c": 1}),
+            "tick": ("t", {"c": 1}, {"c": 1}),
+        }, {"x": n, "a": 1})
+        budget = Budget(20000, 20000)
+        graph = build_reachability_graph(net, budget)
+        assert graph.complete and len(graph.markings) == 2 * n + 3
+        v = search_graph(graph, EPS_PUMP, budget, 0.0)
+        assert v.fails and replay_witness(net, EPS_PUMP, v.witness)
+        assert v.stats.states <= budget.max_states + len(graph.markings)
+        assert v.stats.depth == n + 2
+        assert v.witness == Witness((("dec",) * n, ("up", "down")), ((0, n, 1, 0, 0),) * 2)
+
     def test_tied_anchors(self):
         # A ring of 60 nodes, one of which (node 40) passes the final test:
         # every node up to it is an anchor of a run of total length 100, the

@@ -144,8 +144,8 @@ def test_twin_ids_are_unique_on_every_valid_net():
             v = check_strong(net, budget)
             assert v.fails, case
             ref = explore.search_pattern(tw.net, explore.STRONG, budget)
-            assert (v.witness, v.stats.states, v.stats.depth) == \
-                (ref.witness, ref.stats.states, ref.stats.depth)
+            # The quotient's witness may be another of the same length.
+            assert v.stats.depth == ref.stats.depth and v.stats.states <= ref.stats.states
             assert explore.replay_witness(tw.net, explore.STRONG, v.witness)
             assert explore.replay_witness(tw, explore.STRONG, v.witness)
     # Ids stay as they were wherever nothing collides, and only the
