@@ -54,6 +54,7 @@ from .explore import (
     _explore,
     _fed_by_cycle,
     _graph_on_demand,
+    _live,
     build_reachability_graph,
     estimates,
     search_graph,
@@ -210,14 +211,11 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     if _twin_invariant(tw):
         return _certified(t0, "twin invariant, as every twin transition "
                               "changes both halves equally"), tw, report
-    # The twin's graph is read off a closed graph of g, kept from the gate or
-    # built here unless a transition with a nonzero effect >= 0 could prove g
-    # unbounded; else the twin is fired on its halves, and its net is never built.
+    # g's graph, kept from the gate or built unless a transition with a nonzero
+    # effect >= 0 could prove g unbounded, is the base the twin is read off.
     graph = report.graph or (None if any(any(e) and min(e) >= 0 for *_, e in g.kernel)
                              else build_reachability_graph(g, budget))
-    if graph is not None and graph.complete:
-        return search_pattern(tw.net, STRONG, budget, graph, t0), tw, report
-    return search_pattern(tw, STRONG, budget, t0=t0), tw, report
+    return search_pattern(tw, STRONG, budget, graph, t0), tw, report
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +364,6 @@ def _steps(symbols, eps, row, u) -> list:
         return []
     return [(sym, out[0]) for sym, out in zip(symbols, row)
             if out and out.count(out[0]) == len(out)]
-
-
-def _live(singles: list) -> set:
-    """The nodes from which the singleton steps singles[u] of each node u
-    reach a cycle: one peel of the reversed steps, listed per node as the
-    peel reads successor lists."""
-    into = [[] for _ in singles]
-    for u, out in enumerate(singles):
-        for sym, w in out:
-            into[w].append((sym, u))
-    return _fed_by_cycle(into)
 
 
 def _root_cycle(net: LabeledPetriNet, budget: Budget):

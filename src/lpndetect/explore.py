@@ -8,10 +8,10 @@ covering pump followed by a mismatch, for strong detectability on the twin
 net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
 graph; nothing is fired twice. The twin's graph is read off its net's
-closed graph where there is one, firing nothing, as its quotient by the
-swap of halves (see build_reachability_graph); else search_pattern grows
-the graph as its reader asks (see _graph_on_demand), a twin's by firing
-the net on each half of a twin marking (see twin.twin_steps). Once a
+closed graph where the read fits the budget, firing nothing, as its
+quotient by the swap of halves (see search_pattern); else search_pattern
+grows the graph as its reader asks (see _graph_on_demand), a twin's by
+firing the net on each half of a twin marking (twin.twin_steps). Once a
 stored edge's target strictly covers its source, proving the net
 unbounded (Karp & Miller 1969), the walk runs once, growing the graph as
 it reaches new nodes. Else the graph is grown to its end under the
@@ -237,9 +237,9 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
 @dataclass
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids;
-    net is a LabeledPetriNet or a TwinNet, whose graph is its twin net's.
-    A twin net's graph read off the closed graph base of its net, a
-    quotient, keeps base, pairs, swaps and mirror (see
+    net is a LabeledPetriNet or a TwinNet, fired on its halves, whose graph
+    is its twin net's. A twin net's graph read off the closed graph base of
+    its net, a quotient, keeps base, pairs, swaps and mirror (see
     build_reachability_graph), which a graph built by firing has not. A
     graph grown on demand (see _graph_on_demand) keeps its paused search
     in rounds until the search ends; rounds is None on a graph searched to
@@ -315,7 +315,7 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
     the id of (a, b), in the order of net.transitions, to (w1, w2), swapped
     if w1 > w2, the id then in swaps[v]; mirror maps it to that of (b, a).
     The twin's graph is the double cover (_Cover), at the same depths, and
-    holds every (u, u): 2·|pairs| - |base.markings| markings.
+    holds every (u, u): 2·|pairs| - |base.markings| markings (see search_pattern).
     """
     if base is None:
         graph = _graph_on_demand(net, budget)
@@ -511,6 +511,16 @@ def _fed_by_cycle(succ: list, barred=frozenset()) -> set:
     return {v for v, d in enumerate(indegree) if d}
 
 
+def _live(succ: list, barred=frozenset()) -> set:
+    """The nodes from which the edges in succ whose labels are not in barred
+    reach a cycle: one peel (_fed_by_cycle) of the reversed successor lists."""
+    into = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for t, w in out:
+            into[w].append((t, u))
+    return _fed_by_cycle(into, barred)
+
+
 def _barred(net, pattern: PathPattern) -> frozenset:
     """The transition ids a pump of pattern may not fire: the observable
     ones of net for the ε pump, else none."""
@@ -674,11 +684,7 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
         pump, seen, ended = _first_cycle(cover, barred, x, limit)
         stored += seen
         if ended and live is fed:  # peel once: live becomes the nodes that reach a cycle
-            into = [[] for _ in succ]
-            for u, out in enumerate(succ):
-                for t, w in out:
-                    into[w].append((t, u))
-            live = _fed_by_cycle(into, barred)
+            live = _live(succ, barred)
         if pump is not None:
             if s + len(pump) < best:
                 best, tied = s + len(pump), []
@@ -818,21 +824,27 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
 
-    The graph is read off base if given (see build_reachability_graph), else
-    grown on demand (see _graph_on_demand), and the answer is that of
-    search_graph on the whole graph built under budget. The quotient read
-    off base is decided where the twin's graph closes under budget, a tie of
-    minimal witnesses breaking on its BFS order; elsewhere net is fired. The
-    graph is grown a node at a time until a stored edge's target strictly
-    covers its source, which proves the net unbounded, or its search ends;
-    search_graph then decides the closed graph, or walks the open one, which
-    grows as the walk reaches new nodes.
+    A TwinNet's graph is read off base, a graph of its base net, if that
+    closed: the quotient (build_reachability_graph) under Budget((M + b) //
+    2, max_depth), M = budget.max_states and b = |base.markings|, decided if
+    it closes, exactly where the twin's graph closes under budget: every
+    diagonal pair (u, u) is reachable, so the twin's graph has 2p - b
+    markings for p pairs; p <= (M + b) // 2 iff 2p - b <= M; and a search
+    under fewer max_states stores the same ids, at the same depths, up to
+    its cut. Else the graph, a TwinNet's fired on its halves (its twin
+    net's), grows on demand (_graph_on_demand) a node at a time until a
+    stored edge's target strictly covers its source, proving the net
+    unbounded, or its search ends; search_graph then decides the closed
+    graph, or walks the open one as on the whole graph built under budget.
     """
     if t0 is None:
         t0 = time.perf_counter()
-    if base is not None:
-        graph = build_reachability_graph(net, budget, base)
-        if graph.complete and 2 * len(graph.pairs) - len(base.markings) <= budget.max_states:
+    if base is not None and not isinstance(net, TwinNet):
+        raise InputError("a base graph is read off only for a TwinNet")
+    if base is not None and base.complete:
+        cap = Budget((budget.max_states + len(base.markings)) // 2, budget.max_depth)
+        graph = build_reachability_graph(net.net, cap, base)
+        if graph.complete:
             return search_graph(graph, pattern, budget, t0)
     graph, v = _graph_on_demand(net, budget), 0
     markings, succ = graph.markings, graph.succ

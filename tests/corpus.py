@@ -15,7 +15,12 @@ The corpora:
 - strong: check_strong on 600 netgen.random_net nets (rng 11, 5 places, 6
   transitions, ε 0.3) at Budget(300, 30) and (2000, 100), and on the
   strong instances of perfbench's twin_bounded and twin_unbounded
-  workloads at seeds 0-2, at their workloads' budgets;
+  workloads at seeds 0-2, at their workloads' budgets; and, once more,
+  each twin_bounded one whose twin's graph, of 2p - b markings for its
+  net's b markings and its quotient's p pairs, is larger than the
+  quotient, at Budget((p + 2p - b) // 2, 2000), which the quotient fits
+  and the twin's graph does not, so that check_strong fires the twin on
+  its halves (30 records);
 - weak: check_weak on 1500 such nets (rng 7) at Budget(2000, 100),
   (300, 30) and (50, 5);
 - opacity: check_opacity on the same nets and budgets, each with one
@@ -80,6 +85,10 @@ def _secrets(nets):
 
 
 def _instances():
+    """(name, net, budget) of the benchmark's strong records, each
+    twin_bounded one followed by its fallback record if it has one."""
+    from lpndetect import Budget, build_reachability_graph, build_twin
+
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from families import WORKLOADS, instances
@@ -88,8 +97,17 @@ def _instances():
     for w in ("twin_bounded", "twin_unbounded"):
         for seed in range(3):
             for inst in instances(w, seed):
-                if inst.check == "strong":
-                    yield f"{w}:{seed}:{inst.name}", inst.net, WORKLOADS[w].budget
+                if inst.check != "strong":
+                    continue
+                name = f"{w}:{seed}:{inst.name}"
+                yield name, inst.net, WORKLOADS[w].budget
+                if w == "twin_bounded":
+                    base = build_reachability_graph(inst.net, Budget())
+                    pairs = len(build_reachability_graph(build_twin(inst.net).net, Budget(),
+                                                         base).pairs)
+                    ordered = 2 * pairs - len(base.markings)
+                    if ordered > pairs:
+                        yield name, inst.net, Budget((pairs + ordered) // 2, 2000)
 
 
 def _witness(w):

@@ -43,7 +43,7 @@ from lpndetect.net import (
     observation,
     successors,
 )
-from lpndetect.twin import project
+from lpndetect.twin import TwinNet, project
 
 from netgen import (
     bounded_observable_net,
@@ -71,8 +71,18 @@ def _certificates_off(mp):
     mp.setattr(analyze, "_secret_escapes", lambda net, secret_set: False)
     mp.setattr(analyze, "_token_live", lambda net: False)
     mp.setattr(analyze, "_root_cycle", lambda net, budget: (None, None))
-    real = analyze._fed_by_cycle
-    mp.setattr(analyze, "_fed_by_cycle", lambda succ: _Truthy(real(succ)))
+    real = analyze._live
+    mp.setattr(analyze, "_live", lambda succ: _Truthy(real(succ)))
+
+
+def _spy_peels(mp) -> list:
+    """The node counts of the peels check_weak runs, in order: the graph's
+    (analyze._live) and each cycle search's (analyze._fed_by_cycle)."""
+    peeled = []
+    for name in ("_live", "_fed_by_cycle"):
+        real = getattr(analyze, name)
+        mp.setattr(analyze, name, lambda succ, real=real: peeled.append(len(succ)) or real(succ))
+    return peeled
 
 
 @pytest.fixture
@@ -785,10 +795,7 @@ class TestWeakStopsEarly:
         # states. One peel covers the graph's 101 nodes, one more the 3
         # nodes of the cycle search at the stop.
         net, budget = _incl2weak_drop(), Budget(20000, 2000)
-        searched = []
-        real = analyze._fed_by_cycle
-        monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda succ: searched.append(len(succ)) or real(succ))
+        searched = _spy_peels(monkeypatch)
         v = check_weak(net, budget)
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (47, 7)
         assert searched == [101, 3]
@@ -810,10 +817,7 @@ class TestWeakStopsEarly:
              "rc": ("c", {"r": 1}, {"r": 1}), "rd": ("d", {"r": 1}, {"s": 1})},
             {"p": 1},
         )
-        searched = []
-        real = analyze._fed_by_cycle
-        monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda succ: searched.append(len(succ)) or real(succ))
+        searched = _spy_peels(monkeypatch)
         v = check_weak(net, budget)
         assert searched == [5, 1]  # the graph, then the search at {r}
         assert v.outcome == HOLDS and (v.stats.states, v.stats.depth) == (4, 2)
@@ -1412,9 +1416,7 @@ class TestObserverCertificates:
         assert v.outcome == HOLDS and built == [] and observed == []
         assert v.message == ("certificate: every secret marking reaches a non-secret "
                              "marking by unobservable transitions")
-        peeled, real = [], analyze._fed_by_cycle
-        monkeypatch.setattr(analyze, "_fed_by_cycle",
-                            lambda succ: peeled.append(len(succ)) or real(succ))
+        peeled = _spy_peels(monkeypatch)
         v = check_weak(net, budget)
         assert v.outcome == FAILS and v.universal and observed == []
         assert (v.stats.states, v.stats.depth) == (0, 0) and peeled == [21]
@@ -1599,7 +1601,7 @@ class TestTwinReadOffTheNetGraph:
         real, read_off_bases = explore.search_pattern, []
 
         def read_off(net, pattern, budget, base=None, t0=None):
-            read_off_bases.append(base is not None)
+            read_off_bases.append(base is not None and base.complete)
             return real(net, pattern, budget, base, t0)
 
         monkeypatch.setattr(analyze, "search_pattern", read_off)
@@ -1626,13 +1628,15 @@ class TestTwinReadOffTheNetGraph:
         assert outcomes[FAILS] >= 75 and outcomes[HOLDS] >= 50
         assert sum(read_off_bases) >= 120 and fewer >= 20 and same >= 60
 
-    def test_budget_boundary_of_the_quotient(self):
+    def test_budget_boundary_of_the_quotient(self, monkeypatch):
         # The quotient decides only where the ordered twin graph, of
         # 2·|Q| - |{(u, u)}| markings, closes too. At max_states from |Q|
-        # to one below that count the twin is fired, and check_strong's
-        # answer is the fired path's in full; at the count the quotient
-        # decides, with the fired path's outcome, message and depth. Rings,
-        # the coverability gadgets of twin_bounded and a net that holds.
+        # to one below that count the twin is fired on its halves, never as
+        # its twin net, the read-off stops after (max_states + |{(u, u)}|)
+        # // 2 pairs, and check_strong's answer is the fired path's in full;
+        # at the count the quotient decides, with the fired path's outcome,
+        # message and depth. Rings, the coverability gadgets of
+        # twin_bounded and a net that holds.
         sys.path.insert(0, str(SRC.parent / "perfbench"))
         try:
             from families import instances
@@ -1647,6 +1651,12 @@ class TestTwinReadOffTheNetGraph:
             "t1": ("a", {"s": 1}, {"p": 1}), "t2": ("a", {"s": 1}, {"q": 1}),
             "u1": ("b", {"p": 1}, {"r": 1}), "u2": ("b", {"q": 1}, {"r": 1}),
             "c": ("c", {"r": 1}, {"r": 1})}, {"s": 1}))
+        handed, reads = [], []  # the nets fired on demand; the graphs read off pairs
+        grow, read = explore._graph_on_demand, explore.build_reachability_graph
+        monkeypatch.setattr(explore, "_graph_on_demand",
+                            lambda net, budget: handed.append(net) or grow(net, budget))
+        monkeypatch.setattr(explore, "build_reachability_graph", lambda net, budget, base=None:
+                            reads.append(read(net, budget, base)) or reads[-1])
         fallback, decided = Counter(), Counter()
         for net in nets:
             tw = build_twin(net).net
@@ -1658,12 +1668,18 @@ class TestTwinReadOffTheNetGraph:
             for max_states in sorted({len(pairs), (len(pairs) + ordered) // 2,
                                       ordered - 1, ordered}):
                 budget = Budget(max_states, 1000)
+                handed.clear()
+                reads.clear()
                 try:
                     v = check_strong(net, budget)
                 except AssumptionError:
                     break
+                fired = [n for n in handed if n is not net]
                 ref = explore.search_pattern(tw, explore.STRONG, budget)
                 if max_states < ordered:
+                    assert fired and all(isinstance(n, TwinNet) for n in fired)
+                    assert len(reads) == 1 and \
+                        len(reads[0].pairs) <= (max_states + len(base.markings)) // 2
                     assert (v.outcome, v.witness, v.stats.states, v.stats.depth, v.message) == \
                         (ref.outcome, ref.witness, ref.stats.states, ref.stats.depth,
                          ref.message)

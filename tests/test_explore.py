@@ -517,6 +517,15 @@ class TestSearchPattern:
         v = search_pattern(tw.net, STRONG, Budget(200, 20))
         assert v.outcome == INCONCLUSIVE
 
+    def test_a_base_graph_is_read_off_for_a_twin_net_only(self, e2):
+        # The quotient is read off for a TwinNet; its twin net, or any other
+        # LabeledPetriNet, given with a base graph is an input error.
+        tw, base = build_twin(e2), build_reachability_graph(e2, Budget(200, 20))
+        assert search_pattern(tw, STRONG, Budget(200, 20), base).fails
+        for net in (tw.net, e2):
+            with pytest.raises(InputError, match="read off only for a TwinNet"):
+                search_pattern(net, STRONG, Budget(200, 20), base)
+
     def test_eps_pump_rejects_observable(self, e1):
         v = search_pattern(e1, EPS_PUMP, Budget(100, 100))
         assert v.outcome == HOLDS

@@ -688,8 +688,7 @@ def test_peel_reads_stored_successor_lists():
                               if isinstance(arg, (ast.ListComp, ast.GeneratorExp))
                               or isinstance(arg, ast.Call)
                               and getattr(arg.func, "id", None) == "len"]
-    assert callers == {"_exact_exists", "check_strong_oracle", "_live", "_singleton_cycle",
-                       "_lasso"}
+    assert callers == {"_exact_exists", "check_strong_oracle", "_live", "_singleton_cycle"}
     assert built == []
 
 
