@@ -61,9 +61,9 @@ class Budget:
     weak's root test (analyze._root_cycle); a (segment, node, pump anchor)
     and a stored edge in the witness walk (_witness_search); an estimate
     and a symbol in the observer; a (marking, position) and a fired
-    transition in estimates. Not bounded: _lasso's and _girth's pump
-    searches, capped only by the best total so far and by the graph, whose
-    work can reach |fed| x |graph|, so stats.states can exceed max_states;
+    transition in estimates. Not bounded: _lasso's pump searches, capped
+    only by the best total so far and by the graph, whose work can reach
+    |fed| x |graph|, so stats.states can exceed max_states;
     coverable, which takes no budget; _secret_escapes and the arc-table
     certificates, linear in their tables. _singleton_cycle and _replayed
     derive their own budgets; the observer counts estimates, not the node
@@ -83,13 +83,12 @@ class SearchStats:
     """states counts what the deciding search stored: markings, observer
     states up to the first answer where the observer stops at one, walk
     states of a witness on an open graph, or the nodes the distance searches
-    of a witness on a closed graph stored (see _lasso), without those of
-    its cycle bound's searches on a net graph; on a quotient (a twin graph
-    read off its net's), its pairs or its and its double cover's nodes, at
-    most the fired graph's count. A certified verdict searched nothing: its
-    states and depth are 0. wall_time runs from the end of the assumption
-    gate of check_strong and check_weak, so that of check_strong counts its
-    twin build and any net graph build."""
+    of a witness on a closed graph stored (see _lasso); on a quotient (a
+    twin graph read off its net's), its pairs or its and its double cover's
+    nodes, at most the fired graph's count. A certified verdict searched
+    nothing: its states and depth are 0. wall_time runs from the end of the
+    assumption gate of check_strong and check_weak, so that of check_strong
+    counts its twin build and any net graph build."""
 
     states: int = 0
     depth: int = 0
@@ -238,15 +237,14 @@ def _explore(root, expand, budget: Budget, goal=None) -> Exploration:
 class ReachabilityGraph(Exploration):
     """An exploration of the markings of net, labelled by transition ids;
     net is a LabeledPetriNet or a TwinNet, fired on its halves, whose graph
-    is its twin net's. A twin net's graph read off the closed graph base of
-    its net, a quotient, keeps base, pairs, swaps and mirror (see
+    is its twin net's. A twin net's graph read off the closed graph of its
+    net, a quotient, keeps pairs, swaps and mirror (see
     build_reachability_graph), which a graph built by firing has not. A
     graph grown on demand (see _graph_on_demand) keeps its paused search
     in rounds until the search ends; rounds is None on a graph searched to
-    its end or read off base."""
+    its end or read off a net's graph."""
 
     net: object
-    base: Optional["ReachabilityGraph"] = field(default=None, compare=False, repr=False)
     pairs: Optional[list] = field(default=None, compare=False, repr=False)
     swaps: Optional[dict] = field(default=None, compare=False, repr=False)
     mirror: Optional[dict] = field(default=None, compare=False, repr=False)
@@ -337,7 +335,7 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
 
     exp = _explore((0, 0), expand, budget)
     pairs, exp.states = exp.states, [mk[u] + mk[v] for u, v in exp.states]
-    return ReachabilityGraph(**vars(exp), net=net, base=base, pairs=pairs, swaps=swaps,
+    return ReachabilityGraph(**vars(exp), net=net, pairs=pairs, swaps=swaps,
                              mirror={t: ids[b, a] for (a, b), t in ids.items()})
 
 
@@ -636,25 +634,20 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     the ε pump, from one reverse BFS. Anchors in fed are tried in order of
     d0 + dF, each cycle BFS bounded by the best total so far, ties kept;
     once one ends with no cycle, a peel of the reversed allowed edges skips
-    the anchors that reach none. As the walk on open graphs steps within a
-    segment before leaving it, then in transition order, the tied anchor
-    taken is the one whose BFS tree path comes first, a path before its
-    prefixes; beta is the first shortest cycle, and gamma the first shortest
-    descent of dF.
+    the anchors that reach none. Every cycle is a multiple of the graph's
+    period p (_period) long, so c(x) >= p: the anchors stop at the first
+    with s + p > best, s = d0 + dF, and each tied one, whose c = best - s
+    is a positive multiple of p, is still searched. As the walk on open
+    graphs steps within a segment before leaving it, then in transition
+    order, the tied anchor taken is the one whose BFS tree path comes first,
+    a path before its prefixes; beta is the first shortest cycle, and gamma
+    the first shortest descent of dF.
 
     On a quotient, d0 and dF are the twin graph's, c is the cycle BFS's on
     the double cover (_Cover), mirrored if alpha reaches x swapped, and
     states counts quotient and cover nodes: the lifted witness has the
-    twin's total length, a tie breaking on the quotient's BFS order. An
-    anchor x = (u, v) whose bound min(c_net(u), c_net(v)) exceeds best - s
-    is skipped, c_net being the length of the shortest nonempty cycle
-    through a node of the net's graph (_girth, asked once best is finite).
-    The bound is sound: each twin step moves each half along at most one
-    edge of the net's graph, and one half at least, so a twin cycle of
-    length L through x projects to closed walks of at most L steps through u
-    and through v, one of them nonempty: L >= min(c_net(u), c_net(v)). So
-    best, the ties and the witness are those without the bound, whose
-    searches states leaves out.
+    twin's total length, a tie breaking on the quotient's BFS order; p is
+    the quotient's, which bounds the cover's cycles too (see _period).
     """
     succ, n = graph.succ, len(graph.markings)
     to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
@@ -672,16 +665,14 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
                 queue.append(u)
     stored, best, tied = len(queue), math.inf, []
     barred, cover, live = _barred(graph.net, pattern), _Cover(graph), fed
-    girth = _girth(graph.base.succ) if graph.pairs else None
+    period = _period(graph, barred)
     for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
                        if to_final[x] is not None):
-        if s >= best:
+        if s + period > best:
             break
-        limit = best - s
-        if x not in live or girth and limit < math.inf and all(
-                girth(y, limit) > limit for y in graph.pairs[x]):
+        if x not in live:
             continue
-        pump, seen, ended = _first_cycle(cover, barred, x, limit)
+        pump, seen, ended = _first_cycle(cover, barred, x, best - s)
         stored += seen
         if ended and live is fed:  # peel once: live becomes the nodes that reach a cycle
             live = _live(succ, barred)
@@ -735,23 +726,22 @@ class _Cover(dict):
         return m[len(m) // 2:] + m[:len(m) // 2] if i >= self.n else m
 
 
-def _girth(succ: list):
-    """c_net of the graph with successor lists succ, asked lazily:
-    girth(u, limit) is the length of the shortest nonempty cycle through u
-    if it is at most limit, else a lower bound above limit. _first_cycle's
-    answer, exact or "more than limit", is kept for the later asks it
-    settles."""
-    known = {}  # u -> (length or lower bound, exact)
-
-    def girth(u, limit):
-        bound, exact = known.get(u, (0, False))
-        if not exact and bound <= limit:
-            cycle, _, ended = _first_cycle(succ, (), u, limit)
-            known[u] = ((len(cycle), True) if cycle else (math.inf, True) if ended
-                        else (limit + 1, False))
-        return known[u][0]
-
-    return girth
+def _period(graph: ReachabilityGraph, barred) -> int:
+    """The gcd of depth[v] + 1 - depth[w] over graph's edges (v, w) whose
+    labels are not in barred, or 1 if that is 0. Along a cycle of those
+    edges the terms telescope to its length, so every such length is a
+    multiple of it; on a strongly connected graph with no label barred it
+    is the gcd of those lengths, the graph's period (Denardo 1977). A cycle
+    of a quotient's double cover (_Cover) projects onto a closed walk of the
+    quotient's edges, allowed where the cover's are, as barred is closed
+    under graph.mirror; so the quotient's depths, the twin graph's, serve
+    for the cover's cycles too."""
+    depth, p = graph.depth, 0
+    for v, out in enumerate(graph.succ):
+        for t, w in out:
+            if t not in barred:
+                p = math.gcd(p, depth[v] + 1 - depth[w])
+    return p or 1
 
 
 def _first_cycle(succ: list, barred, x: int, limit):

@@ -1612,7 +1612,7 @@ class TestTwinReadOffTheNetGraph:
         fired_records = records()
         # Verdicts, messages and depths agree, and each witness replays; a
         # witness read off the quotient may be another of the same length.
-        # The quotient and a read-off graph's cycle bound store no more.
+        # The quotient and the period bound store no more.
         assert len(read_off_records) == len(fired_records)
         fewer = same = 0
         for (net, v), (_, f) in zip(read_off_records, fired_records):
@@ -1693,31 +1693,72 @@ class TestTwinReadOffTheNetGraph:
         print("fired", dict(fallback), "decided on the quotient", dict(decided))
         assert fallback[INCONCLUSIVE] >= 40 and decided[FAILS] >= 20 and decided[HOLDS] >= 1
 
-    def test_girth_on_rings(self):
+    def test_period_against_networkx(self):
         # Each step moves a token one place on: every cycle of ring(k, n)'s
         # graph is a multiple of k long, and one token's round trip is k.
         for k, n in itertools.product(range(2, 6), range(1, 4)):
-            succ = build_reachability_graph(ring(k, n), Budget()).succ
-            girth = explore._girth(succ)
-            for u in range(len(succ)):
-                assert girth(u, k - 2) > k - 2 and girth(u, k - 1) > k - 1  # more than the bound
-                assert girth(u, k + 2) == k == girth(u, 1)  # then exact, and kept
-        # p -a-> q and a loop on q: no cycle passes the root.
+            assert explore._period(build_reachability_graph(ring(k, n), Budget()), ()) == k
+        # p -a-> q and a loop on q: the loop is one step long.
         net = make_net(["p", "q"], {"s": ("a", {"p": 1}, {"q": 1}),
                                     "t": ("b", {"q": 1}, {"q": 1})}, {"p": 1})
-        girth = explore._girth(build_reachability_graph(net, Budget()).succ)
-        assert girth(0, 5) == math.inf and girth(1, 5) == 1
+        assert explore._period(build_reachability_graph(net, Budget()), ()) == 1
+        # Closed net graphs, under the ε pump's barred labels and under none,
+        # and quotients with their double covers: the period divides every
+        # cycle of allowed edges, and is their gcd on a strongly connected
+        # graph with no label barred.
+        graphs, rng = [], random.Random(11)
+        for net in (random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)):
+            graph = build_reachability_graph(net, Budget(60, 30))
+            if graph.complete:
+                graphs += [(graph, graph.succ, ()),
+                           (graph, graph.succ, explore._barred(net, explore.EPS_PUMP))]
+        sys.path.insert(0, str(SRC.parent / "perfbench"))
+        try:
+            from families import instances
+        finally:
+            sys.path.remove(str(SRC.parent / "perfbench"))
+        for inst in instances("twin_bounded", 0):
+            base = build_reachability_graph(inst.net, Budget())
+            quotient = build_reachability_graph(build_twin(inst.net).net, Budget(), base)
+            if quotient.complete and len(quotient.pairs) <= 400:
+                cover = explore._Cover(quotient)
+                graphs += [(quotient, quotient.succ, ()),
+                           (quotient, [cover[i] for i in range(2 * len(quotient.succ))], ())]
+        hits = Counter()
+        for graph, succ, barred in graphs:
+            period = explore._period(graph, barred)
+            g = nx.DiGraph((v, w) for v, out in enumerate(succ) for t, w in out
+                           if t not in barred)
+            g.add_nodes_from(range(len(succ)))
+            small = len(succ) <= 12
+            lengths = list(map(len, nx.simple_cycles(g, length_bound=len(succ) if small else 6)))
+            assert all(c % period == 0 for c in lengths)
+            if small and lengths and not barred and nx.is_strongly_connected(g):
+                assert period == math.gcd(*lengths)
+                hits["strongly connected", period > 1] += 1
+            hits["cycles"] += len(lengths)
+            hits["period > 1"] += period > 1
+        print(len(graphs), "graphs", dict(hits))
+        assert hits["cycles"] >= 10000 and hits["period > 1"] >= 20
+        assert hits["strongly connected", True] >= 3 and hits["strongly connected", False] >= 20
 
-    def test_girth_bound_skips_cycle_searches(self, monkeypatch):
+    def test_period_bound_skips_cycle_searches(self, monkeypatch):
         sys.path.insert(0, str(SRC.parent / "perfbench"))
         try:
             from families import WORKLOADS, instances
         finally:
             sys.path.remove(str(SRC.parent / "perfbench"))
-        # Only pump searches count, not the cycle bound's (_girth's).
+        # Every cycle search is a pump search of _lasso's on a double cover:
+        # none runs on a net graph.
         real, calls, key = explore._first_cycle, Counter(), [None]
-        monkeypatch.setattr(explore, "_first_cycle", lambda *args: calls.update(
-            [key[0]] if sys._getframe(1).f_code.co_name == "_lasso" else []) or real(*args))
+
+        def first_cycle(succ, *args):
+            assert sys._getframe(1).f_code.co_name == "_lasso"
+            assert isinstance(succ, explore._Cover)
+            calls[key[0]] += 1
+            return real(succ, *args)
+
+        monkeypatch.setattr(explore, "_first_cycle", first_cycle)
         budget = WORKLOADS["twin_bounded"].budget
         for inst in instances("twin_bounded", 0):
             key[0] = inst.name, "read off"
@@ -1733,8 +1774,8 @@ class TestTwinReadOffTheNetGraph:
             assert v.stats.states <= ref.stats.states
             assert calls[inst.name, "read off"] <= calls[inst.name, "fired"]
         print(sorted(calls.items()))
-        assert calls["ring(6,3,eps)", "fired"] == 170
-        assert calls["ring(6,3,eps)", "read off"] == 13
+        assert calls["ring(6,3,eps)", "fired"] == 5
+        assert calls["ring(6,3,eps)", "read off"] == 4
 
     def test_fires_nothing_on_the_twin(self, e2_eps, e4, budget, monkeypatch):
         # e2_eps's twin graph is read off its net's graph; e4's twin is

@@ -913,6 +913,64 @@ class TestWitnessOnGraph:
         assert v.stats.depth == n + 2
         assert v.witness == Witness((("dec",) * n, ("up", "down")), ((0, n, 1, 0, 0),) * 2)
 
+    def test_one_long_cycle_is_searched_once(self):
+        # One long cycle: one token on an ε ring of n places, with an
+        # observable self-loop on p0. Every anchor lies on the one n-cycle,
+        # whose length is the graph's period: the first anchor's search finds
+        # it, and no later anchor can tie, so no other search runs.
+        budget = Budget(20000, 20000)
+        for n in (500, 1000):
+            net = _eps_ring(n)
+            graph = build_reachability_graph(net, budget)
+            assert graph.complete and len(graph.markings) == n
+            v = search_graph(graph, EPS_PUMP, budget, 0.0)
+            assert v.fails and replay_witness(net, EPS_PUMP, v.witness)
+            assert v.stats.states <= budget.max_states + len(graph.markings)
+            assert v.stats.depth == n and v.witness.segments[0] == ()
+
+    def test_period_bound_matches_the_search_without_it(self, monkeypatch):
+        # Each check, as is and with the period taken as 1, _lasso's loop
+        # without the bound: the same outcome, witness, message and depth,
+        # and never more states.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from families import WORKLOADS, instances
+        finally:
+            sys.path.pop(0)
+        cases = [(check_strong, inst.net, WORKLOADS[w].budget)
+                 for w, seed in itertools.product(("twin_bounded", "twin_unbounded"), range(3))
+                 for inst in instances(w, seed) if inst.check == "strong"]
+        cases += [(check_strong, ring(k, n, eps), Budget(20000, 2000))
+                  for k, n, eps in itertools.product(range(2, 7), range(1, 4), (False, True))]
+        rng = random.Random(11)
+        cases += [(check_strong, random_net(rng, max_places=5, max_trans=6, eps_prob=0.3),
+                   Budget(300, 30)) for _ in range(200)]
+
+        def gate(net, budget):
+            return check_assumptions(net, budget).no_infinite_unobservable
+
+        cases += [(gate, _eps_ring(n), Budget(2000, 2000)) for n in (1, 2, 3, 5, 8, 13, 40)]
+
+        def run():
+            out = []
+            for check, net, budget in cases:
+                try:
+                    v = check(net, budget)
+                except analyze.AssumptionError as e:
+                    out.append(("raises", str(e), None, 0, 0))
+                    continue
+                out.append((v.outcome, v.witness, v.message, v.stats.depth, v.stats.states))
+            return out
+
+        bounded = run()
+        monkeypatch.setattr(explore, "_period", lambda *args: 1)
+        fewer = Counter()
+        for v, f in zip(bounded, run(), strict=True):
+            assert v[:4] == f[:4] and v[4] <= f[4]
+            fewer[v[0]] += v[4] < f[4]
+        print(dict(fewer), "of", len(cases))
+        assert fewer[FAILS] >= 40
+
     def test_tied_anchors(self):
         # A ring of 60 nodes, one of which (node 40) passes the final test:
         # every node up to it is an anchor of a run of total length 100, the
@@ -963,6 +1021,14 @@ class TestWitnessOnGraph:
                 assert not v.fails or v.stats.depth == fired[3]
                 found[q] += v.fails
         assert found == {"strong": 4, "eps": 1}
+
+
+def _eps_ring(size):
+    """One token on p0 of a ring of size places that ε transitions e{i} move
+    on, p0 with an observable self-loop o."""
+    trans = {f"e{i}": (EPSILON, {f"p{i}": 1}, {f"p{(i + 1) % size}": 1}) for i in range(size)}
+    trans["o"] = ("a", {"p0": 1}, {"p0": 1})
+    return make_net([f"p{i}" for i in range(size)], trans, {"p0": 1})
 
 
 def _graph_net(size, edges, final):
