@@ -239,10 +239,11 @@ class ReachabilityGraph(Exploration):
     net is a LabeledPetriNet or a TwinNet, fired on its halves, whose graph
     is its twin net's. A twin net's graph read off the closed graph of its
     net, a quotient, keeps pairs, swaps and mirror (see
-    build_reachability_graph), which a graph built by firing has not. A
-    graph grown on demand (see _graph_on_demand) keeps its paused search
-    in rounds until the search ends; rounds is None on a graph searched to
-    its end or read off a net's graph."""
+    build_reachability_graph), which a graph built by firing has not; only
+    its double cover (_Cover) reads pairs. A graph grown on demand (see
+    _graph_on_demand) keeps its paused search in rounds until the search
+    ends; rounds is None on a graph searched to its end or read off a net's
+    graph."""
 
     net: object
     pairs: Optional[list] = field(default=None, compare=False, repr=False)
@@ -541,22 +542,17 @@ def _exact_exists(graph: ReachabilityGraph, pattern: PathPattern) -> set:
     graph's: the step rule maps ((a, b), x1, x2) from (u, v) to ((b, a), x2,
     x1) from (v, u) and (m0, m0) is its own mirror, so twin cycles project
     onto closed quotient walks and a quotient cycle of length L lifts to a
-    twin one of length L, or 2L if it returns swapped; u != v is symmetric.
+    twin one of length L, or 2L if it returns swapped. The final test is
+    pattern.final_ok on every graph: a pair (u, v)'s marking is that of u
+    followed by that of v, whose halves differ exactly when u != v, which
+    is symmetric.
 
     Returns the nodes the peel keeps if the pattern holds, else the empty
     set; they hold every pump anchor (see _lasso).
     """
     fed = _fed_by_cycle(graph.succ, _barred(graph.net, pattern))
-    return fed if any(_final(graph, pattern, fed)) else set()
-
-
-def _final(graph: ReachabilityGraph, pattern: PathPattern, nodes):
-    """Whether the marking of each of nodes passes the pattern's final test.
-    On a graph read off pairs, a marking's halves are those of its pair's
-    nodes, which differ iff the nodes do, so no marking is sliced."""
-    if graph.pairs is None or pattern.eps_pump:
-        return map(pattern.final_ok, map(graph.markings.__getitem__, nodes))
-    return (u != v for u, v in map(graph.pairs.__getitem__, nodes))
+    mk = graph.markings
+    return fed if any(pattern.final_ok(mk[v]) for v in fed) else set()
 
 
 def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, fed=None):
@@ -591,8 +587,7 @@ def _witness_search(graph: ReachabilityGraph, pattern: PathPattern, budget: Budg
 
     def expand(state):
         j, x, a = state
-        if x >= len(succ):  # not expanded yet: grow the graph
-            need(x)
+        need(x)  # returns at once for an expanded node
         out = succ[x]
         for t, y in out:
             if not (j == 2 and t in barred):
@@ -650,24 +645,23 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
     the quotient's, which bounds the cover's cycles too (see _period).
     """
     succ, n = graph.succ, len(graph.markings)
-    to_final = [0 if ok else None for ok in _final(graph, pattern, range(n))]
-    queue = [] if pattern.eps_pump else [v for v in range(n) if to_final[v] == 0]
+    df = [0 if pattern.final_ok(m) else None for m in graph.markings]
+    queue = [] if pattern.eps_pump else [v for v in range(n) if df[v] == 0]
     # Only an edge out of a node that fails the final test sets a distance.
     pred = {}
     for v, out in enumerate(succ if queue else ()):
-        if to_final[v] is None:
+        if df[v] is None:
             for _, w in out:
                 pred.setdefault(w, []).append(v)
     for v in queue:
         for u in pred.get(v, ()):
-            if to_final[u] is None:
-                to_final[u] = to_final[v] + 1
+            if df[u] is None:
+                df[u] = df[v] + 1
                 queue.append(u)
     stored, best, tied = len(queue), math.inf, []
     barred, cover, live = _barred(graph.net, pattern), _Cover(graph), fed
     period = _period(graph, barred)
-    for s, x in sorted((graph.depth[x] + to_final[x], x) for x in fed
-                       if to_final[x] is not None):
+    for s, x in sorted((graph.depth[x] + df[x], x) for x in fed if df[x] is not None):
         if s + period > best:
             break
         if x not in live:
@@ -689,8 +683,8 @@ def _lasso(graph: ReachabilityGraph, pattern: PathPattern, fed: set):
         alpha.append(t)
     pump = tuple(map(graph.mirror.__getitem__, pump)) if i >= n else pump
     gamma, j = [], i
-    while to_final[j % n]:
-        t, j = next((t, y) for t, y in cover[j] if to_final[y % n] == to_final[j % n] - 1)
+    while df[j % n]:
+        t, j = next((t, y) for t, y in cover[j] if df[y % n] == df[j % n] - 1)
         gamma.append(t)
     k, m = pattern.segments, cover.marking(i)
     return (Witness((tuple(alpha), pump, tuple(gamma))[:k], (m, m, cover.marking(j))[:k]),
@@ -748,7 +742,9 @@ def _first_cycle(succ: list, barred, x: int, limit):
     """The labels of the first shortest nonempty cycle through x over the
     edges in succ whose labels are not in barred, or None if none is at
     most limit long; the count of nodes its BFS stored; and whether that
-    BFS ended, so that there is no such cycle."""
+    BFS ended, so that there is no such cycle. The labels are read back
+    from the BFS tree, which keeps for each node the allowed edge (u, t)
+    that first reached it in BFS order."""
     parent, level, d = {x: None}, [x], 0
     while level and d < limit:
         d, nxt = d + 1, []
@@ -758,16 +754,12 @@ def _first_cycle(succ: list, barred, x: int, limit):
                     continue
                 if w == x:
                     labels = [t]
-                    while u != x:  # a tree edge is the first allowed one into u
-                        v = parent[u]
-                        for s, y in succ[v]:
-                            if y == u and s not in barred:
-                                labels.append(s)
-                                break
-                        u = v
+                    while u != x:
+                        u, t = parent[u]
+                        labels.append(t)
                     return tuple(labels[::-1]), len(parent), False
                 if w not in parent:
-                    parent[w] = u
+                    parent[w] = u, t
                     nxt.append(w)
         level = nxt
     return None, len(parent), not level
@@ -808,7 +800,9 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
                    t0: Optional[float] = None) -> Verdict:
     """Search for a computation matching pattern from the initial marking
     of net, a LabeledPetriNet or a TwinNet; t0 is when the question
-    started, for the wall time, now if not given.
+    started, for the wall time, now if not given. A TwinNet is asked
+    STRONG only: the unobservable pump is a question about a net, and
+    raises InputError on a TwinNet.
 
     FAILS carries a minimal replay-checked witness. HOLDS is emitted only
     when the reachability graph closed within budget, so absence is a
@@ -831,6 +825,8 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
         t0 = time.perf_counter()
     if base is not None and not isinstance(net, TwinNet):
         raise InputError("a base graph is read off only for a TwinNet")
+    if pattern.eps_pump and isinstance(net, TwinNet):
+        raise InputError("the unobservable-pump question is asked of a net, not a TwinNet")
     if base is not None and base.complete:
         cap = Budget((budget.max_states + len(base.markings)) // 2, budget.max_depth)
         graph = build_reachability_graph(net.net, cap, base)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from collections import Counter, deque
@@ -542,7 +543,9 @@ class TestSearchPattern:
 
     def test_final_test_matches_twin_mismatch(self):
         # STRONG's final test against the checked reference, twin.mismatch,
-        # on every marking of random twin graphs.
+        # on every marking of random twin graphs, and on every pair of the
+        # quotients of twin_bounded's strong instances, where it must read
+        # u != v off the pair's marking.
         rng = random.Random(59)
         checked = disagree = 0
         for _ in range(200):
@@ -553,6 +556,35 @@ class TestSearchPattern:
                 disagree += STRONG.final_ok(m)
         print("markings", checked, "halves disagree", disagree)
         assert disagree >= 1000 and checked - disagree >= 1000
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from families import instances
+        finally:
+            sys.path.pop(0)
+        quotients = pairs = off_diagonal = 0
+        for seed in range(3):
+            for inst in instances("twin_bounded", seed):
+                if inst.check != "strong":
+                    continue
+                tw, base = build_twin(inst.net), build_reachability_graph(inst.net, Budget())
+                graph = build_reachability_graph(tw.net, Budget(), base)
+                assert base.complete and graph.complete and graph.pairs is not None
+                for (u, v), m in zip(graph.pairs, graph.markings):
+                    assert STRONG.final_ok(m) == (u != v) == mismatch(tw, m)[0]
+                    off_diagonal += u != v
+                quotients += 1
+                pairs += len(graph.pairs)
+        print("quotients", quotients, "pairs", pairs, "off the diagonal", off_diagonal)
+        assert off_diagonal >= 1000 and pairs - off_diagonal >= 1000
+
+    def test_eps_pump_is_not_asked_of_a_twin_net(self):
+        # The gate asks the unobservable-pump question of the net; a TwinNet
+        # is asked STRONG only, and its twin net, a plain net, answers.
+        net = make_net(["p"], {"a": ("a", {"p": 1}, {"p": 1})}, {"p": 1})
+        tw, budget = build_twin(net), Budget(100, 100)
+        with pytest.raises(InputError, match="asked of a net, not a TwinNet"):
+            search_pattern(tw, EPS_PUMP, budget)
+        assert search_pattern(tw.net, EPS_PUMP, budget).holds
 
     def test_fails_witness_always_replays(self):
         rng = random.Random(41)
@@ -927,6 +959,13 @@ class TestWitnessOnGraph:
             assert v.fails and replay_witness(net, EPS_PUMP, v.witness)
             assert v.stats.states <= budget.max_states + len(graph.markings)
             assert v.stats.depth == n and v.witness.segments[0] == ()
+
+    def test_first_cycle_reads_its_labels_off_the_bfs_tree(self):
+        # Node 1 is first reached by "a": the barred "b" before it reaches
+        # nothing, and the parallel "a2" after it finds 1 already stored.
+        # "c" reaches 2, from which a cycle of the same length returns.
+        succ = [[("b", 1), ("a", 1), ("a2", 1), ("c", 2)], [("d", 0)], [("e", 0)]]
+        assert explore._first_cycle(succ, {"b"}, 0, math.inf) == (("a", "d"), 3, False)
 
     def test_period_bound_matches_the_search_without_it(self, monkeypatch):
         # Each check, as is and with the period taken as 1, _lasso's loop
