@@ -81,7 +81,7 @@ class AssumptionError(NetError):
 class AssumptionReport:
     deadlock_free: Verdict
     no_infinite_unobservable: Verdict
-    # The graph the uncertified verdicts were read from, or None.
+    # The graph the uncertified verdicts were read from, or None; partial after a failing ε answer.
     graph: Optional[ReachabilityGraph] = field(compare=False, repr=False)
 
     @property
@@ -126,6 +126,11 @@ def _twin_invariant(tw: TwinNet) -> bool:
     return all(e1 == e2 for _, e1, e2 in twin_steps(effects, effects, zero, zero))
 
 
+def _may_grow(net: LabeledPetriNet) -> bool:
+    """Whether a transition has a nonzero effect >= 0, as a covering edge needs."""
+    return any(any(e) and min(e) >= 0 for *_, e in net.kernel)
+
+
 def _certified(t0: float, message: str, outcome: str = HOLDS) -> Verdict:
     return Verdict(outcome, stats=SearchStats(0, 0, time.perf_counter() - t0),
                    message="certificate: " + message, universal=outcome == FAILS)
@@ -139,7 +144,9 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     each enable a transition alone; a token count every unobservable step
     lowers) is answered without a graph. The rest are answered from one
     reachability graph, exactly when it closes within budget; otherwise a
-    found violation is sound and the rest is inconclusive.
+    found violation is sound and the rest is inconclusive. If only the ε
+    question is open and _may_grow(net), its search grows the graph on
+    demand (explore.search_graph), then to its end unless it fails.
     """
     t0 = time.perf_counter()
     live, ranked = _forever_enabled(net), _eps_ranked(net)
@@ -149,12 +156,15 @@ def check_assumptions(net: LabeledPetriNet, budget: Budget) -> AssumptionReport:
     elif _token_live(net):
         live = ("every reachable marking marks a place that alone enables a "
                 "transition, as no transition lowers the token count")
-    graph = None if live and ranked else build_reachability_graph(net, budget)
+    graph = None if live and ranked else (
+        _graph_on_demand if live and _may_grow(net) else build_reachability_graph)(net, budget)
     if ranked:
         no_inf = _certified(t0, "every unobservable transition removes a token")
     else:
         no_inf = search_graph(graph, EPS_PUMP, budget, t0)
     if live:
+        if graph is not None and not no_inf.fails:
+            graph.need(budget.max_states)  # no node has that id: the search runs to its end
         return AssumptionReport(_certified(t0, live), no_inf, graph)
     # Every stored node was expanded: one without a stored successor is dead
     # unless the budget cut its successors.
@@ -211,10 +221,8 @@ def _check_strong(g: LabeledPetriNet, budget: Budget):
     if _twin_invariant(tw):
         return _certified(t0, "twin invariant, as every twin transition "
                               "changes both halves equally"), tw, report
-    # g's graph, kept from the gate or built unless a transition with a nonzero
-    # effect >= 0 could prove g unbounded, is the base the twin is read off.
-    graph = report.graph or (None if any(any(e) and min(e) >= 0 for *_, e in g.kernel)
-                             else build_reachability_graph(g, budget))
+    # g's graph, from the gate or built unless g may grow, is the base the twin is read off.
+    graph = report.graph or (None if _may_grow(g) else build_reachability_graph(g, budget))
     return search_pattern(tw, STRONG, budget, graph, t0), tw, report
 
 

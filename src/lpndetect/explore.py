@@ -9,17 +9,17 @@ net, and an unobservable covering pump, for the standing assumption. Each
 question is explored once, and every witness is read off the reachability
 graph; nothing is fired twice. The twin's graph is read off its net's
 closed graph where the read fits the budget, firing nothing, as its
-quotient by the swap of halves (see search_pattern); else search_pattern
-grows the graph as its reader asks (see _graph_on_demand), a twin's by
-firing the net on each half of a twin marking (twin.twin_steps). Once a
-stored edge's target strictly covers its source, proving the net
-unbounded (Karp & Miller 1969), the walk runs once, growing the graph as
-it reaches new nodes. Else the graph is grown to its end under the
-budget. When it closes the answer is decided, and a witness is read off
-three breadth-first distances (see _lasso). Otherwise the walk, whose
-pumps close on covering, runs under the same budget and finds a sound
-witness or reports the question inconclusive. Opacity's observer reads a
-graph grown on demand too.
+quotient by the swap of halves (see search_pattern); else the graph grows
+as its reader asks (see _graph_on_demand), a twin's by firing the net on
+each half of a twin marking (twin.twin_steps). search_graph, which the
+assumption gate calls too, grows it until a stored edge's target strictly
+covers its source, proving the net unbounded (Karp & Miller 1969); then
+the walk runs once, growing the graph as it reaches new nodes. Else the
+graph is grown to its end under the budget. When it closes the answer is
+decided, and a witness is read off three breadth-first distances (see
+_lasso). Otherwise the walk, whose pumps close on covering, runs under the
+same budget and finds a sound witness or reports the question
+inconclusive. Opacity's observer reads a graph grown on demand too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .net import (
     observation,
     successors,
 )
-from .twin import TwinNet, half_moves, project, twin_steps
+from .twin import TwinNet, half_moves, twin_steps
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -304,22 +304,24 @@ def build_reachability_graph(net: LabeledPetriNet, budget: Budget,
                              base: Optional[ReachabilityGraph] = None) -> ReachabilityGraph:
     """The reachability graph, built to the end of its search.
 
-    If base, the closed graph of the net whose twin net (see
-    twin.TwinNet.net) is net, is given, every reachable twin marking pairs
-    two of its nodes, and the graph is the twin's quotient by the swap of
-    halves: the search runs over pairs (u, v), u <= v, stepping by the
-    twin's step rule (twin.twin_steps) over the edges of u and v in
-    base.succ, firing nothing. Node v's pair is pairs[v], its marking that
-    of u followed by that of v. A step ((a, b), w1, w2) of v is stored under
-    the id of (a, b), in the order of net.transitions, to (w1, w2), swapped
-    if w1 > w2, the id then in swaps[v]; mirror maps it to that of (b, a).
-    The twin's graph is the double cover (_Cover), at the same depths, and
-    holds every (u, u): 2·|pairs| - |base.markings| markings (see search_pattern).
+    If base, the closed graph of the net whose twin net (see twin.TwinNet.net)
+    is net, is given (an open one raises InputError), every reachable twin
+    marking pairs two of its nodes, and the graph is the twin's quotient by the
+    swap of halves: the search runs over pairs (u, v), u <= v, stepping by the
+    twin's step rule (twin.twin_steps) over the edges of u and v in base.succ,
+    firing nothing. Node v's pair is pairs[v], its marking that of u followed
+    by that of v. A step ((a, b), w1, w2) of v is stored under the id of (a,
+    b), in the order of net.transitions, to (w1, w2), swapped if w1 > w2, the
+    id then in swaps[v]; mirror maps it to that of (b, a). The twin's graph is
+    the double cover (_Cover), at the same depths, and holds every (u, u):
+    2·|pairs| - |base.markings| markings (see search_pattern).
     """
     if base is None:
         graph = _graph_on_demand(net, budget)
         graph.need(budget.max_states)  # no node has that id: the search runs to its end
         return graph
+    if not base.complete:
+        raise InputError("a twin graph is read off a closed base graph only")
     g, mk, swaps, order = base.net, base.markings, defaultdict(set), iter(range(budget.max_states))
     labels, index = g.labels, g.transition_index
     every = half_moves(labels, ((ti, None) for ti in range(len(labels))))
@@ -779,8 +781,7 @@ def replay_witness(net, pattern: PathPattern, witness: Witness) -> bool:
     twin = isinstance(net, TwinNet)
     g = net.base if twin else net
     try:
-        if pattern.eps_pump and any(observation(g, seq)
-                                    for seq in (project(net, pump) if twin else (pump,))):
+        if pattern.eps_pump and observation(g, pump):
             return False
         halves = [tuple(g.initial_marking)] * (1 + twin)
         for seg, recorded in zip(witness.segments, witness.markings):
@@ -808,23 +809,23 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
     when the reachability graph closed within budget, so absence is a
     proof. Everything else is INCONCLUSIVE.
 
-    A TwinNet's graph is read off base, a graph of its base net, if that
-    closed: the quotient (build_reachability_graph) under Budget((M + b) //
-    2, max_depth), M = budget.max_states and b = |base.markings|, decided if
-    it closes, exactly where the twin's graph closes under budget: every
-    diagonal pair (u, u) is reachable, so the twin's graph has 2p - b
-    markings for p pairs; p <= (M + b) // 2 iff 2p - b <= M; and a search
-    under fewer max_states stores the same ids, at the same depths, up to
-    its cut. Else the graph, a TwinNet's fired on its halves (its twin
-    net's), grows on demand (_graph_on_demand) a node at a time until a
-    stored edge's target strictly covers its source, proving the net
-    unbounded, or its search ends; search_graph then decides the closed
+    A TwinNet's graph is read off base, a graph of its base net (any other
+    base raises InputError), if that closed: the quotient
+    (build_reachability_graph) under Budget((M + b) // 2, max_depth), M =
+    budget.max_states and b = |base.markings|, decided if it closes, exactly
+    where the twin's graph closes under budget: every diagonal pair (u, u)
+    is reachable, so the twin's graph has 2p - b markings for p pairs; p <=
+    (M + b) // 2 iff 2p - b <= M; and a search under fewer max_states stores
+    the same ids, at the same depths, up to its cut. Else search_graph reads
+    the graph, a TwinNet's fired on its halves (its twin net's), grown on
+    demand (_graph_on_demand): it grows it until a stored edge's target
+    strictly covers its source or its search ends, then decides the closed
     graph, or walks the open one as on the whole graph built under budget.
     """
     if t0 is None:
         t0 = time.perf_counter()
-    if base is not None and not isinstance(net, TwinNet):
-        raise InputError("a base graph is read off only for a TwinNet")
+    if base is not None and not (isinstance(net, TwinNet) and base.net == net.base):
+        raise InputError("a base graph is read off only for a TwinNet, from its base net's graph")
     if pattern.eps_pump and isinstance(net, TwinNet):
         raise InputError("the unobservable-pump question is asked of a net, not a TwinNet")
     if base is not None and base.complete:
@@ -832,21 +833,22 @@ def search_pattern(net, pattern: PathPattern, budget: Budget,
         graph = build_reachability_graph(net.net, cap, base)
         if graph.complete:
             return search_graph(graph, pattern, budget, t0)
-    graph, v = _graph_on_demand(net, budget), 0
-    markings, succ = graph.markings, graph.succ
-    while graph.need(v) and not any(w != v and leq(markings[v], markings[w]) for _, w in succ[v]):
-        v += 1
-    return search_graph(graph, pattern, budget, t0)
+    return search_graph(_graph_on_demand(net, budget), pattern, budget, t0)
 
 
 def search_graph(
     graph: ReachabilityGraph, pattern: PathPattern, budget: Budget, t0: float
 ) -> Verdict:
     """search_pattern on graph from its initial node; t0 is when the
-    question started, for the wall time. A closed graph is decided (see
-    _exact_exists), and a witness read off it; an open one is walked (see
-    _witness_search), growing if it grows on demand, and its answer is
-    that of the walk of the whole graph built under budget."""
+    question started, for the wall time. A graph grown on demand first grows
+    until a stored edge's target strictly covers its source, proving the net
+    unbounded (Karp & Miller 1969), or its search ends. A closed graph is then
+    decided (see _exact_exists), and a witness read off it; an open one is
+    walked (see _witness_search), as the whole graph built under budget is."""
+    markings, succ, v = graph.markings, graph.succ, 0
+    while graph.rounds is not None and graph.need(v) and not any(
+            w != v and leq(markings[v], markings[w]) for _, w in succ[v]):
+        v += 1
     fed = _exact_exists(graph, pattern) if graph.complete else None
     if fed is not None and not fed:
         stats = SearchStats(len(graph.markings), max(graph.depth), time.perf_counter() - t0)

@@ -8,7 +8,9 @@ Run from anywhere, with the repository's Python:
 The first form prints one record per line: a key (corpus, net or instance,
 budget) and, after a tab, what the check returned: its outcome, witness,
 message, stats.states and stats.depth, or the error it raised. Wall times
-are left out, so the records of one revision are the same on every run.
+are left out, so the records of one revision are the same on every run;
+the time spent on each corpus goes to standard error instead, one line
+each, as "wall CORPUS SECONDS".
 
 The corpora:
 
@@ -45,9 +47,11 @@ checkout, and prints each record that differs, the revision's line first
 corpus, by outcome (the revision's, then this checkout's) and by the fields
 that changed: witness, message, states and depth (stats.states and
 stats.depth, each 0 where no differing record changed it), or a
-command's output, and last the line count of src/lpndetect/*.py on both
-sides, as `cat src/lpndetect/*.py | wc -l` counts it; it exits 1 if any
-record differs.
+command's output; then one line per corpus with its wall time on both
+sides, and last the line count of src/lpndetect/*.py on both sides, as
+`cat src/lpndetect/*.py | wc -l` counts it; it exits 1 if any record
+differs. The two sides run at the same time, one process each, so their
+wall times compare only on a host with two idle CPUs.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -226,14 +231,23 @@ def _run(src, nets):
     """The records of the checkout whose src/ is src, from a subprocess."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--src", str(src)] + \
         (["--nets", str(nets)] if nets else [])
-    return subprocess.Popen(argv, stdout=subprocess.PIPE, text=True)
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def _lines(proc):
-    out, _ = proc.communicate()
+    """The run's records by key, and its wall time per corpus; any other
+    line of its standard error is passed on."""
+    out, err = proc.communicate()
+    times = {}
+    for line in err.splitlines():
+        if re.fullmatch(r"wall \w+ [\d.]+", line):
+            _, corpus, seconds = line.split()
+            times[corpus] = float(seconds)
+        else:
+            print(line, file=sys.stderr)
     if proc.returncode:
         raise SystemExit(f"corpus run failed with exit code {proc.returncode}")
-    return dict(line.split("\t", 1) for line in out.splitlines())
+    return dict(line.split("\t", 1) for line in out.splitlines()), times
 
 
 def _fields(record):
@@ -272,7 +286,7 @@ def against(rev, nets) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         theirs, ours = _run(Path(tmp) / "src", nets), _run(ROOT / "src", nets)
-        theirs, ours = _lines(theirs), _lines(ours)
+        (theirs, their_times), (ours, our_times) = _lines(theirs), _lines(ours)
         sizes = _src_lines(Path(tmp) / "src"), _src_lines(ROOT / "src")
     if theirs.keys() != ours.keys():
         raise SystemExit("the two runs listed different records")
@@ -282,6 +296,9 @@ def against(rev, nets) -> int:
     counts = {c: sum(key.split(" ", 1)[0] == c for key in ours) for c in CORPORA}
     print(f"{len(differ)} of {len(ours)} records differ from {rev}; records per corpus: {counts}")
     print("\n".join(_tally(theirs, ours, differ)))
+    for corpus in CORPORA:
+        print(f"{corpus} wall time: {their_times.get(corpus, 0):.2f} s at {rev}, "
+              f"{our_times.get(corpus, 0):.2f} s in this checkout")
     print(f"src/lpndetect/*.py lines: {sizes[0]} at {rev}, {sizes[1]} in this checkout")
     return 1 if differ else 0
 
@@ -295,8 +312,13 @@ def main(argv=None) -> int:
     if args.against:
         return against(args.against, args.nets)
     sys.path[:0] = [args.src, str(HERE)]
+    times, clock = Counter(), time.perf_counter()
     for key, record in records(args.nets):
+        times[key.split(" ", 1)[0]] += time.perf_counter() - clock
         print(f"{key}\t{record}")
+        clock = time.perf_counter()
+    for corpus, seconds in times.items():
+        print(f"wall {corpus} {seconds:.3f}", file=sys.stderr)
     return 0
 
 

@@ -140,6 +140,71 @@ class TestAssumptions:
             assert rep.deadlock_free.outcome == INCONCLUSIVE
             assert rep.no_infinite_unobservable.holds  # no unobservable transitions
 
+    def test_eps_pump_at_the_root_grows_no_further(self, monkeypatch):
+        # t stays enabled and grows q forever; u is an ε self-loop at the
+        # root. Only the ε question is open and t may raise the marking, so
+        # the gate grows its graph on demand: t's first edge covers its
+        # source, and the walk finds the pump at the root. The whole graph
+        # holds 2000 markings; the witness is its.
+        net = make_net(["p", "q"], {"t": ("a", {"p": 1}, {"p": 1, "q": 1}),
+                                    "u": (EPSILON, {"p": 1}, {"p": 1})}, {"p": 1})
+        budget = Budget(2000, 2000)
+        calls, real = [], explore.successors
+        monkeypatch.setattr(explore, "successors", lambda *args: calls.append(args) or real(*args))
+        rep = check_assumptions(net, budget)
+        assert rep.deadlock_free.holds and len(rep.graph.markings) <= 3 and len(calls) <= 3
+        whole = build_reachability_graph(net, budget)
+        ref = explore.search_graph(whole, explore.EPS_PUMP, budget, 0.0)
+        assert len(whole.markings) == 2000
+        assert rep.no_infinite_unobservable.witness == ref.witness == \
+            Witness(((), ("u",)), ((1, 0), (1, 0)))
+        with pytest.raises(AssumptionError):
+            check_strong(net, budget)
+
+    def test_gate_grown_on_demand_matches_the_whole_graph(self, monkeypatch):
+        # The reference gate builds its graph whole wherever it builds one
+        # (explore.build_reachability_graph), and so answers the ε question
+        # by search_graph on the whole graph. On the strong (rng 11) and
+        # weak (rng 7) corpus nets that the gate grows a graph on demand
+        # for, both verdicts, outcome, witness, message and stats, are the
+        # reference's, and a report that fails neither holds the whole
+        # graph. A failing ε answer may store fewer markings. The other
+        # nets take the reference's path.
+        nets = [random_net(rng, max_places=5, max_trans=6, eps_prob=0.3)
+                for rng, count in ((random.Random(11), 600), (random.Random(7), 1500))
+                for _ in range(count)]
+        fields = ("states", "succ", "parent", "depth", "cut")
+        fewer, grown, real = Counter(), [], analyze._graph_on_demand
+        monkeypatch.setattr(analyze, "_graph_on_demand",
+                            lambda *args: grown.append(args) or real(*args))
+
+        def key(v):
+            return v.outcome, v.witness, v.message, v.stats.states, v.stats.depth
+
+        for net in nets:
+            for budget in (Budget(2000, 100), Budget(300, 30)):
+                grown.clear()
+                ours = check_assumptions(net, budget)
+                if not grown:
+                    continue
+                fewer["grown", budget.max_states] += 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(analyze, "_graph_on_demand", build_reachability_graph)
+                    ref = check_assumptions(net, budget)
+                assert key(ours.deadlock_free) == key(ref.deadlock_free)
+                assert key(ours.no_infinite_unobservable) == key(ref.no_infinite_unobservable)
+                assert (ours.graph is None) == (ref.graph is None)
+                if ours.graph is None:
+                    continue
+                if not ours.any_fails:
+                    assert [getattr(ours.graph, f) for f in fields] == \
+                        [getattr(ref.graph, f) for f in fields]
+                if len(ours.graph.markings) < len(ref.graph.markings):
+                    fewer[ours.no_infinite_unobservable.outcome, budget.max_states] += 1
+        print("grown on demand, and storing fewer markings", dict(fewer))
+        assert set(fewer) <= {("grown", 2000), ("grown", 300), (FAILS, 2000), (FAILS, 300)}
+        assert fewer[FAILS, 2000] >= 100 and fewer["grown", 2000] >= 500
+
 
 class TestCheckStrong:
     def test_e1_holds(self, e1, budget):

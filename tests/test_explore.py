@@ -169,26 +169,32 @@ class TestRounds:
         # it; search_pattern must give the same outcome, witness, stats and
         # message, call search_graph once and walk a graph at most once. A
         # record is decided early when the graph it grows on demand is still
-        # paused as search_graph is called, which then walks it. Otherwise
-        # search_graph got the whole graph (grown to its end, it is the
+        # paused as search_graph first reads it (_exact_exists or
+        # _witness_search), past its grow loop, and then walks it. Otherwise
+        # search_graph read the whole graph (grown to its end, it is the
         # graph the one-shot build gives, see the test above) and
         # search_pattern must return its verdict, so only the early records
         # build the reference.
         rng = random.Random(11)
         nets = [random_net(rng) for _ in range(300)] + [
             random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(300)]
-        real = explore.search_graph
-        calls = []
+        real, reads, calls = explore.search_graph, [], []
 
         def recorded(graph, *args):
-            paused = len(graph.succ) < len(graph.markings)  # before the walk grows it
-            calls.append((paused, real(graph, *args)))
-            return calls[-1][1]
+            reads.clear()
+            verdict = real(graph, *args)
+            calls.append((reads[0], verdict))
+            return verdict
+
+        def read(graph):  # before the walk grows it
+            reads.append(len(graph.succ) < len(graph.markings))
 
         monkeypatch.setattr(explore, "search_graph", recorded)
-        walks, real_walk = [], explore._witness_search
-        monkeypatch.setattr(explore, "_witness_search",
-                            lambda *args, **kw: walks.append(args[0]) or real_walk(*args, **kw))
+        walks, real_walk, real_decide = [], explore._witness_search, explore._exact_exists
+        monkeypatch.setattr(explore, "_exact_exists",
+                            lambda graph, *args: read(graph) or real_decide(graph, *args))
+        monkeypatch.setattr(explore, "_witness_search", lambda *args, **kw: read(args[0])
+                            or walks.append(args[0]) or real_walk(*args, **kw))
         records, early = 0, Counter()
 
         def key(v):
@@ -316,11 +322,14 @@ class TestTwinFiredOnItsHalves:
         nets = [random_net(rng) for _ in range(100)] + [
             random_net(rng, max_places=5, max_trans=6, eps_prob=0.3) for _ in range(100)]
         rounds = cut = closed = early = invariant = 0
-        # search_pattern's grow loop, seen by the expanded count at its one
-        # search_graph call; the walk itself is not run.
+        # search_graph's grow loop, seen by the expanded count at its first
+        # read of the graph, by _exact_exists or _witness_search; neither is
+        # run, so that no other read follows.
         calls = []
-        monkeypatch.setattr(explore, "search_graph", lambda graph, *_: calls.append(
-            len(graph.succ)))
+        monkeypatch.setattr(explore, "_exact_exists", lambda graph, *_: calls.append(
+            len(graph.succ)) or set())
+        monkeypatch.setattr(explore, "_witness_search", lambda graph, *_: calls.append(
+            len(graph.succ)) or (None, False, 0, 0))
         for net in nets:
             tw = build_twin(net)
             # The twin invariant, read off the net's kernel, against its
@@ -526,6 +535,40 @@ class TestSearchPattern:
         for net in (tw.net, e2):
             with pytest.raises(InputError, match="read off only for a TwinNet"):
                 search_pattern(net, STRONG, Budget(200, 20), base)
+
+    def test_a_base_graph_of_another_net_is_refused(self):
+        # a fails: after a^k, t1 may or may not have fired. other has the
+        # same places and transition names, and its closed graph, read as
+        # a's, gave a quotient without that choice, which holds.
+        a = make_net(["p", "q"], {"t1": ("a", {"p": 1}, {"q": 1}),
+                                  "t2": ("a", {"p": 1}, {"p": 1}),
+                                  "t3": ("b", {"q": 1}, {"q": 1})}, {"p": 1})
+        other = make_net(["p", "q"], {"t1": ("a", {"p": 1}, {"p": 1}),
+                                      "t2": ("b", {"p": 1}, {"p": 1}),
+                                      "t3": ("b", {"q": 1}, {"q": 1})}, {"p": 1})
+        budget, tw = Budget(2000, 100), build_twin(a)
+        assert check_strong(a, budget).fails
+        assert search_pattern(tw, STRONG, budget, build_reachability_graph(a, budget)).fails
+        with pytest.raises(InputError, match="from its base net's graph"):
+            search_pattern(tw, STRONG, budget, build_reachability_graph(other, budget))
+
+    def test_an_open_base_graph_is_refused(self):
+        # The net fails, but the pairs of an open base graph miss the
+        # reachable ones that show it: the quotient read off a Budget(k,
+        # 100) graph, k = 1-3, closed and held. search_pattern fires the
+        # twin on its halves instead.
+        net = make_net(["p0", "p1", "p2"], {"t0": ("a", {"p0": 1}, {"p1": 1}),
+                                            "t1": ("a", {"p1": 1}, {"p2": 1}),
+                                            "t2": ("a", {"p2": 1}, {"p0": 1}),
+                                            "u": ("a", {"p2": 1}, {"p1": 1})}, {"p0": 2})
+        budget, tw = Budget(2000, 100), build_twin(net)
+        assert check_strong(net, budget).fails
+        for k in (1, 2, 3):
+            base = build_reachability_graph(net, Budget(k, 100))
+            assert not base.complete
+            with pytest.raises(InputError, match="closed base graph only"):
+                build_reachability_graph(tw.net, budget, base)
+            assert search_pattern(tw, STRONG, budget, base).fails
 
     def test_eps_pump_rejects_observable(self, e1):
         v = search_pattern(e1, EPS_PUMP, Budget(100, 100))
